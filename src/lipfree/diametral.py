@@ -315,6 +315,8 @@ def verify_separated_annuli(
             )
             continue
         support = set(F.support)
+        if sum(w for _, w in F.weights) != 0:
+            support.add(space.base)  # the base carries the opposite total weight
         missed = [i for i, A in enumerate(annuli) if not (support & set(A))]
         if not missed:
             report.add(

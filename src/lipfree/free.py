@@ -1,8 +1,9 @@
 """Elements of the free space: molecules, norms, vertices, slice membership.
 
-The norm of an element is computed twice on every call — as a transport
-cost (primal) and as the optimum of the pairing over the Lipschitz unit
-ball (dual) — and the two exact values must agree.
+The norm of an element is the optimum of its pairing over the Lipschitz
+unit ball, solved once. The norming function comes from that solve and the
+transport plan from its row multipliers; the solve is accepted only after
+the exact primal–dual check in lp.
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ class FreeNormResult:
 
 
 def free_norm(mu: FreeElement) -> FreeNormResult:
-    """Exact norm with both certificates; primal and dual must coincide.
+    """Exact norm with both certificates, a norming function and a plan.
 
-    Both programs run on the subspace spanned by the support and the base
-    (the norm is unchanged there); the dual witness is lifted back by a
+    The program runs on the subspace spanned by the support and the base
+    (the norm is unchanged there); the witness is lifted back by a
     1-Lipschitz extension, so both certificates are valid on the full space.
     """
     space = mu.space
@@ -179,14 +180,8 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
 
 
 def _free_norm_direct(mu: FreeElement) -> FreeNormResult:
-    plan = lp.min_cost_transport(mu.space, mu)
     sol = lp.solve_lip_ball(lp.LipBallProgram(space=mu.space, objective=mu))
-    if sol.status != lp.OPTIMAL:
-        raise lp.SimplexError(f"norm program unexpectedly {sol.status}")
-    if sol.value != plan.cost:
-        raise lp.SimplexError(
-            f"duality gap: transport {rat_str(plan.cost)} vs ball {rat_str(sol.value)}"
-        )
+    plan = lp.ball_plan(mu.space, sol)
     return FreeNormResult(value=sol.value, witness=sol.argument, plan=plan)
 
 

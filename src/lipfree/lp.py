@@ -1,12 +1,18 @@
 """Exact rational linear programming over the Lipschitz unit ball.
 
-Two problem families share one simplex core:
+One program family runs on the simplex core: maximize a linear functional
+over {f : ||f||_Lip <= 1, f(base) = 0}, with optional linear side
+constraints. It is solved through its dual, a standard-form program whose
+basis has one row per free variable. The dual of the norm program is the
+min-cost transport on the complete graph with the base point absorbing
+imbalance: the multiplier of the row f(p) - f(q) <= d(p, q) is the mass
+moved along the arc p -> q, so one solve yields both the norming function
+and the transport plan.
 
-* maximize a linear functional over {f : ||f||_Lip <= 1, f(base) = 0}
-  with optional linear side constraints (solved through the dual, which is
-  a standard-form program whose basis has one row per free variable);
-* the transport (primal) realization of the free-space norm, a min-cost
-  flow on the complete graph with the base point absorbing imbalance.
+Every optimal solve is checked exactly, independently of the pivoting:
+the witness meets every row and attains the value, and the multipliers are
+nonnegative, combine the rows into the objective and attain the same value.
+By weak duality this pair is a proof of optimality.
 
 All pivoting is exact and runs on Python ints: the rows are scaled to
 integers, and the basis inverse is kept as an integer matrix over one
@@ -41,7 +47,7 @@ class SimplexError(RuntimeError):
 def _num_den(value) -> tuple:
     """(numerator, denominator) of an exact rational as Python ints."""
     if type(value) is not Fraction and type(value) is not int:
-        value = Fraction(str(rat(value)))
+        value = rat(value)
     return value.numerator, value.denominator
 
 
@@ -184,9 +190,9 @@ def simplex_standard(cols, b, costs):
     x = {}
     for i in range(m):
         if basis[i] < n and xb[i] != 0:
-            x[basis[i]] = rat(Fraction(xb[i], det * b_den))
-    value = rat(Fraction(value, c_den * det * b_den))
-    duals = [rat(Fraction(s * yr, c_den * det)) for s, yr in zip(sign_scale, y_num)]
+            x[basis[i]] = Fraction(xb[i], det * b_den)
+    value = Fraction(value, c_den * det * b_den)
+    duals = [Fraction(s * yr, c_den * det) for s, yr in zip(sign_scale, y_num)]
     return OPTIMAL, x, value, duals
 
 
@@ -280,27 +286,47 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
+    _verify_lip_solution(rows, c, duals, x, value)
     values = [ZERO] * space.n
     for i, p in enumerate(vars_):
         values[p] = duals[i]
     arg = LipFunction(space=space, values=tuple(values))
-    _verify_lip_solution(space, rows, c, values, value, vars_)
     return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=dict(x))
 
 
-def _verify_lip_solution(space, rows, c, values, value, vars_):
-    attained = ZERO
-    for i, p in enumerate(vars_):
-        if c[i]:
-            attained += c[i] * values[p]
-    if attained != value:
-        raise SimplexError("optimal argument does not attain the LP value")
-    for coefs, bound in rows:
+def _verify_lip_solution(rows, c, witness, multipliers, value):
+    """Exact optimality certificate of one ball solve, independent of pivoting.
+
+    rows are (coefs, bound) meaning coefs . f <= bound, c is the objective and
+    witness the values of f on the non-base points. The witness must meet
+    every row and attain value; the multipliers (row -> y_r) must be
+    nonnegative, sum coefficientwise to c and have bound-weighted sum value.
+    Then c . g = sum_r y_r (coefs_r . g) <= value for every feasible g (weak
+    duality), so the witness is a maximizer and the multipliers a minimizer.
+    """
+    for r, (coefs, bound) in enumerate(rows):
         lhs = ZERO
         for v, coef in coefs.items():
-            lhs += coef * values[vars_[v]]
+            lhs += coef * witness[v]
         if lhs > bound:
-            raise SimplexError("optimal argument violates a constraint")
+            raise SimplexError(f"witness violates row {r}: {lhs} > {bound}")
+    attained = sum((ci * fi for ci, fi in zip(c, witness) if ci), ZERO)
+    if attained != value:
+        raise SimplexError(f"witness attains {attained}, not the LP value {value}")
+    combined = [ZERO] * len(c)
+    bound_sum = ZERO
+    for r, y in multipliers.items():
+        if y < 0:
+            raise SimplexError(f"multiplier of row {r} is negative: {y}")
+        coefs, bound = rows[r]
+        for v, coef in coefs.items():
+            combined[v] += y * coef
+        bound_sum += y * bound
+    for v, (got, want) in enumerate(zip(combined, c)):
+        if got != want:
+            raise SimplexError(f"multipliers give {got}, not {want}, on variable {v}")
+    if bound_sum != value:
+        raise SimplexError(f"multipliers attain {bound_sum}, not the LP value {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,46 +342,22 @@ class TransportPlan:
         return {(p, q): mass for p, q, mass in self.flows}
 
 
+def ball_plan(space: FiniteMetricSpace, sol: LpSolution) -> TransportPlan:
+    """The transport plan in the multipliers of a ball solve with no side rows.
+
+    Rows 2k and 2k + 1 of the ball program are the arcs p -> q and q -> p of
+    the k-th pair (p, q) of space.pairs(); a multiplier is the mass on its arc.
+    """
+    if sol.status != OPTIMAL:
+        raise SimplexError(f"norm program unexpectedly {sol.status}")
+    arcs = [arc for p, q in space.pairs() for arc in ((p, q), (q, p))]
+    flows = sorted((*arcs[r], mass) for r, mass in sol.row_duals.items())
+    return TransportPlan(flows=tuple(flows), cost=sol.value)
+
+
 def min_cost_transport(space: FiniteMetricSpace, mu) -> TransportPlan:
     """Cheapest flow realizing mu, the base point absorbing any imbalance."""
-    weights = _as_weights(mu)
-    _check_points(space, weights)
-    base = space.base
-    net = {p: ZERO for p in space.points()}
-    total = ZERO
-    for p, w in weights.items():
-        if p == base:
-            continue
-        w = rat(w)
-        net[p] += w
-        total += w
-    net[base] -= total
-    if all(v == 0 for v in net.values()):
-        return TransportPlan(flows=(), cost=ZERO)
-
-    rows = [p for p in space.points() if p != base]  # drop redundant base row
-    rpos = {p: i for i, p in enumerate(rows)}
-    arcs = []
-    cols = []
-    costs = []
-    for p in space.points():
-        for q in space.points():
-            if p == q:
-                continue
-            col = []
-            if p != base:
-                col.append((rpos[p], ONE))
-            if q != base:
-                col.append((rpos[q], -ONE))
-            arcs.append((p, q))
-            cols.append(sorted(col))
-            costs.append(space.d[p][q])
-    b = [net[p] for p in rows]
-    status, x, value, _ = simplex_standard(cols, b, costs)
-    if status != OPTIMAL:
-        raise SimplexError(f"transport problem unexpectedly {status}")
-    flows = sorted((arcs[j][0], arcs[j][1], mass) for j, mass in x.items())
-    return TransportPlan(flows=tuple(flows), cost=value)
+    return ball_plan(space, solve_lip_ball(LipBallProgram(space=space, objective=mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -524,9 +524,6 @@ def extract_separated_pairs(
         for a in candidates:
             seq = []
             for p in space.points():
-                trial = seq + [p]
-                pos = len(trial)
-                lo = a * (pos - 1) / pos  # constraint index of the earlier element
                 ok = True
                 for idx, q in enumerate(seq):
                     i = idx + 1
@@ -554,7 +551,6 @@ def extract_separated_pairs(
         for u, v in all_pairs:
             if u in used or v in used:
                 continue
-            trial = chosen + [(u, v)]
             if _pair_admissible(space, a, chosen, (u, v), tolerance):
                 chosen.append((u, v))
                 used.update((u, v))

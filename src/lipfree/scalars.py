@@ -1,8 +1,7 @@
 """Exact rational scalar layer.
 
-All internal arithmetic is exact. gmpy2.mpq is used when available,
-fractions.Fraction otherwise. The simplex pivots on Python ints (see lp)
-and uses this layer only for its results.
+All internal arithmetic is exact, on fractions.Fraction. The simplex pivots
+on Python ints (see lp) and uses this layer only for its results.
 Values parsed from floats are converted to their exact binary rational.
 """
 
@@ -11,40 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _mpq = None
-    _HAVE_GMPY2 = False
-
-Scalar = Union[int, Fraction, "mpq"]
+Scalar = Union[int, Fraction]
 
 
-def rat(value) -> Scalar:
+def rat(value) -> Fraction:
     """Convert int/str/Fraction/float to an exact rational.
 
-    Strings accept "p/q", decimal ("2.5") and integer forms. Floats are
+    Strings accept "p/q", decimal ("2.5", "1e-9") and integer forms; other
+    strings, "inf" and "nan" included, raise ValueError. Floats are
     converted exactly (binary expansion), not via repr rounding.
     """
-    if isinstance(value, str):
-        try:
-            f = Fraction(value)
-        except ValueError:
-            f = Fraction(float(value))  # scientific notation, e.g. "1e-9"
-    elif isinstance(value, float):
-        f = Fraction(value)
-    elif isinstance(value, (int, Fraction)):
-        f = Fraction(value)
-    else:
-        # already an mpq (or mpz); normalize through Fraction-compatible path
-        if _HAVE_GMPY2:
-            return _mpq(value)
-        f = Fraction(value)
-    if _HAVE_GMPY2:
-        return _mpq(f.numerator, f.denominator)
-    return f
+    return Fraction(value)
 
 
 ZERO = rat(0)
@@ -58,7 +34,7 @@ def rat_str(value: Scalar) -> str:
 
 
 def as_float(value: Scalar) -> float:
-    return float(Fraction(str(rat(value))))
+    return float(rat(value))
 
 
 def format_scalar(value: Scalar, mode: str = "exact") -> str:

@@ -181,6 +181,20 @@ class TestDeterminism:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_module_entry_point(self, space_file, tmp_path):
+        ok = self._module_run(["validate", space_file])
+        assert ok.returncode == 0
+        assert json.loads(ok.stdout)["result"]["ok"] is True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"labels": ["a", "b", "c"], "base": 0,
+                                   "d": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]}))
+        assert self._module_run(["validate", str(bad)]).returncode == 1
+
+    def _module_run(self, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lipfree", *argv], capture_output=True, text=True
+        )
+
     def test_entry_point_installed(self):
         res = subprocess.run(
             ["lipfree", "--help"], capture_output=True, text=True

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipfree import lp
 from lipfree.free import (
     FreeElement,
     Molecule,
@@ -96,6 +97,23 @@ class TestFreeNorm:
         assert res.value == 5
         assert res.witness.norm <= 1
         assert mu.pairing(res.witness) == 5
+
+    def test_one_simplex_solve_per_norm(self, monkeypatch):
+        calls = []
+        solve = lp.simplex_standard
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "simplex_standard", counting)
+        space = build_half_line_space([0, 1, 3, 7, 8])
+        full = FreeElement.make(space, {1: ONE, 2: rat(-3), 3: rat("1/2"), 4: rat(2)})
+        partial = FreeElement.make(space, {1: ONE, 3: rat(-2)})
+        for mu in (full, partial):
+            calls.clear()
+            free_norm(mu)
+            assert len(calls) == 1
 
 
 class TestFreeDist:

@@ -237,6 +237,76 @@ class TestTransport:
         assert sol.value == plan.cost
 
 
+class TestBallPlan:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_plan_moves_the_element_at_its_cost(self, seed):
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(2, 7))
+        weights = {p: rat(rng.randint(-3, 3)) for p in space.points() if p != space.base}
+        sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=weights))
+        plan = lp.ball_plan(space, sol)
+        net = {p: ZERO for p in space.points()}
+        for p, q, mass in plan.flows:
+            assert mass > 0
+            net[p] += mass
+            net[q] -= mass
+        for p, w in weights.items():
+            assert net[p] == w
+        assert plan.cost == sol.value == sum(m * space.d[p][q] for p, q, m in plan.flows)
+
+    def test_rejects_a_program_without_optimum(self, triangle):
+        side = lp.SideConstraint(weights={1: ONE}, relation=">=", bound=rat(10))
+        sol = lp.solve_lip_ball(
+            lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=(side,))
+        )
+        with pytest.raises(lp.SimplexError):
+            lp.ball_plan(triangle, sol)
+
+
+def _tamper(monkeypatch, part):
+    """Make simplex_standard raise one multiplier, or one witness value at a
+    point the objective weighs, by 1/7 in its otherwise optimal answer."""
+    solve = lp.simplex_standard
+
+    def tampered(cols, b, costs):
+        status, x, value, duals = solve(cols, b, costs)
+        if part == "multiplier":
+            r = max(x)
+            x = {**x, r: x[r] + rat("1/7")}
+        else:
+            i = next(i for i, ci in enumerate(b) if ci)
+            duals = [*duals]
+            duals[i] += rat("1/7")
+        return status, x, value, duals
+
+    monkeypatch.setattr(lp, "simplex_standard", tampered)
+
+
+class TestCertificateChecker:
+    @pytest.mark.parametrize("part", ["multiplier", "witness"])
+    @pytest.mark.parametrize("with_side_row", [False, True])
+    def test_tampered_solution_is_rejected(self, triangle, monkeypatch, part, with_side_row):
+        if with_side_row:
+            # f(1) <= 1 binds, so the side row carries the last multiplier
+            sides = (lp.SideConstraint(weights={1: ONE}, relation="<=", bound=ONE),)
+            program = lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=sides)
+        else:
+            program = lp.LipBallProgram(space=triangle, objective={1: ONE, 2: rat(-2)})
+        assert lp.solve_lip_ball(program).status == lp.OPTIMAL
+        _tamper(monkeypatch, part)
+        with pytest.raises(lp.SimplexError):
+            lp.solve_lip_ball(program)
+
+    def test_negative_multiplier_is_rejected(self):
+        # f <= 1, f <= 2, -f <= 1: maximize f; y = (1, 0, 0) proves f = 1, and
+        # (4, -2, 1) combines to the same objective and value but is no proof
+        rows = [({0: ONE}, ONE), ({0: ONE}, rat(2)), ({0: -ONE}, ONE)]
+        lp._verify_lip_solution(rows, [ONE], [ONE], {0: ONE}, ONE)
+        with pytest.raises(lp.SimplexError, match="negative"):
+            lp._verify_lip_solution(rows, [ONE], [ONE], {0: rat(4), 1: rat(-2), 2: ONE}, ONE)
+
+
 class TestMaxOverPairs:
     def test_threshold_two_forces_reversal(self):
         space = build_simplex_space(3, 1)

@@ -68,6 +68,12 @@ class TestDaugavetRecursion:
         stage_checks = [c for c in report.checks if c.description.startswith("stage")]
         assert len(stage_checks) == 3
 
+    @pytest.mark.parametrize("seed", [443136, 172975])
+    def test_sampled_element_with_mass_at_the_base(self, seed):
+        # these seeds sample an element whose weights do not sum to zero, so
+        # it meets the annulus holding the base point
+        assert verify_daugavet_recursion(stages=9, samples=5, seed=seed).overall
+
 
 class TestTwoAnchor:
     def test_small_run_passes(self):
