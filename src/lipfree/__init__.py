@@ -10,8 +10,6 @@ from .free import (
     FreeNormResult,
     Molecule,
     all_molecules,
-    delta_set_molecules,
-    extreme_molecules,
     free_dist,
     free_norm,
     molecule_distance_formula,
@@ -22,13 +20,8 @@ from .functions import (
     annulus_case_extension,
     daugavet_recursive_construction,
     delta_hat_family,
-    eval_molecule,
-    flatten_at_point,
-    lip_norm,
-    locality_profile,
     mcshane_extend,
     nearest_point_function,
-    slice_flatten,
     tail_plateau,
 )
 from .metric import (
@@ -41,7 +34,6 @@ from .metric import (
     build_two_anchor_space,
     check_annulus_inequality,
     extract_separated_pairs,
-    load_space,
     seg,
     validate,
 )
@@ -70,16 +62,9 @@ __all__ = [
     "check_annulus_inequality",
     "daugavet_recursive_construction",
     "delta_hat_family",
-    "delta_set_molecules",
-    "eval_molecule",
     "extract_separated_pairs",
-    "extreme_molecules",
-    "flatten_at_point",
     "free_dist",
     "free_norm",
-    "lip_norm",
-    "load_space",
-    "locality_profile",
     "mcshane_extend",
     "molecule_distance_formula",
     "molecules_in_slice",
@@ -87,7 +72,6 @@ __all__ = [
     "rat",
     "rat_str",
     "seg",
-    "slice_flatten",
     "tail_plateau",
     "validate",
 ]

@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import diametral, reproduce
-from .free import FreeElement, Molecule, free_dist, free_norm, molecules_in_slice
+from .free import FreeElement, free_dist, free_norm, molecules_in_slice
 from .functions import (
     LipFunction,
     daugavet_recursive_construction,
@@ -29,10 +29,8 @@ from .metric import (
     build_annuli_space,
     build_hat_space,
     build_recursion_space,
-    load_space,
     validate,
 )
-from .reports import CertificateReport
 from .scalars import format_scalar, rat
 
 PASS, FAIL, ERROR = 0, 1, 2

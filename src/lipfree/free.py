@@ -1,4 +1,4 @@
-"""Elements of the free space: molecules, norms, vertices, slice membership.
+"""Elements of the free space: molecules, norms, slice membership.
 
 The norm of an element is the optimum of its pairing over the Lipschitz
 unit ball, solved once. The norming function comes from that solve and the
@@ -9,12 +9,11 @@ the exact primal–dual check in lp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import lp
 from .functions import LipFunction, mcshane_extend
 from .metric import FiniteMetricSpace
-from .scalars import ONE, Scalar, TWO, ZERO, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -110,18 +109,11 @@ class Molecule:
         if self.u == self.v:
             raise ValueError("molecule endpoints must differ")
 
-    @property
-    def separation(self) -> Scalar:
-        return self.space.d[self.u][self.v]
-
     def element(self) -> FreeElement:
         return FreeElement.make(self.space, lp.molecule_weights(self.space, self.u, self.v))
 
     def weight_dict(self) -> dict:
         return lp.molecule_weights(self.space, self.u, self.v)
-
-    def reversed(self) -> "Molecule":
-        return Molecule(self.space, self.v, self.u)
 
 
 def all_molecules(space: FiniteMetricSpace):
@@ -207,34 +199,6 @@ def molecule_distance_formula(m1: Molecule, m2: Molecule) -> Scalar:
     return (d[u][p] + d[q][v] + abs(d[u][v] - d[p][q])) / max(d[u][v], d[p][q])
 
 
-def extreme_molecules(space: FiniteMetricSpace) -> tuple:
-    """Molecules that are vertices of the convex hull of all molecules.
-
-    A molecule is kept when the LP expressing it as a convex combination of
-    the remaining molecules is infeasible. In finite dimension these
-    vertices are the denting points of the unit ball of the free space.
-    """
-    mols = all_molecules(space)
-    coords = [m.weight_dict() for m in mols]
-    rows = [p for p in space.points() if p != space.base]
-    rpos = {p: i for i, p in enumerate(rows)}
-    sum_row = len(rows)
-    out = []
-    for i, m in enumerate(mols):
-        cols = []
-        for j, w in enumerate(coords):
-            if j == i:
-                continue
-            col = sorted((rpos[p], c) for p, c in w.items())
-            col.append((sum_row, ONE))
-            cols.append(col)
-        b = [coords[i].get(p, ZERO) for p in rows] + [ONE]
-        status, _, _, _ = lp.simplex_standard(cols, b, [ZERO] * len(cols))
-        if status == lp.INFEASIBLE:
-            out.append(m)
-    return tuple(out)
-
-
 def molecules_in_slice(space: FiniteMetricSpace, f: LipFunction, alpha) -> tuple:
     """Molecules m with f(m) > 1 - alpha; f must have norm exactly one."""
     if f.norm != 1:
@@ -245,17 +209,4 @@ def molecules_in_slice(space: FiniteMetricSpace, f: LipFunction, alpha) -> tuple
     cut = ONE - alpha
     return tuple(
         m for m in all_molecules(space) if f.molecule_value(m.u, m.v) > cut
-    )
-
-
-def delta_set_molecules(x: FreeElement, eps) -> tuple:
-    """Molecules at distance >= 2 - eps from a norm-one element."""
-    if free_norm(x).value != 1:
-        raise ValueError("element must have norm exactly one")
-    eps = rat(eps)
-    if not (0 < eps <= 2):
-        raise ValueError("eps must lie in (0, 2]")
-    cut = TWO - eps
-    return tuple(
-        m for m in all_molecules(x.space) if free_dist(x, m.element()) >= cut
     )

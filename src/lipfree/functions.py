@@ -37,16 +37,6 @@ class LipFunction:
                 best = ratio
         return best
 
-    @cached_property
-    def norm_pair(self) -> Optional[tuple]:
-        """A pair attaining the norm (None for constant functions)."""
-        d = self.space.d
-        vals = self.values
-        for i, j in self.space.pairs():
-            if abs(vals[i] - vals[j]) == self.norm * d[i][j] and self.norm > 0:
-                return (i, j) if vals[i] >= vals[j] else (j, i)
-        return None
-
     def __call__(self, p: int) -> Scalar:
         return self.values[p]
 
@@ -97,16 +87,6 @@ class LipFunction:
         return cls(space=space, values=tuple(rat(v) for v in obj["values"]))
 
 
-def lip_norm(f: LipFunction) -> Scalar:
-    return f.norm
-
-
-def eval_molecule(f: LipFunction, m) -> Scalar:
-    """f applied to a molecule; accepts a Molecule or a (u, v) pair."""
-    u, v = (m.u, m.v) if hasattr(m, "u") else m
-    return f.molecule_value(u, v)
-
-
 def mcshane_extend(
     space: FiniteMetricSpace,
     subset: Iterable,
@@ -145,38 +125,6 @@ def mcshane_extend(
             out.append(min(vals[s] + L * space.d[s][p] for s in subset))
     f = LipFunction(space, tuple(out))
     return f.rooted() if shift_base else f
-
-
-def flatten_at_point(g: LipFunction, u: int) -> LipFunction:
-    """Replace g(u) with the minimal value compatible with g off u."""
-    space = g.space
-    if u == space.base:
-        raise ValueError("cannot flatten at the base point")
-    if g.norm > 1:
-        raise ValueError("function must lie in the Lipschitz unit ball")
-    new = max(g.values[v] - space.d[v][u] for v in space.points() if v != u)
-    vals = list(g.values)
-    vals[u] = new
-    return LipFunction(space, tuple(vals))
-
-
-def slice_flatten(g: LipFunction, anchors_x: Sequence, anchors_y: Sequence) -> LipFunction:
-    """Raise g along x-anchors / cap along y-anchors, renormalized at base.
-
-    h(p) = max{min_i g(y_i), max_i (g(x_i) - d(x_i, p))} + a with h(base) = 0.
-    """
-    if not anchors_x or len(anchors_x) != len(anchors_y):
-        raise ValueError("anchor lists must be non-empty and of equal length")
-    if g.norm > 1:
-        raise ValueError("function must lie in the Lipschitz unit ball")
-    space = g.space
-    floor = min(g.values[y] for y in anchors_y)
-    raw = [
-        max(floor, max(g.values[x] - space.d[x][p] for x in anchors_x))
-        for p in space.points()
-    ]
-    a = -raw[space.base]
-    return LipFunction(space, tuple(v + a for v in raw))
 
 
 def _example2_layout(space: FiniteMetricSpace):
@@ -382,35 +330,3 @@ def annulus_case_extension(f: LipFunction, A, u: int, v: int, eps) -> LipFunctio
     if out.molecule_value(u, v) < one_m_eps:
         raise ValueError("extension failed to norm the target molecule")
     return out
-
-
-def locality_profile(f: LipFunction):
-    """Per pair-distance r (ascending): the best molecule value at scale <= r."""
-    if f.norm == 0:
-        raise ValueError("locality profile undefined for constant functions")
-    space = f.space
-    radii = sorted({space.d[i][j] for i, j in space.pairs()})
-    profile = []
-    best = None
-    idx = 0
-    by_dist = sorted(space.pairs(), key=lambda ij: space.d[ij[0]][ij[1]])
-    for r in radii:
-        while idx < len(by_dist) and space.d[by_dist[idx][0]][by_dist[idx][1]] <= r:
-            i, j = by_dist[idx]
-            val = abs(f.molecule_value(i, j))
-            if best is None or val > best:
-                best = val
-            idx += 1
-        profile.append((r, best))
-    return profile
-
-
-def is_local(f: LipFunction, eps) -> bool:
-    """True when some molecule at scale < eps nearly attains the norm."""
-    eps = rat(eps)
-    space = f.space
-    thresh = f.norm - eps
-    return any(
-        space.d[i][j] < eps and abs(f.molecule_value(i, j)) > thresh
-        for i, j in space.pairs()
-    )

@@ -24,10 +24,10 @@ an iteration cap, so runs are deterministic and cycle-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional, Sequence
+from typing import Optional
 
 from .functions import LipFunction
 from .metric import FiniteMetricSpace
@@ -338,9 +338,6 @@ class TransportPlan:
     flows: tuple  # ((p, q, mass), ...) sorted by (p, q)
     cost: Scalar
 
-    def flow_dict(self) -> dict:
-        return {(p, q): mass for p, q, mass in self.flows}
-
 
 def ball_plan(space: FiniteMetricSpace, sol: LpSolution) -> TransportPlan:
     """The transport plan in the multipliers of a ball solve with no side rows.
@@ -370,7 +367,6 @@ class PairMaxResult:
     value: Optional[Scalar]
     pair: Optional[tuple]
     argument: Optional[LipFunction]
-    per_pair: tuple = ()
 
 
 def molecule_weights(space: FiniteMetricSpace, u: int, v: int) -> dict:
@@ -389,7 +385,6 @@ def max_over_pairs(
     base_fn: LipFunction,
     threshold,
     objective,
-    keep_per_pair: bool = False,
 ) -> PairMaxResult:
     """Best objective value over g in the ball with some pair witnessing
     (base_fn - g)(m_pq) >= threshold.
@@ -399,7 +394,6 @@ def max_over_pairs(
         raise ValueError("threshold must be <= 2")
     objective = _as_weights(objective)
     best = None
-    per_pair = []
     for p in space.points():
         for q in space.points():
             if p == q:
@@ -417,16 +411,8 @@ def max_over_pairs(
             )
             if sol.status != OPTIMAL:
                 continue
-            if keep_per_pair:
-                per_pair.append(((p, q), sol.value))
             if best is None or sol.value > best[1]:
                 best = ((p, q), sol.value, sol.argument)
     if best is None:
         return PairMaxResult(status=INFEASIBLE, value=None, pair=None, argument=None)
-    return PairMaxResult(
-        status=OPTIMAL,
-        value=best[1],
-        pair=best[0],
-        argument=best[2],
-        per_pair=tuple(per_pair),
-    )
+    return PairMaxResult(status=OPTIMAL, value=best[1], pair=best[0], argument=best[2])

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .scalars import ONE, Scalar, ZERO, rat, rat_str
 
@@ -16,7 +15,8 @@ class FiniteMetricSpace:
     """A finite pointed metric space: labels, base point index, distance matrix.
 
     The matrix is stored exactly (rationals). Construction checks only the
-    structural shape; use :func:`validate` for the metric axioms.
+    structural shape and that labels are distinct; use :func:`validate` for
+    the metric axioms.
     """
 
     labels: tuple
@@ -31,6 +31,13 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix shape does not match label count")
         if not (0 <= self.base < n):
             raise ValueError("base index out of range")
+        try:
+            distinct = len(set(self.labels)) == n
+        except TypeError:
+            raise ValueError("point labels must be hashable") from None
+        if not distinct:
+            dup = next(lbl for i, lbl in enumerate(self.labels) if lbl in self.labels[:i])
+            raise ValueError(f"duplicate point label: {dup!r}")
 
     @property
     def n(self) -> int:
@@ -47,9 +54,6 @@ class FiniteMetricSpace:
 
     def pairs(self):
         return combinations(range(self.n), 2)
-
-    def diameter(self) -> Scalar:
-        return max((self.d[i][j] for i, j in self.pairs()), default=ZERO)
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -144,7 +148,7 @@ def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:
     )
 
 
-def check_annulus_inequality(space, eps, a, u, v, x, y):
+def check_annulus_inequality(space, eps, u, v, x, y):
     """Check d(u,x)+d(v,y) >= (1-eps)(d(u,v)+d(x,y)); returns (ok, exact slack)."""
     eps = rat(eps)
     if not (0 < eps < 1):
@@ -181,7 +185,7 @@ def annulus_sweep(space: FiniteMetricSpace, eps, a):
             for x in xs:
                 for y in xs:
                     checked += 1
-                    ok, slack = check_annulus_inequality(space, eps, a, u, v, x, y)
+                    ok, slack = check_annulus_inequality(space, eps, u, v, x, y)
                     if not ok:
                         failures.append(((u, v, x, y), slack))
     return checked, failures
@@ -396,10 +400,6 @@ class ExtractionResult:
     points: tuple  # point indices (equidistant mode)
     pairs: tuple  # (u, v) pairs (pairs mode)
 
-    @property
-    def empty(self) -> bool:
-        return not self.points and not self.pairs
-
 
 def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
     """Largest distance b such that some closed ball of radius b holds < m points."""
@@ -452,11 +452,6 @@ def pair_sequence_failures(space, scale, pairs, tolerance) -> list:
             if min(space.d[u][q], space.d[v][q]) < qbound:
                 bad.append(("ambient-separation", (i, u, v, q)))
     return bad
-
-
-def check_pair_sequence(space, scale, pairs, tolerance) -> bool:
-    """Exhaustive re-check of the three separated-pair inequalities."""
-    return not pair_sequence_failures(space, scale, pairs, tolerance)
 
 
 def check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance=0):
@@ -555,7 +550,7 @@ def extract_separated_pairs(
                 chosen.append((u, v))
                 used.update((u, v))
         if len(chosen) > len(best):
-            if check_pair_sequence(space, a, chosen, tolerance):
+            if not pair_sequence_failures(space, a, chosen, tolerance):
                 best = tuple(chosen)
                 best_scale = a
     if not best:
@@ -584,7 +579,3 @@ def _pair_admissible(space, a, chosen, new_pair, tolerance):
                 return False
     return True
 
-
-def load_space(path) -> FiniteMetricSpace:
-    with open(path) as fh:
-        return FiniteMetricSpace.from_json(json.load(fh))

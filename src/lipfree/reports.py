@@ -80,7 +80,6 @@ class CertificateReport:
             "parameters": _render(self.parameters, mode),
             "witnesses": _render(self.witnesses, mode),
             "checks": [c.to_json(mode) for c in self.checks],
-            "verified": self.overall,
             "overall": self.overall,
             "slack": None if slack is None else format_scalar(slack, mode),
         }

@@ -36,7 +36,7 @@ from .metric import (
 )
 from .reports import CertificateReport
 from .sampling import random_free_element, random_lip_function
-from .scalars import ONE, Scalar, TWO, ZERO, rat
+from .scalars import ONE, TWO, ZERO, rat
 
 
 def _as_list(value) -> list:

@@ -6,7 +6,6 @@ import pytest
 
 from lipfree.cli import main
 from lipfree.free import Molecule
-from lipfree.metric import build_half_line_space
 
 
 @pytest.fixture
@@ -45,6 +44,14 @@ class TestExitCodes:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
+
+    def test_duplicate_labels_are_an_error(self, line4, molecule_file, tmp_path, capsys):
+        obj = line4.to_json()
+        obj["labels"][3] = obj["labels"][1]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(obj))
+        assert main(["freenorm", molecule_file, "--space", str(path)]) == 2
+        assert "duplicate point label" in capsys.readouterr().err
 
 
 class TestScalarCommands:

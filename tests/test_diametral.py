@@ -3,115 +3,11 @@ import random
 
 import pytest
 
-from lipfree.diametral import (
-    SliceSpec,
-    build_separated_chain,
-    delta_score_free,
-    greedy_packing,
-    verify_separated_annuli,
-    wstar_daugavet_profile,
-    wstar_delta_radius,
-)
-from lipfree.free import Molecule, all_molecules, free_dist, free_norm
-from lipfree.functions import LipFunction
-from lipfree.metric import build_recursion_space, build_simplex_space
+from lipfree.diametral import verify_separated_annuli, wstar_delta_radius
+from lipfree.free import Molecule, free_norm
+from lipfree.metric import build_recursion_space
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, rat
-
-
-class TestSliceSpec:
-    def test_free_side_membership(self, triangle):
-        f = free_norm(Molecule(triangle, 1, 2).element()).witness
-        slc = SliceSpec(side="free", functional=f, alpha=rat("1/2"))
-        assert slc.contains(Molecule(triangle, 1, 2))
-        assert slc.value_at(Molecule(triangle, 1, 2)) == 1
-        # the reversed molecule evaluates to -1, far outside
-        assert not slc.contains(Molecule(triangle, 2, 1))
-
-    def test_lip_side(self, triangle):
-        mu = Molecule(triangle, 1, 2).element()
-        slc = SliceSpec(side="lip", functional=mu, alpha=ONE)
-        f = free_norm(mu).witness
-        assert slc.contains(f)
-
-    def test_rejects_bad_arguments(self, triangle):
-        f = free_norm(Molecule(triangle, 1, 2).element()).witness
-        with pytest.raises(ValueError):
-            SliceSpec(side="weird", functional=f, alpha=ONE)
-        with pytest.raises(ValueError):
-            SliceSpec(side="free", functional=f, alpha=rat(3))
-        with pytest.raises(ValueError):
-            SliceSpec(side="free", functional=f * rat("1/2"), alpha=ONE)
-
-
-class TestGreedyPacking:
-    def test_zero_separation_keeps_everything(self, triangle):
-        mols = all_molecules(triangle)
-        rep = greedy_packing(mols, free_dist, 0)
-        assert len(rep.items) == len(mols) and rep.certified
-
-    def test_opposite_molecules_at_separation_two(self, triangle):
-        mols = all_molecules(triangle)
-        rep = greedy_packing(mols, free_dist, 2)
-        assert rep.certified
-        assert len(rep.items) >= 2
-        # the reversal of the first kept molecule is 2 away, so it survives
-        first = rep.items[0]
-        assert any(
-            (m.u, m.v) == (first.v, first.u) for m in rep.items
-        )
-
-    def test_rejects_negative_separation(self, triangle):
-        with pytest.raises(ValueError):
-            greedy_packing(all_molecules(triangle), free_dist, -1)
-
-
-class TestSeparatedChain:
-    def test_single_element_chain(self, triangle):
-        center = Molecule(triangle, 1, 2).element()
-        f = free_norm(center).witness
-        slc = SliceSpec(side="free", functional=f, alpha=rat("1/100"))
-        chain = build_separated_chain(triangle, center, slc, max_len=1)
-        assert chain.elements == (center,)
-
-    def test_chain_certifies_separation(self):
-        space = build_simplex_space(5)
-        center = Molecule(space, 1, 2).element()
-        f = free_norm(center).witness
-        slc = SliceSpec(side="free", functional=f, alpha=rat(2))
-        chain = build_separated_chain(space, center, slc, alpha=rat(1), max_len=4)
-        target = 2 - rat(1)
-        for i, a in enumerate(chain.elements):
-            assert free_norm(a).value == 1
-            for b in chain.elements[i + 1 :]:
-                assert free_dist(a, b) >= target
-        assert chain.separation >= target or len(chain.elements) == 1
-
-    def test_center_must_be_in_slice(self, triangle):
-        f = free_norm(Molecule(triangle, 1, 2).element()).witness
-        slc = SliceSpec(side="free", functional=f, alpha=rat("1/100"))
-        outside = Molecule(triangle, 2, 1).element()
-        with pytest.raises(ValueError):
-            build_separated_chain(triangle, outside, slc)
-
-
-class TestDeltaScore:
-    def test_reversal_attains_two(self, triangle):
-        mu = Molecule(triangle, 1, 2).element()
-        f = free_norm(mu).witness
-        slc = SliceSpec(side="free", functional=f, alpha=rat(2))
-        score = delta_score_free(triangle, mu, slc)
-        assert score.value == 2
-        assert score.min_pair_distance == min(
-            triangle.d[i][j] for i, j in triangle.pairs()
-        )
-
-    def test_narrow_slice_smaller_score(self, triangle):
-        mu = Molecule(triangle, 1, 2).element()
-        f = free_norm(mu).witness
-        wide = delta_score_free(triangle, mu, SliceSpec("free", f, rat(2)))
-        narrow = delta_score_free(triangle, mu, SliceSpec("free", f, rat("1/100")))
-        assert narrow.value <= wide.value
 
 
 def _vertex_oracle(space, f, mu, alpha):
@@ -198,9 +94,9 @@ class TestWstarRadius:
         f = free_norm(mu).witness
         with pytest.raises(ValueError):
             wstar_delta_radius(triangle, -f, mu, rat("1/4"))
-        # the profile variant skips the membership check
-        out = wstar_daugavet_profile(triangle, -f, [(mu, rat("1/4"))])
-        assert len(out) == 1
+        # without the membership check the radius of -f is still exact
+        res = wstar_delta_radius(triangle, -f, mu, rat("1/4"), require_membership=False)
+        assert res.value == _vertex_oracle(triangle, -f, mu, rat("1/4"))
 
     def test_matches_vertex_enumeration_oracle(self):
         rng = random.Random(20240818)

@@ -9,18 +9,15 @@ from lipfree.free import (
     FreeElement,
     Molecule,
     all_molecules,
-    delta_set_molecules,
-    extreme_molecules,
     free_dist,
     free_norm,
     molecule_distance_formula,
     molecules_in_slice,
 )
-from lipfree.functions import LipFunction, example2_function
+from lipfree.functions import LipFunction
 from lipfree.metric import (
     build_example2_space,
     build_half_line_space,
-    build_simplex_space,
     example2_point,
 )
 from lipfree.sampling import random_free_element, random_space
@@ -124,7 +121,7 @@ class TestFreeDist:
 
     def test_reversed_molecule_at_distance_two(self, triangle):
         m = Molecule(triangle, 1, 2)
-        assert free_dist(m, m.reversed()) == 2
+        assert free_dist(m, Molecule(triangle, m.v, m.u)) == 2
 
     def test_triangle_inequality_on_molecules(self, triangle):
         mols = all_molecules(triangle)
@@ -155,23 +152,6 @@ class TestFreeDist:
             assert free_dist(a, b) <= molecule_distance_formula(a, b)
 
 
-class TestExtremeMolecules:
-    def test_two_point_space_both_extreme(self):
-        space = build_half_line_space([0, 3])
-        assert len(extreme_molecules(space)) == 2
-
-    def test_geodesic_midpoint_kills_long_molecule(self):
-        space = build_half_line_space([0, 1, 2])
-        ext = {(m.u, m.v) for m in extreme_molecules(space)}
-        # m_02 = (1/2) m_01 + (1/2) m_12 is a proper convex combination
-        assert (0, 2) not in ext and (2, 0) not in ext
-        assert (0, 1) in ext and (1, 2) in ext
-
-    def test_simplex_all_extreme(self):
-        space = build_simplex_space(4)
-        assert len(extreme_molecules(space)) == 12
-
-
 class TestSlices:
     def test_norming_molecule_in_every_slice(self, triangle):
         f = free_norm(Molecule(triangle, 1, 2).element()).witness
@@ -188,21 +168,6 @@ class TestSlices:
         half = LipFunction(triangle, (ZERO, ONE, ZERO))  # norm 1/2
         with pytest.raises(ValueError):
             molecules_in_slice(triangle, half, rat(1))
-
-    def test_delta_set_full_at_eps_two(self, triangle):
-        x = Molecule(triangle, 1, 2).element()
-        got = delta_set_molecules(x, rat(2))
-        assert len(got) == len(all_molecules(triangle))
-
-    def test_delta_set_contains_reversal(self, triangle):
-        x = Molecule(triangle, 1, 2).element()
-        got = delta_set_molecules(x, rat("1/10"))
-        assert any((m.u, m.v) == (2, 1) for m in got)
-
-    def test_delta_set_requires_norm_one(self, triangle):
-        x = FreeElement.delta(triangle, 1)  # norm 2
-        with pytest.raises(ValueError):
-            delta_set_molecules(x, rat(1))
 
 
 class TestCancellation:

@@ -4,21 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipfree.free import Molecule
 from lipfree.functions import (
     LipFunction,
     annulus_case_extension,
     daugavet_recursive_construction,
     delta_hat_family,
-    eval_molecule,
     example2_function,
-    flatten_at_point,
-    is_local,
-    lip_norm,
-    locality_profile,
     mcshane_extend,
     nearest_point_function,
-    slice_flatten,
     tail_plateau,
 )
 from lipfree.metric import (
@@ -26,7 +19,6 @@ from lipfree.metric import (
     build_half_line_space,
     build_hat_space,
     build_recursion_space,
-    build_two_anchor_space,
     example2_point,
 )
 from lipfree.sampling import random_lip_function, random_space
@@ -36,15 +28,11 @@ from lipfree.scalars import ONE, ZERO, rat
 class TestLipFunctionBasics:
     def test_norm_and_witness_pair(self, triangle):
         f = LipFunction(triangle, (ZERO, rat(2), ZERO))
-        assert f.norm == 1 and lip_norm(f) == 1
-        assert set(f.norm_pair) == {0, 1}
+        assert f.norm == 1 and f.molecule_value(1, 0) == 1
 
     def test_molecule_value_antisymmetry(self, triangle):
         f = LipFunction(triangle, (ZERO, rat(1), rat(-2)))
         assert f.molecule_value(1, 2) == -f.molecule_value(2, 1)
-        m = Molecule(triangle, 1, 2)
-        assert eval_molecule(f, m) == f.molecule_value(1, 2)
-        assert eval_molecule(f, (1, 2)) == f.molecule_value(1, 2)
 
     def test_rooted_shifts_to_zero(self, triangle):
         f = LipFunction(triangle, (rat(3), rat(4), rat(1)))
@@ -109,27 +97,6 @@ class TestMcShane:
 
 
 class TestSurgeries:
-    def test_flatten_lowers_only_target(self, triangle):
-        g = LipFunction(triangle, (ZERO, rat(2), rat(3)))
-        g = g * (ONE / g.norm)
-        h = flatten_at_point(g, 1)
-        assert h.norm <= 1
-        assert h.values[2] == g.values[2]
-        assert h.values[1] <= g.values[1]
-
-    def test_flatten_rejects_base(self, triangle):
-        g = LipFunction(triangle, (ZERO, ONE, ONE))
-        with pytest.raises(ValueError):
-            flatten_at_point(g, triangle.base)
-
-    def test_slice_flatten_keeps_ball_and_roots(self):
-        space = build_example2_space(3)
-        g = example2_function(space)
-        xs = [example2_point(space, "x", i) for i in (1, 2)]
-        ys = [example2_point(space, "y", i) for i in (1, 2)]
-        h = slice_flatten(g, xs, ys)
-        assert h.is_rooted and h.norm <= 1
-
     def test_nearest_point_vanishes_on_sites(self, line4):
         f = nearest_point_function(line4, [0, 2])
         assert f.values[0] == 0 and f.values[2] == 0
@@ -254,23 +221,3 @@ class TestAnnulusExtension:
         with pytest.raises(ValueError):
             annulus_case_extension(f, {v}, u, v, rs.eps[1])
 
-
-class TestLocality:
-    def test_profile_monotone_and_final_norm(self, line4):
-        f = nearest_point_function(line4, [0])
-        prof = locality_profile(f)
-        vals = [v for _, v in prof]
-        assert vals == sorted(vals)
-        assert vals[-1] == f.norm
-
-    def test_is_local_detects_small_scale(self):
-        space = build_two_anchor_space(6)
-        f = nearest_point_function(space, [space.base])
-        # norm attained on a pair at distance 1, so local below any eps > 1
-        assert is_local(f, rat(2))
-        assert not is_local(f, rat("1/2"))
-
-    def test_constant_function_rejected(self, triangle):
-        f = LipFunction(triangle, (ZERO, ZERO, ZERO))
-        with pytest.raises(ValueError):
-            locality_profile(f)

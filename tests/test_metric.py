@@ -18,7 +18,6 @@ from lipfree.metric import (
     check_annuli_hypothesis,
     check_annulus_inequality,
     check_equidistant_sequence,
-    check_pair_sequence,
     example2_point,
     extract_separated_pairs,
     pair_sequence_failures,
@@ -130,7 +129,6 @@ class TestBuilders:
 
     def test_hat_space_pairs_satisfy_inequalities(self):
         hs = build_hat_space(8)
-        assert check_pair_sequence(hs.space, hs.scale, hs.pairs, hs.tolerance)
         assert not pair_sequence_failures(hs.space, hs.scale, hs.pairs, hs.tolerance)
 
     def test_recursion_space_hypothesis(self):
@@ -157,13 +155,13 @@ class TestAnnulusInequality:
         assert failures == []
 
     def test_single_quadruple_slack(self, line4):
-        ok, slack = check_annulus_inequality(line4, "1/2", 1, 0, 1, 3, 3)
+        ok, slack = check_annulus_inequality(line4, "1/2", 0, 1, 3, 3)
         # d(0,3)+d(1,3) = 7+6 >= (1/2)(1+0)
         assert ok and slack == rat("25/2")
 
     def test_rejects_bad_eps(self, line4):
         with pytest.raises(ValueError):
-            check_annulus_inequality(line4, 1, 1, 0, 1, 2, 3)
+            check_annulus_inequality(line4, 1, 0, 1, 2, 3)
 
 
 class TestExtraction:
@@ -177,7 +175,7 @@ class TestExtraction:
         hs = build_hat_space(6)
         res = extract_separated_pairs(hs.space, hs.tolerance, mode="pairs")
         assert len(res.pairs) >= 6
-        assert check_pair_sequence(hs.space, res.scale, res.pairs, hs.tolerance)
+        assert not pair_sequence_failures(hs.space, res.scale, res.pairs, hs.tolerance)
 
     def test_empty_on_tiny_space(self):
         space = build_half_line_space([0, 1])
@@ -201,3 +199,12 @@ class TestJsonRoundTrip:
         space = build_example1_space(3)
         obj = space.to_json()
         assert obj["d"][0][1] == "5/2"
+
+    def test_duplicate_label_rejected(self, triangle):
+        obj = triangle.to_json()
+        obj["labels"] = ["p0", "p1", "p0"]
+        with pytest.raises(ValueError, match="duplicate point label: 'p0'"):
+            FiniteMetricSpace.from_json(obj)
+        obj["labels"] = [["p0"], ["p1"], ["p2"]]  # JSON arrays are not hashable
+        with pytest.raises(ValueError, match="hashable"):
+            FiniteMetricSpace.from_json(obj)

@@ -219,7 +219,7 @@ class TestTransport:
     def test_delta_moves_to_base(self, triangle):
         plan = lp.min_cost_transport(triangle, {2: ONE})
         assert plan.cost == triangle.d[triangle.base][2]
-        assert plan.flow_dict() == {(2, 0): ONE}
+        assert plan.flows == ((2, 0, ONE),)
 
     def test_zero_element(self, triangle):
         assert lp.min_cost_transport(triangle, {}).cost == 0

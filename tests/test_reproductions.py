@@ -4,7 +4,6 @@ import pytest
 
 from lipfree.functions import nearest_point_function
 from lipfree.metric import build_hat_space, build_two_anchor_space
-from lipfree.reports import CertificateReport
 from lipfree.reproduce import (
     scan_theorem4_condition6,
     verify_daugavet_recursion,
@@ -109,8 +108,9 @@ class TestDeterminism:
     def test_json_schema_fields(self):
         report = verify_delta_existence(k=5)
         obj = json.loads(report.dumps("exact"))
-        assert {"claim", "parameters", "witnesses", "verified", "slack"} <= obj.keys()
+        assert {"claim", "parameters", "witnesses", "slack"} <= obj.keys()
         assert {"checks", "overall"} <= obj.keys()
+        assert "verified" not in obj  # one verdict key, not two
         assert obj["overall"] is True
 
     def test_float_mode_renders_decimals(self):
