@@ -31,7 +31,7 @@ from .metric import (
     build_recursion_space,
     validate,
 )
-from .scalars import format_scalar, rat
+from .scalars import format_scalar, parse_rat, rat
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -43,9 +43,12 @@ class CliError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _space_from_args(args) -> FiniteMetricSpace:
@@ -149,7 +152,7 @@ def cmd_dist(args) -> int:
 def cmd_extend(args) -> int:
     space = _space_from_args(args)
     values = {
-        space.index(lbl): rat(v) for lbl, v in _load_json(args.values).items()
+        space.index(lbl): parse_rat(v, "values") for lbl, v in _load_json(args.values).items()
     }
     f = mcshane_extend(
         space,
@@ -234,48 +237,33 @@ def cmd_construct(args) -> int:
     return PASS
 
 
+def _given(args, **params) -> dict:
+    """Keyword arguments from the certify flags the user gave: param=flag name."""
+    return {param: getattr(args, flag) for param, flag in params.items() if hasattr(args, flag)}
+
+
 def cmd_certify(args) -> int:
     name = args.certificate
+    seeded = {**_given(args, samples="samples"), "seed": args.seed}
     if name == "example1":
-        report = reproduce.verify_example1(
-            N=args.N if args.N is not None else 24,
-            n=args.n if args.n is not None else 3,
-            samples=args.samples if args.samples is not None else 50,
-            seed=args.seed,
-        )
+        report = reproduce.verify_example1(**_given(args, N="N", n="n"), **seeded)
     elif name == "example2":
         report = reproduce.verify_example2(
-            N=args.N if args.N is not None else 7,
-            n=args.n if args.n is not None else 6,
-            alpha=_scalar_list(args.alpha),
-            eps=_scalar_list(args.eps),
-            samples=args.samples if args.samples is not None else 20,
-            seed=args.seed,
+            **_given(args, N="N", n="n", alpha="alpha", eps="eps"), **seeded
         )
     elif name == "delta-exist":
-        report = reproduce.verify_delta_existence(
-            k=args.pairs if args.pairs is not None else 16
-        )
+        report = reproduce.verify_delta_existence(**_given(args, k="pairs"))
     elif name == "daug-rec":
-        report = reproduce.verify_daugavet_recursion(
-            stages=args.stages,
-            samples=args.samples if args.samples is not None else 5,
-            seed=args.seed,
-        )
+        report = reproduce.verify_daugavet_recursion(**_given(args, stages="stages"), **seeded)
     elif name == "two-anchor":
-        report = reproduce.verify_two_anchor_daugavet(
-            N=args.N if args.N is not None else 8,
-            delta_grid=_scalar_list(args.deltas),
-        )
-    else:  # annuli
-        asp = build_annuli_space(args.pairs if args.pairs is not None else 3, args.eps)
+        report = reproduce.verify_two_anchor_daugavet(**_given(args, N="N", delta_grid="deltas"))
+    else:  # annuli: one eps for every annulus, 1/5 unless given
+        eps = getattr(args, "eps", ["1/5"])
+        if len(eps) != 1:
+            raise CliError("certify annuli takes a single --eps value")
+        asp = build_annuli_space(**_given(args, k="pairs"), eps=eps[0])
         report = diametral.verify_separated_annuli(
-            asp.space,
-            asp.pairs,
-            asp.annuli,
-            list(asp.eps),
-            samples=args.samples if args.samples is not None else 50,
-            seed=args.seed,
+            asp.space, asp.pairs, asp.annuli, list(asp.eps), **seeded
         )
     _emit(args, _envelope(args, report.to_json(args.mode)))
     if report.overall:
@@ -388,14 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate",
         choices=("example1", "example2", "delta-exist", "daug-rec", "two-anchor", "annuli"),
     )
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--alpha", default="1/2")
-    p.add_argument("--eps", default="1/5")
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--stages", type=int, default=10)
-    p.add_argument("--deltas", default="1/2,1/4,1/8")
+    # unset flags keep the verifier's own default
+    unset = argparse.SUPPRESS
+    p.add_argument("--N", type=int, default=unset)
+    p.add_argument("--n", type=int, default=unset)
+    p.add_argument("--samples", type=int, default=unset)
+    p.add_argument("--alpha", type=_scalar_list, default=unset)
+    p.add_argument("--eps", type=_scalar_list, default=unset)
+    p.add_argument("--pairs", type=int, default=unset)
+    p.add_argument("--stages", type=int, default=unset)
+    p.add_argument("--deltas", type=_scalar_list, default=unset)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
@@ -416,10 +406,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -33,12 +33,14 @@ def wstar_delta_radius(
     mu: FreeElement,
     alpha,
     require_membership: bool = True,
+    pairs=None,
 ) -> RadiusResult:
     """Exact sup of ||f - g|| over the closed dual slice {g : mu(g) >= 1-alpha}.
 
     ||f - g|| is the maximum of (f - g)(m_pq) over ordered pairs, so the sup
     decomposes into one LP per pair: minimize g(m_pq) subject to the ball and
-    the slice constraint.
+    the slice constraint. Given pairs, the sup of max (f - g)(m_pq) over
+    just those pairs.
     """
     alpha = rat(alpha)
     if not (0 < alpha <= 2):
@@ -51,21 +53,16 @@ def wstar_delta_radius(
         weights=mu.weight_dict(), relation=">=", bound=ONE - alpha
     )
     best = None
-    for p in space.points():
-        for q in space.points():
-            if p == q:
-                continue
-            objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
-            sol = lp.solve_lip_ball(
-                lp.LipBallProgram(
-                    space=space, objective=objective, side_constraints=(slice_row,)
-                )
-            )
-            if sol.status != lp.OPTIMAL:
-                continue  # slice constraint infeasible against this ball: skip
-            value = f.molecule_value(p, q) + sol.value
-            if best is None or value > best[0]:
-                best = (value, sol.argument, (p, q))
+    for p, q in space.ordered_pairs() if pairs is None else pairs:
+        objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
+        sol = lp.solve_lip_ball(
+            lp.LipBallProgram(space=space, objective=objective, side_constraints=(slice_row,))
+        )
+        if sol.status != lp.OPTIMAL:
+            continue  # slice constraint infeasible against this ball: skip
+        value = f.molecule_value(p, q) + sol.value
+        if best is None or value > best[0]:
+            best = (value, sol.argument, (p, q))
     if best is None:
         raise ValueError("dual slice is empty")
     return RadiusResult(value=best[0], witness=best[1], pair=best[2])

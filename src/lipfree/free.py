@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import lp
 from .functions import LipFunction, mcshane_extend
 from .metric import FiniteMetricSpace
-from .scalars import ONE, Scalar, ZERO, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,11 @@ class FreeElement:
 
     @classmethod
     def from_json(cls, obj: dict, space: FiniteMetricSpace) -> "FreeElement":
+        weights = obj["weights"]
+        if not isinstance(weights, dict):
+            raise ValueError("element field 'weights' must be an object: label -> weight")
         return cls.make(
-            space, {space.index(lbl): rat(w) for lbl, w in obj["weights"].items()}
+            space, {space.index(lbl): parse_rat(w, "weights") for lbl, w in weights.items()}
         )
 
 
@@ -117,12 +120,7 @@ class Molecule:
 
 
 def all_molecules(space: FiniteMetricSpace):
-    return tuple(
-        Molecule(space, u, v)
-        for u in space.points()
-        for v in space.points()
-        if u != v
-    )
+    return tuple(Molecule(space, u, v) for u, v in space.ordered_pairs())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .metric import FiniteMetricSpace, check_annuli_hypothesis, pair_sequence_failures
-from .scalars import ONE, Scalar, ZERO, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,10 @@ class LipFunction:
     def from_json(cls, obj: dict, space: Optional[FiniteMetricSpace] = None):
         if space is None:
             space = FiniteMetricSpace.from_json(obj["space"])
-        return cls(space=space, values=tuple(rat(v) for v in obj["values"]))
+        values = obj["values"]
+        if not isinstance(values, list):
+            raise ValueError("function field 'values' must be a list")
+        return cls(space=space, values=tuple(parse_rat(v, "values") for v in values))
 
 
 def mcshane_extend(

@@ -385,34 +385,33 @@ def max_over_pairs(
     base_fn: LipFunction,
     threshold,
     objective,
+    pairs=None,
 ) -> PairMaxResult:
     """Best objective value over g in the ball with some pair witnessing
-    (base_fn - g)(m_pq) >= threshold.
+    (base_fn - g)(m_pq) >= threshold; one LP per pair (p, q) of pairs,
+    every ordered pair of distinct points by default.
     """
     threshold = rat(threshold)
     if threshold > 2:
         raise ValueError("threshold must be <= 2")
     objective = _as_weights(objective)
     best = None
-    for p in space.points():
-        for q in space.points():
-            if p == q:
-                continue
-            fval = base_fn.molecule_value(p, q)
-            if fval + ONE < threshold:
-                continue  # infeasible: g(m_pq) >= -1 always
-            side = SideConstraint(
-                weights=molecule_weights(space, p, q),
-                relation="<=",
-                bound=fval - threshold,
-            )
-            sol = solve_lip_ball(
-                LipBallProgram(space=space, objective=objective, side_constraints=(side,))
-            )
-            if sol.status != OPTIMAL:
-                continue
-            if best is None or sol.value > best[1]:
-                best = ((p, q), sol.value, sol.argument)
+    for p, q in space.ordered_pairs() if pairs is None else pairs:
+        fval = base_fn.molecule_value(p, q)
+        if fval + ONE < threshold:
+            continue  # infeasible: g(m_pq) >= -1 always
+        side = SideConstraint(
+            weights=molecule_weights(space, p, q),
+            relation="<=",
+            bound=fval - threshold,
+        )
+        sol = solve_lip_ball(
+            LipBallProgram(space=space, objective=objective, side_constraints=(side,))
+        )
+        if sol.status != OPTIMAL:
+            continue
+        if best is None or sol.value > best[1]:
+            best = ((p, q), sol.value, sol.argument)
     if best is None:
         return PairMaxResult(status=INFEASIBLE, value=None, pair=None, argument=None)
     return PairMaxResult(status=OPTIMAL, value=best[1], pair=best[0], argument=best[2])

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from .scalars import ONE, Scalar, ZERO, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,20 @@ class FiniteMetricSpace:
         return self.d[i][j]
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown point label: {label!r}") from None
 
     def points(self) -> range:
         return range(self.n)
 
     def pairs(self):
         return combinations(range(self.n), 2)
+
+    def ordered_pairs(self):
+        """Every ordered pair (p, q) of distinct points, p-major."""
+        return permutations(range(self.n), 2)
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -68,10 +75,19 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteMetricSpace":
+        if not isinstance(obj, dict):
+            raise ValueError("a space must be an object with 'labels', 'base' and 'd'")
+        labels, base, d = obj["labels"], obj["base"], obj["d"]
+        if not isinstance(labels, list):
+            raise ValueError("space field 'labels' must be a list")
+        if type(base) is not int:
+            raise ValueError("space field 'base' must be an integer point index")
+        if not isinstance(d, list) or not all(isinstance(row, list) for row in d):
+            raise ValueError("space field 'd' must be a list of rows, each a list")
         return cls(
-            labels=tuple(obj["labels"]),
-            base=int(obj["base"]),
-            d=tuple(tuple(rat(x) for x in row) for row in obj["d"]),
+            labels=tuple(labels),
+            base=base,
+            d=tuple(tuple(parse_rat(x, "d") for x in row) for row in d),
         )
 
     @classmethod
@@ -358,7 +374,7 @@ def _annuli_from_scales(coords, scales, eps_list, first_full_ball):
     return AnnuliSpace(space=space, pairs=tuple(pairs), annuli=tuple(annuli), eps=tuple(eps_list))
 
 
-def build_annuli_space(k: int, eps="1/4") -> AnnuliSpace:
+def build_annuli_space(k: int = 3, eps="1/4") -> AnnuliSpace:
     """k disjoint annuli at a uniform eps, each holding one separated pair."""
     eps = rat(eps)
     if not (0 < eps < 1):
@@ -391,14 +407,13 @@ def build_recursion_space(k: int) -> AnnuliSpace:
 
 
 # ---------------------------------------------------------------------------
-# sequence extraction (finite analogues of the bounded uniformly discrete case)
+# separated-pair extraction (finite analogue of the bounded uniformly discrete case)
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
     scale: Optional[Scalar]
-    points: tuple  # point indices (equidistant mode)
-    pairs: tuple  # (u, v) pairs (pairs mode)
+    pairs: tuple  # (u, v) pairs
 
 
 def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
@@ -409,20 +424,6 @@ def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
         if any(len(space.ball(c, b)) < m for c in space.points()):
             best = b
     return best
-
-
-def check_equidistant_sequence(space, scale, points, tolerance) -> bool:
-    scale = rat(scale)
-    tolerance = rat(tolerance)
-    for idx_i in range(len(points)):
-        i = idx_i + 1
-        lo = scale * (i - 1) / i - tolerance
-        hi = scale * (i + 1) / i + tolerance
-        for idx_j in range(idx_i + 1, len(points)):
-            dij = space.d[points[idx_i]][points[idx_j]]
-            if not (lo <= dij <= hi):
-                return False
-    return True
 
 
 def pair_sequence_failures(space, scale, pairs, tolerance) -> list:
@@ -487,57 +488,25 @@ def check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance=0):
     return not bad, bad
 
 
-def extract_separated_pairs(
-    space: FiniteMetricSpace,
-    tolerance,
-    mode: str = "equidistant",
-    population_threshold: Optional[int] = None,
-):
-    """Greedy search for almost-equidistant sequences / separated pairs.
+def extract_separated_pairs(space: FiniteMetricSpace, tolerance) -> ExtractionResult:
+    """Greedy search for a separated-pair family.
 
-    The heuristic may miss sequences but never returns an invalid one: the
+    The heuristic may miss families but never returns an invalid one: the
     result is re-verified exhaustively before returning. Empty result when
-    nothing of length >= 2 (or >= 1 pair) is found.
+    no pair is found.
     """
     tolerance = rat(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if mode not in ("equidistant", "pairs"):
-        raise ValueError(f"unknown mode: {mode}")
     if space.n < 2:
-        return ExtractionResult(scale=None, points=(), pairs=())
+        return ExtractionResult(scale=None, pairs=())
 
-    m = population_threshold if population_threshold is not None else math.ceil(space.n / 4)
-    anchor = _population_scale(space, m)
+    anchor = _population_scale(space, math.ceil(space.n / 4))
     candidates = sorted({space.d[i][j] for i, j in space.pairs()})
     if anchor is not None:
         candidates.sort(key=lambda b: (abs(b - anchor), b))
 
-    if mode == "equidistant":
-        best = ()
-        best_scale = None
-        for a in candidates:
-            seq = []
-            for p in space.points():
-                ok = True
-                for idx, q in enumerate(seq):
-                    i = idx + 1
-                    lo_i = a * (i - 1) / i - tolerance
-                    hi_i = a * (i + 1) / i + tolerance
-                    if not (lo_i <= space.d[q][p] <= hi_i):
-                        ok = False
-                        break
-                if ok:
-                    seq.append(p)
-            if len(seq) >= 2 and len(seq) > len(best):
-                if check_equidistant_sequence(space, a, seq, tolerance):
-                    best = tuple(seq)
-                    best_scale = a
-        if not best:
-            return ExtractionResult(scale=None, points=(), pairs=())
-        return ExtractionResult(scale=best_scale, points=best, pairs=())
-
-    all_pairs = [(u, v) for u in space.points() for v in space.points() if u != v]
+    all_pairs = list(space.ordered_pairs())
     best = ()
     best_scale = None
     for a in candidates:
@@ -553,9 +522,7 @@ def extract_separated_pairs(
             if not pair_sequence_failures(space, a, chosen, tolerance):
                 best = tuple(chosen)
                 best_scale = a
-    if not best:
-        return ExtractionResult(scale=None, points=(), pairs=())
-    return ExtractionResult(scale=best_scale, points=(), pairs=best)
+    return ExtractionResult(scale=best_scale, pairs=best)
 
 
 def _pair_admissible(space, a, chosen, new_pair, tolerance):

@@ -10,6 +10,7 @@ closed supremum sits exactly on the boundary.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from typing import Optional, Sequence
 
 from . import diametral, lp
@@ -221,59 +222,19 @@ def verify_example2(
                 passed,
             )
 
-    # (b) no witness-far g gives the (n+1) molecule a large value
-    core_pairs = [
-        (p, q)
-        for p in core
-        for q in core
-        if p != q and f.molecule_value(p, q) > 0
-    ]
-    target_obj = lp.molecule_weights(space, un1, vn1)
+    # (b) no witness-far g gives the (n+1) molecule a large value. closed_max
+    # is the best g(m_{u v}) over g with a core pair witnessing
+    # (f - g)(m_pq) >= 2 - 2 eps; strict_max is the radius of the slice
+    # {g : g(m_{u v}) >= 2 eps} over the core pairs, so no witness in that
+    # slice is strict
+    core_pairs = [(p, q) for p, q in permutations(core, 2) if f.molecule_value(p, q) > 0]
+    target = Molecule(space, un1, vn1)
     for e in eps_list:
-        closed_max = None
-        strict_max = None
-        for p, q in core_pairs:
-            fval = f.molecule_value(p, q)
-            sol = lp.solve_lip_ball(
-                lp.LipBallProgram(
-                    space=space,
-                    objective=target_obj,
-                    side_constraints=(
-                        lp.SideConstraint(
-                            weights=lp.molecule_weights(space, p, q),
-                            relation="<=",
-                            bound=fval - (TWO - 2 * e),
-                        ),
-                    ),
-                )
-            )
-            if sol.status == lp.OPTIMAL and (closed_max is None or sol.value > closed_max):
-                closed_max = sol.value
-            # strictness: over g with g(m_{u v}) >= 2 eps, the witness value
-            # (f-g)(m_pq) cannot exceed 2 - 2 eps, so strict witnesses stay
-            # below 2 eps; maximizing -g(m_pq) gives fval + value
-            aux = lp.solve_lip_ball(
-                lp.LipBallProgram(
-                    space=space,
-                    objective={
-                        k: -w for k, w in lp.molecule_weights(space, p, q).items()
-                    },
-                    side_constraints=(
-                        lp.SideConstraint(
-                            weights=target_obj, relation=">=", bound=2 * e
-                        ),
-                    ),
-                )
-            )
-            aux_val = fval + aux.value if aux.status == lp.OPTIMAL else None
-            if aux_val is not None and (strict_max is None or aux_val > strict_max):
-                strict_max = aux_val
-        passed = (
-            closed_max is not None
-            and closed_max <= 2 * e
-            and strict_max is not None
-            and strict_max <= TWO - 2 * e
-        )
+        closed_max = lp.max_over_pairs(space, f, TWO - 2 * e, target, pairs=core_pairs).value
+        strict_max = diametral.wstar_delta_radius(
+            space, f, target.element(), ONE - 2 * e, require_membership=False, pairs=core_pairs
+        ).value
+        passed = closed_max is not None and closed_max <= 2 * e and strict_max <= TWO - 2 * e
         report.add(
             f"no far g inflates the (n+1) molecule, eps={e}",
             "closed max g(m) <= 2 eps; witnesses with g(m) >= 2 eps are not strict",
@@ -288,7 +249,6 @@ def verify_example2(
         )
 
     # (c) molecule distances: LP norm equals the closed form, value one
-    target = Molecule(space, un1, vn1)
     bad = []
     for p, q in core_pairs:
         other = Molecule(space, p, q)
@@ -335,7 +295,7 @@ def verify_delta_existence(
         {"failures": [repr(x) for x in failures[:5]]},
         not failures,
     )
-    extraction = extract_separated_pairs(space, tolerance, mode="pairs")
+    extraction = extract_separated_pairs(space, tolerance)
     report.add(
         "independent greedy extraction finds a full family",
         f"extracted >= {k} pairs",
@@ -608,12 +568,7 @@ def scan_theorem4_condition6(
     base = space.base
     for e in (rat(x) for x in _as_list(eps_grid)):
         cut = ONE - e
-        mols = [
-            (u, v)
-            for u in space.points()
-            for v in space.points()
-            if u != v and f.molecule_value(u, v) > cut
-        ]
+        mols = [(u, v) for u, v in space.ordered_pairs() if f.molecule_value(u, v) > cut]
         if mols:
             min_pair = min(space.d[u][v] for u, v in mols)
             max_reach = max(max(space.d[base][u], space.d[base][v]) for u, v in mols)

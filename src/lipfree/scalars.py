@@ -23,6 +23,15 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+def parse_rat(value, field: str) -> Fraction:
+    """rat for input data: a value that is no number or string is a
+    ValueError naming the field it was read from."""
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"field {field!r} holds {value!r}, not a number") from None
+
+
 ZERO = rat(0)
 ONE = rat(1)
 TWO = rat(2)

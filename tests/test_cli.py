@@ -53,6 +53,29 @@ class TestExitCodes:
         assert main(["freenorm", molecule_file, "--space", str(path)]) == 2
         assert "duplicate point label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "space, element, message",
+        [
+            ({"d": 5}, None, "'d'"),
+            ({"d": [["0", "1", "3", "7"], 1, ["3", "2", "0", "4"], ["7", "6", "4", "0"]]},
+             None, "'d'"),
+            ([], None, "must hold a JSON object"),
+            (None, {"weights": [["1", "1"], ["3", "-1"]]}, "'weights'"),
+            (None, {"weights": {"zz": "1"}}, "unknown point label: 'zz'"),
+        ],
+        ids=["d-number", "d-row-not-list", "top-level-array", "weights-list", "unknown-label"],
+    )
+    def test_malformed_input_is_an_error(self, line4, tmp_path, capsys, space, element, message):
+        # a dict edits the valid space, a list replaces it by [space]
+        obj = line4.to_json()
+        obj = [obj] if isinstance(space, list) else {**obj, **(space or {})}
+        (tmp_path / "space.json").write_text(json.dumps(obj))
+        element = element or Molecule(line4, 1, 2).element().to_json()
+        (tmp_path / "mol.json").write_text(json.dumps(element))
+        argv = ["freenorm", str(tmp_path / "mol.json"), "--space", str(tmp_path / "space.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestScalarCommands:
     def test_freenorm_prints_bare_value(self, space_file, molecule_file, capsys):
@@ -94,6 +117,9 @@ class TestExtendAndSlice:
         values = tmp_path / "vals.json"
         values.write_text(json.dumps({"0": "0", "1": "100"}))
         assert main(["extend", "--space", space_file, "--values", str(values)]) == 2
+        values.write_text(json.dumps({"0": "0", "1": ["1"]}))
+        assert main(["extend", "--space", space_file, "--values", str(values)]) == 2
+        assert "'values'" in capsys.readouterr().err
 
     def test_slice_lists_molecules(self, space_file, tmp_path, capsys):
         fn = tmp_path / "fn.json"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lipfree import lp
 from lipfree.diametral import verify_separated_annuli, wstar_delta_radius
 from lipfree.free import Molecule, free_norm
 from lipfree.metric import build_recursion_space
@@ -115,6 +116,32 @@ class TestWstarRadius:
                 continue  # empty dual slice
             oracle = _vertex_oracle(space, f, mu, alpha)
             assert oracle == res.value
+
+    def test_one_pair_is_one_program(self, triangle):
+        mu = Molecule(triangle, 1, 2).element()
+        f = free_norm(mu).witness
+        res = wstar_delta_radius(triangle, f, mu, rat("1/2"), pairs=[(2, 0)])
+        side = lp.SideConstraint(weights=mu.weight_dict(), relation=">=", bound=rat("1/2"))
+        direct = lp.solve_lip_ball(
+            lp.LipBallProgram(
+                space=triangle,
+                objective={k: -w for k, w in lp.molecule_weights(triangle, 2, 0).items()},
+                side_constraints=(side,),
+            )
+        )
+        assert res.pair == (2, 0)
+        assert res.value == f.molecule_value(2, 0) + direct.value
+        assert res.witness == direct.argument
+
+    def test_default_is_every_ordered_pair(self):
+        space = random_space(random.Random(11), 4)
+        f = random_lip_function(random.Random(12), space)
+        mu = Molecule(space, 1, 2).element()
+        every = wstar_delta_radius(space, f, mu, 1, require_membership=False)
+        given = wstar_delta_radius(
+            space, f, mu, 1, require_membership=False, pairs=space.ordered_pairs()
+        )
+        assert every == given
 
 
 class TestVerifySeparatedAnnuli:

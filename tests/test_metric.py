@@ -17,7 +17,6 @@ from lipfree.metric import (
     build_two_anchor_space,
     check_annuli_hypothesis,
     check_annulus_inequality,
-    check_equidistant_sequence,
     example2_point,
     extract_separated_pairs,
     pair_sequence_failures,
@@ -165,29 +164,21 @@ class TestAnnulusInequality:
 
 
 class TestExtraction:
-    def test_equidistant_on_simplex(self):
-        space = build_simplex_space(6, 3)
-        res = extract_separated_pairs(space, 1, mode="equidistant")
-        assert len(res.points) == 6
-        assert check_equidistant_sequence(space, res.scale, res.points, 1)
-
     def test_pairs_on_hat_space(self):
         hs = build_hat_space(6)
-        res = extract_separated_pairs(hs.space, hs.tolerance, mode="pairs")
+        res = extract_separated_pairs(hs.space, hs.tolerance)
         assert len(res.pairs) >= 6
         assert not pair_sequence_failures(hs.space, res.scale, res.pairs, hs.tolerance)
 
     def test_empty_on_tiny_space(self):
         space = build_half_line_space([0, 1])
-        res = extract_separated_pairs(space, "1/10", mode="pairs")
+        res = extract_separated_pairs(space, "1/10")
         # a single pair is always admissible on a 2-point space
         assert len(res.pairs) <= 1
 
     def test_invalid_arguments(self, line4):
         with pytest.raises(ValueError):
             extract_separated_pairs(line4, 0)
-        with pytest.raises(ValueError):
-            extract_separated_pairs(line4, 1, mode="bogus")
 
 
 class TestJsonRoundTrip:
@@ -208,3 +199,21 @@ class TestJsonRoundTrip:
         obj["labels"] = [["p0"], ["p1"], ["p2"]]  # JSON arrays are not hashable
         with pytest.raises(ValueError, match="hashable"):
             FiniteMetricSpace.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 5), ("d", [["0", "2", "3"], "2 0 4", ["3", "4", "0"]]),
+         ("d", [["0", "2", "3"], ["2", "0", [4]], ["3", "4", "0"]]),
+         ("labels", "p0p1p2"), ("base", "0")],
+    )
+    def test_malformed_field_named(self, triangle, field, value):
+        obj = triangle.to_json()
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            FiniteMetricSpace.from_json(obj)
+
+
+class TestOrderedPairs:
+    def test_every_ordered_pair_once_p_major(self, line4):
+        expected = [(p, q) for p in range(4) for q in range(4) if p != q]
+        assert list(line4.ordered_pairs()) == expected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lipfree import lp
 from lipfree.functions import LipFunction
 from lipfree.metric import build_simplex_space
+from lipfree.reproduce import verify_example2
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, as_float, rat
 
@@ -335,3 +336,41 @@ class TestMaxOverPairs:
         assert res.status == lp.OPTIMAL
         u, v = res.pair
         assert f.molecule_value(u, v) - res.argument.molecule_value(u, v) >= 1
+
+    def test_one_pair_is_one_program(self, triangle):
+        f = LipFunction(triangle, (ZERO, rat(2), rat(3))) * rat("1/2")
+        res = lp.max_over_pairs(triangle, f, rat("1/2"), {1: ONE}, pairs=[(2, 1)])
+        side = lp.SideConstraint(
+            weights=lp.molecule_weights(triangle, 2, 1),
+            relation="<=",
+            bound=f.molecule_value(2, 1) - rat("1/2"),
+        )
+        direct = lp.solve_lip_ball(
+            lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=(side,))
+        )
+        assert res.pair == (2, 1)
+        assert (res.value, res.argument) == (direct.value, direct.argument)
+
+    def test_default_is_every_ordered_pair(self):
+        space = build_simplex_space(4, 1)
+        f = random_lip_function(random.Random(3), space)
+        every = lp.max_over_pairs(space, f, rat("3/2"), {1: ONE, 2: -ONE})
+        given = lp.max_over_pairs(
+            space, f, rat("3/2"), {1: ONE, 2: -ONE}, pairs=space.ordered_pairs()
+        )
+        assert every == given
+
+    def test_example2_solve_count(self, monkeypatch):
+        # part (b) sweeps the core pairs once per sweep; the seed-77 run
+        # solved 112 programs before the sweeps took their pairs
+        calls = []
+        solve = lp.simplex_standard
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "simplex_standard", counting)
+        report = verify_example2(N=4, n=3, samples=2, seed=77)
+        assert report.overall
+        assert len(calls) == 112
