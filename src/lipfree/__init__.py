@@ -32,7 +32,6 @@ from .metric import (
     build_hat_space,
     build_recursion_space,
     build_two_anchor_space,
-    check_annulus_inequality,
     extract_separated_pairs,
     seg,
     validate,
@@ -59,7 +58,6 @@ __all__ = [
     "build_hat_space",
     "build_recursion_space",
     "build_two_anchor_space",
-    "check_annulus_inequality",
     "daugavet_recursive_construction",
     "delta_hat_family",
     "extract_separated_pairs",

@@ -57,11 +57,16 @@ def _space_from_args(args) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_json(_load_json(args.space))
 
 
-def _function_from_args(args, attr: str = "function") -> LipFunction:
-    obj = _load_json(getattr(args, attr))
-    if "space" in obj:
-        return LipFunction.from_json(obj)
-    return LipFunction.from_json(obj, space=_space_from_args(args))
+def _function_from_args(args) -> LipFunction:
+    """The function file's values on its own space or on --space; a space given
+    both ways must be the same space."""
+    obj = _load_json(args.function)
+    if "space" not in obj:
+        return LipFunction.from_json(obj, space=_space_from_args(args))
+    f = LipFunction.from_json(obj)
+    if args.space is not None and _space_from_args(args) != f.space:
+        raise CliError("the function file carries a space that differs from --space")
+    return f
 
 
 def _element_from_path(path: str, space: FiniteMetricSpace) -> FreeElement:
@@ -82,10 +87,7 @@ def _emit(args, payload) -> None:
 
 
 def _envelope(args, result: dict) -> dict:
-    out = {"mode": args.mode, "seed": args.seed, "result": result}
-    if args.mode == "float":
-        out["tol"] = args.tol
-    return out
+    return {"mode": args.mode, "seed": args.seed, "result": result}
 
 
 def _scalar_list(text: str) -> list:
@@ -174,8 +176,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    space = _space_from_args(args)
     f = _function_from_args(args)
+    space = f.space
     mols = molecules_in_slice(space, f, rat(args.alpha))
     _emit(
         args,
@@ -244,6 +246,8 @@ def _given(args, **params) -> dict:
 
 def cmd_certify(args) -> int:
     name = args.certificate
+    if getattr(args, "samples", 0) < 0:
+        raise CliError("--samples must be non-negative")
     seeded = {**_given(args, samples="samples"), "seed": args.seed}
     if name == "example1":
         report = reproduce.verify_example1(**_given(args, N="N", n="n"), **seeded)
@@ -274,10 +278,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scan_dichotomy(args) -> int:
-    space = _space_from_args(args)
     f = _function_from_args(args)
     report = reproduce.scan_theorem4_condition6(
-        space, f, _scalar_list(args.eps_grid), args.radius
+        f.space, f, _scalar_list(args.eps_grid), args.radius
     )
     if args.format == "json":
         _emit(args, _envelope(args, report.to_json(args.mode)))
@@ -317,7 +320,6 @@ def cmd_scan_dichotomy(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=("exact", "float"), default="exact")
-    common.add_argument("--tol", default="1e-9", help="tolerance recorded in float mode")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write output to this path")
 

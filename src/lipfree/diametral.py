@@ -17,7 +17,7 @@ from .functions import LipFunction, annulus_case_extension
 from .metric import FiniteMetricSpace, check_annuli_hypothesis
 from .reports import CertificateReport
 from .sampling import random_free_element
-from .scalars import ONE, Scalar, TWO, rat
+from .scalars import ONE, Scalar, TWO, ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def verify_separated_annuli(
     battery: Optional[Sequence] = None,
     samples: int = 50,
     seed: int = 0,
-    tolerance=0,
 ) -> CertificateReport:
     """Hypothesis and conclusion of the disjoint-annuli criterion.
 
@@ -95,10 +94,10 @@ def verify_separated_annuli(
             "eps": eps_list,
             "samples": samples,
             "seed": seed,
-            "tolerance": rat(tolerance),
+            "tolerance": ZERO,  # the quadruple inequality is checked exactly
         },
     )
-    ok, failures = check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance)
+    ok, failures = check_annuli_hypothesis(space, pairs, annuli, eps_list)
     report.add(
         "hypothesis: disjoint annuli containing their pairs, quadruple inequality",
         "all quadruples satisfy d(u,x)+d(v,y) >= (1-eps)(d(u,v)+d(x,y))",

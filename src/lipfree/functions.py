@@ -6,7 +6,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .metric import FiniteMetricSpace, check_annuli_hypothesis, pair_sequence_failures
+from .metric import (
+    FiniteMetricSpace,
+    check_annuli_hypothesis,
+    lip_constant,
+    pair_sequence_failures,
+    quadruple_failures,
+)
 from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
 
 
@@ -28,14 +34,7 @@ class LipFunction:
 
     @cached_property
     def norm(self) -> Scalar:
-        best = ZERO
-        d = self.space.d
-        vals = self.values
-        for i, j in self.space.pairs():
-            ratio = abs(vals[i] - vals[j]) / d[i][j]
-            if ratio > best:
-                best = ratio
-        return best
+        return lip_constant(self.space, self.values, self.space.points())[0]
 
     def __call__(self, p: int) -> Scalar:
         return self.values[p]
@@ -108,14 +107,14 @@ def mcshane_extend(
     if not subset:
         raise ValueError("subset must be non-empty")
     L = rat(L)
+    if L < 0:
+        raise ValueError("L must be non-negative")
     vals = {s: rat(values[s]) for s in subset}
-    for i, s in enumerate(subset):
-        for t in subset[i + 1 :]:
-            if abs(vals[s] - vals[t]) > L * space.d[s][t]:
-                raise ValueError(
-                    f"values are not {rat_str(L)}-Lipschitz on the subset: "
-                    f"witness pair ({s}, {t})"
-                )
+    lipc, pair = lip_constant(space, vals, subset)
+    if lipc > L:
+        raise ValueError(
+            f"values are not {rat_str(L)}-Lipschitz on the subset: witness pair {pair}"
+        )
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction: {direction}")
     out = []
@@ -159,13 +158,9 @@ def tail_plateau(g: LipFunction, core_size: int) -> LipFunction:
     core = [p for p, (_, i) in enumerate(layout) if i <= core_size]
     if not core or all(i <= core_size for _, i in layout):
         raise ValueError("core must be a proper non-empty index prefix")
-    core_vals = [g.values[p] for p in core]
-    if any(
-        abs(core_vals[a] - core_vals[b]) > space.d[core[a]][core[b]]
-        for a in range(len(core))
-        for b in range(a + 1, len(core))
-    ):
+    if lip_constant(space, g.values, core)[0] > 1:
         raise ValueError("g exceeds Lipschitz constant 1 on the core")
+    core_vals = [g.values[p] for p in core]
     a = (max(core_vals) + min(core_vals)) / 2
     out = []
     for p, (kind, i) in enumerate(layout):
@@ -211,7 +206,6 @@ def daugavet_recursive_construction(
     space: FiniteMetricSpace,
     pairs: Sequence,
     annuli: Sequence,
-    tolerance=0,
 ):
     """Recursive min/max assignment along separated pairs, then extension.
 
@@ -224,7 +218,7 @@ def daugavet_recursive_construction(
     if pairs[0][0] != space.base:
         raise ValueError("u_1 must be the base point")
     eps_list = [rat(1) / (2 ** (i + 1)) for i in range(1, len(pairs) + 1)]
-    ok, failures = check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance)
+    ok, failures = check_annuli_hypothesis(space, pairs, annuli, eps_list)
     if not ok:
         raise ValueError(f"separated-annuli hypothesis fails: {failures[0]}")
 
@@ -237,18 +231,10 @@ def daugavet_recursive_construction(
             prev = list(f)
             f[u_n] = min(f[x] + c * space.d[x][u_n] for x in prev)
             f[v_n] = max(f[x] - c * space.d[x][v_n] for x in prev + [u_n])
-        defined = sorted(f)
-        lipc = ZERO
-        for a in range(len(defined)):
-            for b in range(a + 1, len(defined)):
-                p, q = defined[a], defined[b]
-                ratio = abs(f[p] - f[q]) / space.d[p][q]
-                if ratio > lipc:
-                    lipc = ratio
         log.append(
             StageRecord(
                 stage=n,
-                lip_constant=lipc,
+                lip_constant=lip_constant(space, f, sorted(f))[0],
                 constant_bound=ONE - half**n,
                 molecule_value=(f[u_n] - f[v_n]) / space.d[u_n][v_n],
                 molecule_bound=ONE - half ** (n - 1),
@@ -308,13 +294,9 @@ def annulus_case_extension(f: LipFunction, A, u: int, v: int, eps) -> LipFunctio
     if not outside:
         raise ValueError("A must not cover the whole space")
     one_m_eps = ONE - eps
-    for x in outside:
-        for y in outside:
-            ok = space.d[u][x] + space.d[v][y] >= one_m_eps * (
-                space.d[u][v] + space.d[x][y]
-            )
-            if not ok:
-                raise ValueError(f"annulus hypothesis fails at quadruple {(u, v, x, y)}")
+    failure = next(quadruple_failures(space, u, v, outside, one_m_eps), None)
+    if failure is not None:
+        raise ValueError(f"annulus hypothesis fails at quadruple {(u, v, *failure[:2])}")
 
     g = {p: one_m_eps * f.values[p] for p in outside}
     if v not in A:

@@ -164,14 +164,29 @@ def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:
     )
 
 
-def check_annulus_inequality(space, eps, u, v, x, y):
-    """Check d(u,x)+d(v,y) >= (1-eps)(d(u,v)+d(x,y)); returns (ok, exact slack)."""
-    eps = rat(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must be in (0,1)")
+def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:
+    """Largest |values[p] - values[q]| / d(p, q) over pairs of the given points,
+    with the first pair attaining it (0 and None below two points)."""
     d = space.d
-    slack = d[u][x] + d[v][y] - (ONE - eps) * (d[u][v] + d[x][y])
-    return slack >= 0, slack
+    best, pair = ZERO, None
+    for p, q in combinations(points, 2):
+        ratio = abs(values[p] - values[q]) / d[p][q]
+        if ratio > best:
+            best, pair = ratio, (p, q)
+    return best, pair
+
+
+def quadruple_failures(space: FiniteMetricSpace, u: int, v: int, points, factor):
+    """Lazily yield (x, y, slack), x-major over points, wherever
+    d(u,x) + d(v,y) >= factor (d(u,v) + d(x,y)) fails; slack < 0 is exact."""
+    d = space.d
+    du, dv, duv = d[u], d[v], d[u][v]
+    for x in points:
+        dux, dx = du[x], d[x]
+        for y in points:
+            lhs, rhs = dux + dv[y], factor * (duv + dx[y])
+            if lhs < rhs:
+                yield x, y, lhs - rhs
 
 
 def annulus_sweep(space: FiniteMetricSpace, eps, a):
@@ -194,17 +209,13 @@ def annulus_sweep(space: FiniteMetricSpace, eps, a):
     far = set(space.points()) - space.ball(base, 32 * a / eps)
     near = space.ball(base, a * eps)
     xs = sorted(far | near)
-    checked = 0
-    failures = []
-    for u in us:
-        for v in vs:
-            for x in xs:
-                for y in xs:
-                    checked += 1
-                    ok, slack = check_annulus_inequality(space, eps, u, v, x, y)
-                    if not ok:
-                        failures.append(((u, v, x, y), slack))
-    return checked, failures
+    failures = [
+        ((u, v, x, y), slack)
+        for u in us
+        for v in vs
+        for x, y, slack in quadruple_failures(space, u, v, xs, ONE - eps)
+    ]
+    return len(us) * len(vs) * len(xs) ** 2, failures
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +327,8 @@ def build_hat_space(k: int, a=2) -> HatSpace:
     if k < 3:
         raise ValueError("k must be >= 3")
     a = rat(a)
+    if a <= 0:
+        raise ValueError("scale a must be positive")
     labels = [f"u{i}" for i in range(1, k + 1)] + [f"v{i}" for i in range(1, k + 1)]
     n = 2 * k
     d = [[ZERO if i == j else a for j in range(n)] for i in range(n)]
@@ -376,6 +389,8 @@ def _annuli_from_scales(coords, scales, eps_list, first_full_ball):
 
 def build_annuli_space(k: int = 3, eps="1/4") -> AnnuliSpace:
     """k disjoint annuli at a uniform eps, each holding one separated pair."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     eps = rat(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0,1)")
@@ -392,6 +407,8 @@ def build_annuli_space(k: int = 3, eps="1/4") -> AnnuliSpace:
 
 def build_recursion_space(k: int) -> AnnuliSpace:
     """Nested annuli with per-stage eps_i = 1/2^(i+1); u_1 is the base point."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     eps_list = [rat(1) / (2 ** (i + 1)) for i in range(1, k + 1)]
     scales = [ONE]
     for i in range(1, k):
@@ -426,43 +443,45 @@ def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
     return best
 
 
+def _pair_failures(space, scale, pairs, j: int, tolerance):
+    """Lazily yield the separated-pair violations that pair j (1-based) adds to
+    pairs[:j - 1]: its distance, the ambient points, then the earlier pairs."""
+    d = space.d
+    u, v = pairs[j - 1]
+    if not (scale * (j - 1) / j - tolerance <= d[u][v] <= scale * (j + 1) / j + tolerance):
+        yield ("pair-distance", (j, u, v))
+    qbound = scale * (j - 1) / (2 * j) - tolerance
+    for q in space.points():
+        if q != u and q != v and min(d[u][q], d[v][q]) < qbound:
+            yield ("ambient-separation", (j, u, v, q))
+    for i, (ui, vi) in enumerate(pairs[: j - 1], start=1):
+        lo = scale * (i - 1) / i - tolerance
+        for p in (u, v):
+            if min(d[ui][p], d[vi][p]) < lo:
+                yield ("later-separation", (i, ui, vi, p))
+
+
 def pair_sequence_failures(space, scale, pairs, tolerance) -> list:
     """Every separated-pair inequality violation, as (kind, data) records."""
     scale = rat(scale)
     tolerance = rat(tolerance)
-    bad = []
     flat = [p for uv in pairs for p in uv]
     if len(set(flat)) != len(flat):
-        bad.append(("overlap", tuple(flat)))
-        return bad
-    for idx in range(len(pairs)):
-        i = idx + 1
-        u, v = pairs[idx]
-        lo = scale * (i - 1) / i - tolerance
-        hi = scale * (i + 1) / i + tolerance
-        if not (lo <= space.d[u][v] <= hi):
-            bad.append(("pair-distance", (i, u, v)))
-        for later in pairs[idx + 1 :]:
-            for p in later:
-                if min(space.d[u][p], space.d[v][p]) < lo:
-                    bad.append(("later-separation", (i, u, v, p)))
-        qbound = scale * (i - 1) / (2 * i) - tolerance
-        for q in space.points():
-            if q in (u, v):
-                continue
-            if min(space.d[u][q], space.d[v][q]) < qbound:
-                bad.append(("ambient-separation", (i, u, v, q)))
-    return bad
+        return [("overlap", tuple(flat))]
+    return [
+        bad
+        for j in range(1, len(pairs) + 1)
+        for bad in _pair_failures(space, scale, pairs, j, tolerance)
+    ]
 
 
-def check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance=0):
+def check_annuli_hypothesis(space, pairs, annuli, eps_list):
     """Disjoint annuli, each containing its pair, with the quadruple inequality.
 
     For every i and all x, y outside A_i we need
-    d(u_i,x) + d(v_i,y) >= (1-eps_i)(d(u_i,v_i) + d(x,y)) - tolerance.
+    d(u_i,x) + d(v_i,y) >= (1-eps_i)(d(u_i,v_i) + d(x,y)).
     Returns (ok, failures) where failures are (kind, data) records.
     """
-    tolerance = rat(tolerance)
     bad = []
     annuli = [frozenset(A) for A in annuli]
     if not (len(pairs) == len(annuli) == len(eps_list)):
@@ -472,19 +491,15 @@ def check_annuli_hypothesis(space, pairs, annuli, eps_list, tolerance=0):
             common = annuli[a] & annuli[b]
             if common:
                 bad.append(("annuli-overlap", (a + 1, b + 1, tuple(sorted(common)))))
-    d = space.d
     for idx, ((u, v), A, eps) in enumerate(zip(pairs, annuli, eps_list), start=1):
-        eps = rat(eps)
         if u not in A or v not in A:
             bad.append(("pair-outside-annulus", (idx, u, v)))
             continue
         outside = [p for p in space.points() if p not in A]
-        scale = ONE - eps
-        duv = d[u][v]
-        for x in outside:
-            for y in outside:
-                if d[u][x] + d[v][y] < scale * (duv + d[x][y]) - tolerance:
-                    bad.append(("quadruple", (idx, u, v, x, y)))
+        bad.extend(
+            ("quadruple", (idx, u, v, x, y))
+            for x, y, _ in quadruple_failures(space, u, v, outside, ONE - rat(eps))
+        )
     return not bad, bad
 
 
@@ -515,34 +530,12 @@ def extract_separated_pairs(space: FiniteMetricSpace, tolerance) -> ExtractionRe
         for u, v in all_pairs:
             if u in used or v in used:
                 continue
-            if _pair_admissible(space, a, chosen, (u, v), tolerance):
-                chosen.append((u, v))
+            trial = chosen + [(u, v)]
+            if next(_pair_failures(space, a, trial, len(trial), tolerance), None) is None:
+                chosen = trial
                 used.update((u, v))
         if len(chosen) > len(best):
             if not pair_sequence_failures(space, a, chosen, tolerance):
                 best = tuple(chosen)
                 best_scale = a
     return ExtractionResult(scale=best_scale, pairs=best)
-
-
-def _pair_admissible(space, a, chosen, new_pair, tolerance):
-    j = len(chosen) + 1
-    u, v = new_pair
-    lo_j = a * (j - 1) / j - tolerance
-    hi_j = a * (j + 1) / j + tolerance
-    if not (lo_j <= space.d[u][v] <= hi_j):
-        return False
-    qbound = a * (j - 1) / (2 * j) - tolerance
-    for q in space.points():
-        if q in (u, v):
-            continue
-        if min(space.d[u][q], space.d[v][q]) < qbound:
-            return False
-    for idx, (ui, vi) in enumerate(chosen):
-        i = idx + 1
-        lo_i = a * (i - 1) / i - tolerance
-        for p in (u, v):
-            if min(space.d[ui][p], space.d[vi][p]) < lo_i:
-                return False
-    return True
-

@@ -33,6 +33,7 @@ from .metric import (
     example2_point,
     extract_separated_pairs,
     pair_sequence_failures,
+    quadruple_failures,
     seg,
 )
 from .reports import CertificateReport
@@ -448,19 +449,12 @@ def _annuli_family_feasible(space, k: int, factors) -> Optional[dict]:
     intended for small instances.
     """
     pts = list(space.points())
-    d = space.d
-
-    def quad_ok(u, v, A, factor):
-        out = [p for p in pts if p not in A]
-        duv = d[u][v]
-        return all(
-            d[u][x] + d[v][y] >= factor * (duv + d[x][y]) for x in out for y in out
-        )
 
     def admissible_pair(A, factor):
+        out = [p for p in pts if p not in A]
         for u in sorted(A):
             for v in pts:
-                if v != u and quad_ok(u, v, A, factor):
+                if v != u and next(quadruple_failures(space, u, v, out, factor), None) is None:
                     return (u, v)
         return None
 

@@ -6,6 +6,9 @@ import pytest
 
 from lipfree.cli import main
 from lipfree.free import Molecule
+from lipfree.functions import LipFunction
+from lipfree.metric import FiniteMetricSpace, build_half_line_space
+from lipfree.scalars import rat
 
 
 @pytest.fixture
@@ -76,6 +79,33 @@ class TestExitCodes:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "daugavet", "--stages", "0"], "k must be >= 1"),
+            (["certify", "daug-rec", "--stages", "0"], "k must be >= 1"),
+            (["certify", "annuli", "--pairs", "0"], "k must be >= 1"),
+            (["construct", "delta-hat", "--scale", "0"], "scale a must be positive"),
+            (["certify", "example2", "--samples", "-1"], "--samples"),
+            (["certify", "annuli", "--samples", "-3"], "--samples"),
+        ],
+        ids=["daugavet-stages", "daug-rec-stages", "annuli-pairs", "hat-scale",
+             "example2-samples", "annuli-samples"],
+    )
+    def test_bad_count_or_scale_is_an_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["slice", "scan-dichotomy"])
+    def test_function_space_must_match_space(self, tmp_path, capsys, command):
+        simplex = FiniteMetricSpace.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        (tmp_path / "space.json").write_text(json.dumps(simplex.to_json()))
+        f = LipFunction(build_half_line_space([0, 1, 2, 3, 4]), tuple(rat(i) for i in range(5)))
+        (tmp_path / "fn.json").write_text(json.dumps(f.to_json()))
+        argv = [command, "--space", str(tmp_path / "space.json"), "--function", str(tmp_path / "fn.json")]
+        assert main(argv + (["--alpha", "1/2"] if command == "slice" else [])) == 2
+        assert "differs from --space" in capsys.readouterr().err
+
 
 class TestScalarCommands:
     def test_freenorm_prints_bare_value(self, space_file, molecule_file, capsys):
@@ -94,15 +124,6 @@ class TestScalarCommands:
         obj = json.loads(out.read_text())
         assert obj["mode"] == "exact" and obj["result"]["norm"] == "1"
         assert obj["result"]["plan"]  # transport certificate included
-
-    def test_float_mode_records_tolerance(self, space_file, molecule_file, tmp_path):
-        out = tmp_path / "res.json"
-        assert main([
-            "freenorm", molecule_file, "--space", space_file,
-            "--mode", "float", "--out", str(out),
-        ]) == 0
-        obj = json.loads(out.read_text())
-        assert obj["tol"] == "1e-9"
 
 
 class TestExtendAndSlice:

@@ -84,8 +84,10 @@ class TestMcShane:
         assert all(lo.values[p] <= hi.values[p] for p in space.points())
 
     def test_rejects_non_lipschitz_data(self, line4):
-        with pytest.raises(ValueError, match="not 1-Lipschitz"):
+        with pytest.raises(ValueError, match=r"not 1-Lipschitz .* witness pair \(0, 1\)"):
             mcshane_extend(line4, [0, 1], {0: ZERO, 1: rat(5)}, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            mcshane_extend(line4, [2], {2: rat(5)}, -1)
 
     def test_rejects_bad_direction(self, line4):
         with pytest.raises(ValueError):

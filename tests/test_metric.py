@@ -16,9 +16,9 @@ from lipfree.metric import (
     build_simplex_space,
     build_two_anchor_space,
     check_annuli_hypothesis,
-    check_annulus_inequality,
     example2_point,
     extract_separated_pairs,
+    lip_constant,
     pair_sequence_failures,
     seg,
     validate,
@@ -130,6 +130,22 @@ class TestBuilders:
         hs = build_hat_space(8)
         assert not pair_sequence_failures(hs.space, hs.scale, hs.pairs, hs.tolerance)
 
+    def test_perturbed_hat_space_failure_records(self):
+        # d(u2,v4) = 1/20 breaks pair 2's later separation and pair 4's
+        # ambient separation; d(u6,v6) = 1/2 is below 6's distance window
+        hs = build_hat_space(6)
+        d = [list(row) for row in hs.space.d]
+        for (p, q), value in {(1, 9): "1/20", (5, 11): "1/2"}.items():
+            d[p][q] = d[q][p] = rat(value)
+        space = FiniteMetricSpace.from_matrix(d, labels=hs.space.labels)
+        failures = pair_sequence_failures(space, hs.scale, hs.pairs, hs.tolerance)
+        assert len(failures) == 3
+        assert set(failures) == {
+            ("later-separation", (2, 1, 7, 9)),
+            ("ambient-separation", (4, 3, 9, 1)),
+            ("pair-distance", (6, 5, 11)),
+        }
+
     def test_recursion_space_hypothesis(self):
         rs = build_recursion_space(5)
         ok, failures = check_annuli_hypothesis(
@@ -153,14 +169,28 @@ class TestAnnulusInequality:
         assert checked > 0
         assert failures == []
 
-    def test_single_quadruple_slack(self, line4):
-        ok, slack = check_annulus_inequality(line4, "1/2", 0, 1, 3, 3)
-        # d(0,3)+d(1,3) = 7+6 >= (1/2)(1+0)
-        assert ok and slack == rat("25/2")
+    def test_sweep_failure_slack(self, line4):
+        # the triangle inequality makes every sweep quadruple hold, so break
+        # it: d(1,7) = 1. At eps = 3/4, a = 1/8: u in {0,1}, v = 1, x,y in
+        # {0,7}, and d(0,0)+d(1,7) = 1 < (1/4)(d(0,1)+d(0,7)) = 2
+        d = [list(row) for row in line4.d]
+        d[1][3] = d[3][1] = rat(1)
+        space = FiniteMetricSpace.from_matrix(d, labels=line4.labels)
+        checked, failures = annulus_sweep(space, "3/4", "1/8")
+        assert checked == 8
+        assert failures == [((0, 1, 0, 3), rat(-1))]
+        assert annulus_sweep(line4, "3/4", "1/8") == (8, [])
 
     def test_rejects_bad_eps(self, line4):
         with pytest.raises(ValueError):
-            check_annulus_inequality(line4, 1, 0, 1, 2, 3)
+            annulus_sweep(line4, 1, 1)
+
+
+def test_lip_constant_names_first_attaining_pair(line4):
+    # slopes on 0,1,3,7: 2 on [0,1] and on [3,7], 1/2 on [1,3]
+    assert lip_constant(line4, (0, 2, 3, 11), line4.points()) == (2, (0, 1))
+    assert lip_constant(line4, (0, 2, 3, 11), [1, 2, 3]) == (2, (2, 3))
+    assert lip_constant(line4, (0, 2, 3, 11), [2]) == (0, None)
 
 
 class TestExtraction:

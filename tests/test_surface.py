@@ -25,3 +25,18 @@ def test_every_public_definition_is_used():
         and not refs.get(node.name, set()) - {id(n) for n in ast.walk(node)}
     ]
     assert not unused, f"public names used by no module or acceptance test: {unused}"
+
+
+def test_all_matches_package_imports():
+    import lipfree
+
+    init = ast.parse((TESTS.parent / "src" / "lipfree" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert [name for name in lipfree.__all__ if not hasattr(lipfree, name)] == []
+    assert sorted(imported - set(lipfree.__all__)) == []
