@@ -12,7 +12,12 @@ and the transport plan.
 Every optimal solve is checked exactly, independently of the pivoting:
 the witness meets every row and attains the value, and the multipliers are
 nonnegative, combine the rows into the objective and attain the same value.
-By weak duality this pair is a proof of optimality.
+By weak duality this pair is a proof of optimality. The check runs on
+Python ints: the ball rows, built once per space (``ball_rows`` of the
+space) and shared by all its programs, have coefficients +-1, so with the
+witness over its common denominator each row is one cross-multiplied int
+comparison. The checker reads only the returned rationals and the rows,
+never the solver's basis, and names exact rationals when a check fails.
 
 All pivoting is exact and runs on Python ints: the rows are scaled to
 integers, and the basis inverse is kept as an integer matrix over one
@@ -44,17 +49,11 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _num_den(value) -> tuple:
-    """(numerator, denominator) of an exact rational as Python ints."""
-    if type(value) is not Fraction and type(value) is not int:
-        value = rat(value)
-    return value.numerator, value.denominator
-
-
 def simplex_standard(cols, b, costs):
     """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
 
-    cols: sparse columns as [(row, coef), ...]. Returns
+    cols: sparse columns as [(row, coef), ...], with int or Fraction
+    entries like b and costs. Returns
     (status, x: dict, value, duals: list per row). Two-phase revised
     simplex over Python ints, with one artificial per row as the start.
 
@@ -69,13 +68,13 @@ def simplex_standard(cols, b, costs):
     division by the old det. Reduced costs are compared as integer
     numerators over det, and the ratio test cross-multiplies, so the pivots
     are those of the rational simplex; the results are converted back
-    through rat.
+    to Fractions.
     """
     m = len(b)
     n = len(cols)
-    b = [_num_den(v) for v in b]
-    c = [_num_den(v) for v in costs]
-    cols = [[(r, *_num_den(a)) for r, a in col] for col in cols]
+    b = [(v.numerator, v.denominator) for v in b]
+    c = [(v.numerator, v.denominator) for v in costs]
+    cols = [[(r, a.numerator, a.denominator) for r, a in col] for col in cols]
     scale = [1] * m
     for col in cols:
         for r, _, den in col:
@@ -240,22 +239,10 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     objective = _as_weights(program.objective)
     _check_points(space, objective)
     base = space.base
-    vars_ = [p for p in space.points() if p != base]
-    vpos = {p: i for i, p in enumerate(vars_)}
-    k = len(vars_)
+    k = space.n - 1  # variable p - (p > base) is f(p), p != base
 
-    rows = []  # (sparse {var: coef}, bound)
-    for p, q in space.pairs():
-        dpq = space.d[p][q]
-        if p == base:
-            rows.append(({vpos[q]: -ONE}, dpq))
-            rows.append(({vpos[q]: ONE}, dpq))
-        elif q == base:
-            rows.append(({vpos[p]: ONE}, dpq))
-            rows.append(({vpos[p]: -ONE}, dpq))
-        else:
-            rows.append(({vpos[p]: ONE, vpos[q]: -ONE}, dpq))
-            rows.append(({vpos[p]: -ONE, vpos[q]: ONE}, dpq))
+    rows, cols = space.ball_rows
+    side_rows = []
     for sc in program.side_constraints:
         weights = _as_weights(sc.weights)
         _check_points(space, weights)
@@ -263,33 +250,34 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
         for p, w in weights.items():
             if p == base or w == 0:
                 continue
-            coefs[vpos[p]] = coefs.get(vpos[p], ZERO) + rat(w)
+            v = p - (p > base)
+            coefs[v] = coefs.get(v, ZERO) + rat(w)
         bound = rat(sc.bound)
         if sc.relation == "<=":
-            rows.append((coefs, bound))
+            side_rows.append((coefs, bound))
         elif sc.relation == ">=":
-            rows.append(({v: -c for v, c in coefs.items()}, -bound))
+            side_rows.append(({v: -c for v, c in coefs.items()}, -bound))
         else:
             raise ValueError(f"unknown relation: {sc.relation}")
+    if side_rows:
+        rows = rows + tuple(side_rows)
+        cols = cols + tuple(sorted(coefs.items()) for coefs, _ in side_rows)
 
     c = [ZERO] * k
     for p, w in objective.items():
         if p != base:
-            c[vpos[p]] += rat(w)
+            c[p - (p > base)] += rat(w)
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
-    cols = [sorted((v, coef) for v, coef in coefs.items()) for coefs, _ in rows]
-    costs = [bound for _, bound in rows]
-    status, x, value, duals = simplex_standard(cols, c, costs)
+    status, x, value, duals = simplex_standard(cols, c, [bound for _, bound in rows])
     if status == INFEASIBLE:
         return LpSolution(status=UNBOUNDED, value=None, argument=None, row_duals=None)
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
     _verify_lip_solution(rows, c, duals, x, value)
-    values = [ZERO] * space.n
-    for i, p in enumerate(vars_):
-        values[p] = duals[i]
+    values = list(duals)
+    values.insert(base, ZERO)
     arg = LipFunction(space=space, values=tuple(values))
     return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=dict(x))
 
@@ -303,13 +291,23 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
     nonnegative, sum coefficientwise to c and have bound-weighted sum value.
     Then c . g = sum_r y_r (coefs_r . g) <= value for every feasible g (weak
     duality), so the witness is a maximizer and the multipliers a minimizer.
+
+    The witness is put over its common denominator wden, so a row with int
+    coefficients is checked in ints as lhs * bound.den <= bound.num * wden;
+    a row with Fraction coefficients gives a Fraction lhs and the same
+    comparison stays exact. The multiplier checks touch only the nonzero
+    multipliers, at most one per variable. Only the returned rationals and
+    the rows are read, never the solver's basis, and a failure names the
+    exact values.
     """
+    wden = lcm(*(w.denominator for w in witness))
+    wnum = [w.numerator * (wden // w.denominator) for w in witness]
     for r, (coefs, bound) in enumerate(rows):
-        lhs = ZERO
+        lhs = 0
         for v, coef in coefs.items():
-            lhs += coef * witness[v]
-        if lhs > bound:
-            raise SimplexError(f"witness violates row {r}: {lhs} > {bound}")
+            lhs += coef * wnum[v]
+        if lhs * bound.denominator > bound.numerator * wden:
+            raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {bound}")
     attained = sum((ci * fi for ci, fi in zip(c, witness) if ci), ZERO)
     if attained != value:
         raise SimplexError(f"witness attains {attained}, not the LP value {value}")

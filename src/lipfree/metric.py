@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -17,6 +19,12 @@ class FiniteMetricSpace:
     The matrix is stored exactly (rationals). Construction checks only the
     structural shape and that labels are distinct; use :func:`validate` for
     the metric axioms.
+
+    Two integer forms of the matrix are built on first use and kept:
+    :attr:`int_view` is (D, scale) with d[i][j] = D[i][j] / scale over one
+    common denominator, which the inequality kernels compare cross-multiplied
+    as Python ints, and :attr:`ball_rows` holds the rows of the Lipschitz
+    unit ball that every ball program of the space shares.
     """
 
     labels: tuple
@@ -61,6 +69,38 @@ class FiniteMetricSpace:
     def ordered_pairs(self):
         """Every ordered pair (p, q) of distinct points, p-major."""
         return permutations(range(self.n), 2)
+
+    @cached_property
+    def int_view(self) -> tuple:
+        """(D, scale): D[i][j] = d[i][j] * scale as ints, scale the least
+        common denominator of the matrix."""
+        scale = math.lcm(*(x.denominator for row in self.d for x in row))
+        D = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.d
+        )
+        return D, scale
+
+    @cached_property
+    def ball_rows(self) -> tuple:
+        """(rows, cols) of the Lipschitz unit ball f(base) = 0, ||f|| <= 1.
+
+        The variables are the non-base points in order, point p being
+        variable p - (p > base). Rows 2k and 2k + 1 are f(p) - f(q) <= d(p, q)
+        and f(q) - f(p) <= d(p, q) for the k-th pair (p, q) of pairs(), as
+        ({variable: +-1}, d(p, q)); cols[r] is row r's coefficients sorted by
+        variable.
+        """
+        base = self.base
+        rows = []
+        for p, q in self.pairs():
+            arc = {}
+            if p != base:
+                arc[p - (p > base)] = 1
+            if q != base:
+                arc[q - (q > base)] = -1
+            rows.append((arc, self.d[p][q]))
+            rows.append(({v: -a for v, a in arc.items()}, self.d[p][q]))
+        return tuple(rows), tuple(sorted(coefs.items()) for coefs, _ in rows)
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -166,27 +206,46 @@ def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:
 
 def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:
     """Largest |values[p] - values[q]| / d(p, q) over pairs of the given points,
-    with the first pair attaining it (0 and None below two points)."""
+    with the first pair attaining it (0 and None below two points).
+
+    The values are put over one common denominator den, and each pair's
+    ratio |dV| * d.den / (den * d.num) is compared cross-multiplied as ints;
+    the distances between the points must be positive.
+    """
     d = space.d
-    best, pair = ZERO, None
-    for p, q in combinations(points, 2):
-        ratio = abs(values[p] - values[q]) / d[p][q]
-        if ratio > best:
-            best, pair = ratio, (p, q)
-    return best, pair
+    points = list(points)
+    vals = [values[p] for p in points]
+    den = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    best_gap, best_dnum, pair = 0, 1, None
+    for i, p in enumerate(points):
+        dp, vp = d[p], nums[i]
+        for j in range(i + 1, len(points)):
+            dpq = dp[points[j]]
+            gap = abs(vp - nums[j]) * dpq.denominator
+            if gap * best_dnum > best_gap * dpq.numerator:
+                best_gap, best_dnum, pair = gap, dpq.numerator, (p, points[j])
+    return Fraction(best_gap, den * best_dnum), pair
 
 
 def quadruple_failures(space: FiniteMetricSpace, u: int, v: int, points, factor):
     """Lazily yield (x, y, slack), x-major over points, wherever
-    d(u,x) + d(v,y) >= factor (d(u,v) + d(x,y)) fails; slack < 0 is exact."""
-    d = space.d
-    du, dv, duv = d[u], d[v], d[u][v]
+    d(u,x) + d(v,y) >= factor (d(u,v) + d(x,y)) fails; slack < 0 is exact.
+
+    Both sides are compared as ints of the space's int_view, times the
+    denominator of factor; the slack is made a Fraction only on a failure.
+    """
+    D, scale = space.int_view
+    fnum, fden = factor.numerator, factor.denominator
+    points = list(points)
+    Du, Duv = D[u], D[u][v]
+    vy = [fden * D[v][y] for y in points]
     for x in points:
-        dux, dx = du[x], d[x]
-        for y in points:
-            lhs, rhs = dux + dv[y], factor * (duv + dx[y])
-            if lhs < rhs:
-                yield x, y, lhs - rhs
+        ux, Dx = fden * Du[x], D[x]
+        for y, vyy in zip(points, vy):
+            diff = ux + vyy - fnum * (Duv + Dx[y])
+            if diff < 0:
+                yield x, y, Fraction(diff, fden * scale)
 
 
 def annulus_sweep(space: FiniteMetricSpace, eps, a):
@@ -194,6 +253,11 @@ def annulus_sweep(space: FiniteMetricSpace, eps, a):
 
     u in B(0,8a), v in B(0,8a)\\B(0,4a), x,y outside B(0,32a/eps) or inside
     B(0,a*eps). Returns (checked_count, failures).
+
+    On a metric the sweep cannot fail: the triangle inequality through the
+    base point alone gives every such quadruple a slack of at least
+    2a*eps^2 (the least case is x, y both inside B(0,a*eps)), so a failure
+    shows that the matrix is no metric, not that the hypothesis is false.
     """
     eps = rat(eps)
     a = rat(a)
@@ -443,21 +507,45 @@ def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
     return best
 
 
-def _pair_failures(space, scale, pairs, j: int, tolerance):
+def _pair_bounds(space, scale, tolerance, k: int) -> list:
+    """The separated-pair bounds of pairs 1..k in int_view units.
+
+    Pair j needs scale (j-1)/j - tol <= d(u_j, v_j) <= scale (j+1)/j + tol,
+    and other points at least scale (j-1)/(2j) - tol from u_j and v_j. Each
+    bound b becomes (b.den, b.num * view scale), so that a view distance D is
+    below b exactly when D * b.den < b.num * view scale.
+    """
+    view_scale = space.int_view[1]
+    return [
+        tuple(
+            (b.denominator, b.numerator * view_scale)
+            for b in (
+                scale * (j - 1) / j - tolerance,
+                scale * (j + 1) / j + tolerance,
+                scale * (j - 1) / (2 * j) - tolerance,
+            )
+        )
+        for j in range(1, k + 1)
+    ]
+
+
+def _pair_failures(space, pairs, bounds, j: int):
     """Lazily yield the separated-pair violations that pair j (1-based) adds to
-    pairs[:j - 1]: its distance, the ambient points, then the earlier pairs."""
-    d = space.d
+    pairs[:j - 1]: its distance, the ambient points, then the earlier pairs.
+    bounds is _pair_bounds for at least j pairs."""
+    D = space.int_view[0]
     u, v = pairs[j - 1]
-    if not (scale * (j - 1) / j - tolerance <= d[u][v] <= scale * (j + 1) / j + tolerance):
+    Du, Dv = D[u], D[v]
+    (lo_den, lo), (hi_den, hi), (q_den, qbound) = bounds[j - 1]
+    if not (lo <= Du[v] * lo_den and Du[v] * hi_den <= hi):
         yield ("pair-distance", (j, u, v))
-    qbound = scale * (j - 1) / (2 * j) - tolerance
     for q in space.points():
-        if q != u and q != v and min(d[u][q], d[v][q]) < qbound:
+        if q != u and q != v and min(Du[q], Dv[q]) * q_den < qbound:
             yield ("ambient-separation", (j, u, v, q))
     for i, (ui, vi) in enumerate(pairs[: j - 1], start=1):
-        lo = scale * (i - 1) / i - tolerance
+        lo_den, lo = bounds[i - 1][0]
         for p in (u, v):
-            if min(d[ui][p], d[vi][p]) < lo:
+            if min(D[ui][p], D[vi][p]) * lo_den < lo:
                 yield ("later-separation", (i, ui, vi, p))
 
 
@@ -468,10 +556,11 @@ def pair_sequence_failures(space, scale, pairs, tolerance) -> list:
     flat = [p for uv in pairs for p in uv]
     if len(set(flat)) != len(flat):
         return [("overlap", tuple(flat))]
+    bounds = _pair_bounds(space, scale, tolerance, len(pairs))
     return [
         bad
         for j in range(1, len(pairs) + 1)
-        for bad in _pair_failures(space, scale, pairs, j, tolerance)
+        for bad in _pair_failures(space, pairs, bounds, j)
     ]
 
 
@@ -525,13 +614,14 @@ def extract_separated_pairs(space: FiniteMetricSpace, tolerance) -> ExtractionRe
     best = ()
     best_scale = None
     for a in candidates:
+        bounds = _pair_bounds(space, a, tolerance, space.n // 2)
         chosen = []
         used = set()
         for u, v in all_pairs:
             if u in used or v in used:
                 continue
             trial = chosen + [(u, v)]
-            if next(_pair_failures(space, a, trial, len(trial), tolerance), None) is None:
+            if next(_pair_failures(space, trial, bounds, len(trial)), None) is None:
                 chosen = trial
                 used.update((u, v))
         if len(chosen) > len(best):

@@ -1,7 +1,9 @@
 """Exact rational scalar layer.
 
-All internal arithmetic is exact, on fractions.Fraction. The simplex pivots
-on Python ints (see lp) and uses this layer only for its results.
+All values are exact, fractions.Fraction or int. The hot loops run on
+Python ints over common denominators and make Fractions only of their
+results: the simplex pivots and the certificate checker (see lp) and the
+Lipschitz-constant and inequality kernels (see metric).
 Values parsed from floats are converted to their exact binary rational.
 """
 

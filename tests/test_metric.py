@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,67 @@ from lipfree.metric import (
     extract_separated_pairs,
     lip_constant,
     pair_sequence_failures,
+    quadruple_failures,
     seg,
     validate,
 )
 from lipfree.sampling import random_space
 from lipfree.scalars import rat
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def rational_matrix_space(rng, n):
+    """Symmetric positive rational distances (no triangle inequality), each
+    over a prime denominator drawn from PRIMES, so that the least common
+    denominator of the space is large."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = Fraction(rng.randint(1, 90), rng.choice(PRIMES))
+    return FiniteMetricSpace.from_matrix(d, base=rng.randrange(n))
+
+
+def random_fraction(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.choice(PRIMES))
+
+
+def ref_lip_constant(space, values, points):
+    best, pair = Fraction(0), None
+    for p, q in combinations(points, 2):
+        ratio = abs(values[p] - values[q]) / space.d[p][q]
+        if ratio > best:
+            best, pair = ratio, (p, q)
+    return best, pair
+
+
+def ref_quadruple_failures(space, u, v, points, factor):
+    d = space.d
+    out = []
+    for x in points:
+        for y in points:
+            lhs, rhs = d[u][x] + d[v][y], factor * (d[u][v] + d[x][y])
+            if lhs < rhs:
+                out.append((x, y, lhs - rhs))
+    return out
+
+
+def ref_pair_sequence_failures(space, scale, pairs, tolerance):
+    d = space.d
+    flat = [p for uv in pairs for p in uv]
+    if len(set(flat)) != len(flat):
+        return [("overlap", tuple(flat))]
+    out = []
+    for j, (u, v) in enumerate(pairs, start=1):
+        if not (scale * (j - 1) / j - tolerance <= d[u][v] <= scale * (j + 1) / j + tolerance):
+            out.append(("pair-distance", (j, u, v)))
+        for q in space.points():
+            if q not in (u, v) and min(d[u][q], d[v][q]) < scale * (j - 1) / (2 * j) - tolerance:
+                out.append(("ambient-separation", (j, u, v, q)))
+        for i, (ui, vi) in enumerate(pairs[: j - 1], start=1):
+            for p in (u, v):
+                if min(d[ui][p], d[vi][p]) < scale * (i - 1) / i - tolerance:
+                    out.append(("later-separation", (i, ui, vi, p)))
+    return out
 
 
 class TestValidate:
@@ -185,12 +243,96 @@ class TestAnnulusInequality:
         with pytest.raises(ValueError):
             annulus_sweep(line4, 1, 1)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_never_fails_on_a_metric(self, seed):
+        # the triangle inequality gives every swept quadruple a slack of at
+        # least 2 a eps^2, so a shortest-path closure cannot fail
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(2, 9))
+        dv = space.d[space.base][rng.choice([p for p in space.points() if p != space.base])]
+        a = dv / rng.choice((rat(5), rat(6), rat(7), rat(8)))  # v at dv in B(0,8a)\B(0,4a)
+        eps = Fraction(rng.randint(1, 15), 16)
+        checked, failures = annulus_sweep(space, eps, a)
+        assert checked > 0
+        assert failures == []
+
 
 def test_lip_constant_names_first_attaining_pair(line4):
     # slopes on 0,1,3,7: 2 on [0,1] and on [3,7], 1/2 on [1,3]
     assert lip_constant(line4, (0, 2, 3, 11), line4.points()) == (2, (0, 1))
     assert lip_constant(line4, (0, 2, 3, 11), [1, 2, 3]) == (2, (2, 3))
     assert lip_constant(line4, (0, 2, 3, 11), [2]) == (0, None)
+
+
+class TestIntegerKernels:
+    """The int_view kernels against the Fraction loops they replace, on
+    rational spaces whose common denominator is a product of primes."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_lip_constant_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = rational_matrix_space(rng, rng.randint(2, 9))
+        values = [random_fraction(rng, -60, 60) for _ in space.points()]
+        if rng.random() < 0.3:
+            values[rng.randrange(space.n)] = values[0]  # ties between pairs
+        points = rng.sample(range(space.n), rng.randint(0, space.n))
+        got = lip_constant(space, values, points)
+        assert got == ref_lip_constant(space, values, points)
+        assert type(got[0]) is Fraction
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_quadruple_failures_match_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = rational_matrix_space(rng, rng.randint(2, 8))
+        u, v = rng.randrange(space.n), rng.randrange(space.n)
+        points = rng.sample(range(space.n), rng.randint(1, space.n))
+        factor = Fraction(rng.randint(1, 60), rng.choice(PRIMES))
+        got = list(quadruple_failures(space, u, v, points, factor))
+        assert got == ref_quadruple_failures(space, u, v, points, factor)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_sequence_failures_match_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = rational_matrix_space(rng, rng.randint(2, 10))
+        order = rng.sample(range(space.n), space.n)
+        pairs = [tuple(order[i:i + 2]) for i in range(0, space.n - 1, 2)]
+        pairs = pairs[: rng.randint(1, len(pairs))]
+        if rng.random() < 0.2:
+            pairs.append((pairs[0][0], pairs[-1][1]))  # overlapping pairs
+        scale = random_fraction(rng, 1, 90)
+        tolerance = random_fraction(rng, 0, 10)
+        if rng.random() < 0.6:
+            # put one distance exactly on a bound of pair j: its own distance
+            # on the upper or lower bound, or the distance to a point of a
+            # later pair or to an ambient point on the separation bound
+            j = rng.randint(1, len(pairs))
+            u, v = pairs[j - 1]
+            kind = rng.choice(("upper", "lower", "later", "ambient")) if j > 1 else "upper"
+            later = [p for uv in pairs[j:] for p in uv]
+            ambient = [q for q in space.points() if q not in (u, v)]
+            if kind == "later" and later:
+                p = rng.choice(later)
+                scale = (min(space.d[u][p], space.d[v][p]) + tolerance) * j / (j - 1)
+            elif kind == "ambient" and ambient:
+                q = rng.choice(ambient)
+                scale = (min(space.d[u][q], space.d[v][q]) + tolerance) * 2 * j / (j - 1)
+            elif kind == "lower":
+                scale = (space.d[u][v] + tolerance) * j / (j - 1)
+            else:
+                scale = (space.d[u][v] - tolerance) * j / (j + 1)
+        got = pair_sequence_failures(space, scale, pairs, tolerance)
+        assert got == ref_pair_sequence_failures(space, scale, pairs, tolerance)
+
+    def test_view_puts_the_matrix_over_one_denominator(self, triangle):
+        space = build_example1_space(4)
+        D, scale = space.int_view
+        assert scale == 12  # d(n, k) = 3 - |1/n - 1/k| has denominators 2, 3, 4, 6 and 12
+        assert all(Fraction(D[i][j], scale) == space.d[i][j] for i in range(4) for j in range(4))
+        assert triangle.int_view == (((0, 2, 3), (2, 0, 4), (3, 4, 0)), 1)
 
 
 class TestExtraction:

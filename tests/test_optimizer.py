@@ -1,4 +1,7 @@
 import random
+import re
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 from lipfree import lp
 from lipfree.functions import LipFunction
-from lipfree.metric import build_simplex_space
+from lipfree.metric import FiniteMetricSpace, build_simplex_space
 from lipfree.reproduce import verify_example2
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, as_float, rat
@@ -299,6 +302,14 @@ class TestCertificateChecker:
         with pytest.raises(lp.SimplexError):
             lp.solve_lip_ball(program)
 
+    def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
+        # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
+        # f(1) - f(0) <= 2, before any other
+        program = lp.LipBallProgram(space=triangle, objective={1: ONE})
+        _tamper(monkeypatch, "witness")
+        with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 1: 15/7 > 2")):
+            lp.solve_lip_ball(program)
+
     def test_negative_multiplier_is_rejected(self):
         # f <= 1, f <= 2, -f <= 1: maximize f; y = (1, 0, 0) proves f = 1, and
         # (4, -2, 1) combines to the same objective and value but is no proof
@@ -306,6 +317,64 @@ class TestCertificateChecker:
         lp._verify_lip_solution(rows, [ONE], [ONE], {0: ONE}, ONE)
         with pytest.raises(lp.SimplexError, match="negative"):
             lp._verify_lip_solution(rows, [ONE], [ONE], {0: rat(4), 1: rat(-2), 2: ONE}, ONE)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _rational_metric(rng, n):
+    """Shortest-path closure of edges over distinct prime denominators."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = Fraction(rng.randint(1, 60), rng.choice(PRIMES))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetricSpace.from_matrix(d, base=rng.randrange(n))
+
+
+def _reference_ball_rows(space):
+    """The ball rows as (Fraction coefficients, bound), built per pair."""
+    var = {p: i for i, p in enumerate(p for p in space.points() if p != space.base)}
+    rows = []
+    for p, q in space.pairs():
+        arc = {var[x]: s for x, s in ((p, ONE), (q, -ONE)) if x != space.base}
+        rows.append((arc, space.d[p][q]))
+        rows.append(({v: -a for v, a in arc.items()}, space.d[p][q]))
+    return rows, var
+
+
+class TestIntegerChecker:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_checker_accepts_every_solve(self, seed):
+        # every solve already passed the int checker inside solve_lip_ball;
+        # its answer must also pass against rows built here in Fractions
+        rng = random.Random(seed)
+        space = _rational_metric(rng, rng.randint(2, 7))
+        rows, var = _reference_ball_rows(space)
+        cached_rows, cached_cols = space.ball_rows
+        assert list(cached_rows) == rows
+        assert list(cached_cols) == [sorted(coefs.items()) for coefs, _ in rows]
+        objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
+        sides = ()
+        if rng.random() < 0.5 and space.n > 2:
+            # a molecule row g(m_pq) <= t with t in [-1, 1] is always feasible
+            p, q = rng.sample(range(space.n), 2)
+            t = Fraction(rng.randint(-7, 7), 7)
+            sides = (lp.SideConstraint(lp.molecule_weights(space, p, q), "<=", t),)
+            weights = lp.molecule_weights(space, p, q)
+            rows.append(({var[x]: w for x, w in weights.items()}, t))
+        sol = lp.solve_lip_ball(
+            lp.LipBallProgram(space=space, objective=objective, side_constraints=sides)
+        )
+        assert sol.status == lp.OPTIMAL
+        c = [ZERO] * len(var)
+        for p, w in objective.items():
+            c[var[p]] = w
+        witness = [sol.argument.values[p] for p in var]
+        lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value)
 
 
 class TestMaxOverPairs:
