@@ -88,7 +88,8 @@ class FiniteMetricSpace:
         variable p - (p > base). Rows 2k and 2k + 1 are f(p) - f(q) <= d(p, q)
         and f(q) - f(p) <= d(p, q) for the k-th pair (p, q) of pairs(), as
         ({variable: +-1}, d(p, q)); cols[r] is row r's coefficients sorted by
-        variable.
+        variable. Every ball program of the space shares them, so callers
+        only read them.
         """
         base = self.base
         rows = []

@@ -266,8 +266,8 @@ def test_lip_constant_names_first_attaining_pair(line4):
 
 
 class TestIntegerKernels:
-    """The int_view kernels against the Fraction loops they replace, on
-    rational spaces whose common denominator is a product of primes."""
+    """The int kernels against the Fraction loops they replace, on rational
+    spaces whose common denominator is a product of distinct primes."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
