@@ -302,14 +302,6 @@ class TestCertificateChecker:
         with pytest.raises(lp.SimplexError):
             lp.solve_lip_ball(program)
 
-    def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
-        # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
-        # f(1) - f(0) <= 2, before any other
-        program = lp.LipBallProgram(space=triangle, objective={1: ONE})
-        _tamper(monkeypatch, "witness")
-        with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 1: 15/7 > 2")):
-            lp.solve_lip_ball(program)
-
     def test_negative_multiplier_is_rejected(self):
         # f <= 1, f <= 2, -f <= 1: maximize f; y = (1, 0, 0) proves f = 1, and
         # (4, -2, 1) combines to the same objective and value but is no proof
@@ -375,6 +367,14 @@ class TestIntegerChecker:
             c[var[p]] = w
         witness = [sol.argument.values[p] for p in var]
         lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value)
+
+    def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
+        # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
+        # f(1) - f(0) <= 2, before any other
+        program = lp.LipBallProgram(space=triangle, objective={1: ONE})
+        _tamper(monkeypatch, "witness")
+        with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 1: 15/7 > 2")):
+            lp.solve_lip_ball(program)
 
 
 class TestMaxOverPairs:
