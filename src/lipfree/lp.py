@@ -36,7 +36,7 @@ from typing import Optional
 
 from .functions import LipFunction
 from .metric import FiniteMetricSpace
-from .scalars import ONE, Scalar, ZERO, rat
+from .scalars import ONE, Scalar, ZERO, over_common_denominator, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,28 +72,26 @@ def simplex_standard(cols, b, costs):
     """
     m = len(b)
     n = len(cols)
-    b = [(v.numerator, v.denominator) for v in b]
-    c = [(v.numerator, v.denominator) for v in costs]
+    b_num, b_den = over_common_denominator(b)
+    c_num, c_den = over_common_denominator(costs)
     cols = [[(r, a.numerator, a.denominator) for r, a in col] for col in cols]
     scale = [1] * m
     for col in cols:
         for r, _, den in col:
             scale[r] = lcm(scale[r], den)
-    sign_scale = [-s if num < 0 else s for s, (num, _) in zip(scale, b)]
+    sign_scale = [-s if num < 0 else s for s, num in zip(scale, b_num)]
     icols = [[(r, num * (sign_scale[r] // den)) for r, num, den in col] for col in cols]
     icols += [[(r, scale[r])] for r in range(m)]  # artificials, scaled too
-    b_den = lcm(*(den for _, den in b))
-    c_den = lcm(*(den for _, den in c))
 
     det = prod(scale)
     binv = [[0] * m for _ in range(m)]  # adjugate of the diagonal start
     xb = [0] * m  # numerators of x_B over det * b_den
-    for r, (num, den) in enumerate(b):
+    for r, num in enumerate(b_num):
         binv[r][r] = det // scale[r]
-        xb[r] = binv[r][r] * num * sign_scale[r] * (b_den // den)
+        xb[r] = binv[r][r] * num * sign_scale[r]
     basis = list(range(n, n + m))  # artificials
     art_cost = [0] * n + [1] * m
-    real_cost = [num * (c_den // den) for num, den in c] + [0] * m
+    real_cost = c_num + [0] * m
 
     def run_phase(cost, allow_artificial_entering):
         nonlocal det
@@ -239,9 +237,8 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     objective = _as_weights(program.objective)
     _check_points(space, objective)
     base = space.base
-    k = space.n - 1  # variable p - (p > base) is f(p), p != base
-
-    rows, cols = space.ball_rows
+    ball = space.ball_rows
+    var, rows, cols = ball.var, ball.rows, ball.cols
     side_rows = []
     for sc in program.side_constraints:
         weights = _as_weights(sc.weights)
@@ -250,7 +247,7 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
         for p, w in weights.items():
             if p == base or w == 0:
                 continue
-            v = p - (p > base)
+            v = var[p]
             coefs[v] = coefs.get(v, ZERO) + rat(w)
         bound = rat(sc.bound)
         if sc.relation == "<=":
@@ -263,10 +260,10 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
         rows = rows + tuple(side_rows)
         cols = cols + tuple(sorted(coefs.items()) for coefs, _ in side_rows)
 
-    c = [ZERO] * k
+    c = [ZERO] * (space.n - 1)
     for p, w in objective.items():
         if p != base:
-            c[p - (p > base)] += rat(w)
+            c[var[p]] += rat(w)
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     status, x, value, duals = simplex_standard(cols, c, [bound for _, bound in rows])
@@ -276,9 +273,8 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
     _verify_lip_solution(rows, c, duals, x, value)
-    values = list(duals)
-    values.insert(base, ZERO)
-    arg = LipFunction(space=space, values=tuple(values))
+    values = tuple(ZERO if v is None else duals[v] for v in var)
+    arg = LipFunction(space=space, values=values)
     return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=dict(x))
 
 
@@ -300,8 +296,7 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
     the rows are read, never the solver's basis, and a failure names the
     exact values.
     """
-    wden = lcm(*(w.denominator for w in witness))
-    wnum = [w.numerator * (wden // w.denominator) for w in witness]
+    wnum, wden = over_common_denominator(witness)
     for r, (coefs, bound) in enumerate(rows):
         lhs = 0
         for v, coef in coefs.items():
@@ -340,12 +335,12 @@ class TransportPlan:
 def ball_plan(space: FiniteMetricSpace, sol: LpSolution) -> TransportPlan:
     """The transport plan in the multipliers of a ball solve with no side rows.
 
-    Rows 2k and 2k + 1 of the ball program are the arcs p -> q and q -> p of
-    the k-th pair (p, q) of space.pairs(); a multiplier is the mass on its arc.
+    The multiplier of the row of arc p -> q (space.ball_rows.arcs) is the
+    mass on that arc.
     """
     if sol.status != OPTIMAL:
         raise SimplexError(f"norm program unexpectedly {sol.status}")
-    arcs = [arc for p, q in space.pairs() for arc in ((p, q), (q, p))]
+    arcs = space.ball_rows.arcs
     flows = sorted((*arcs[r], mass) for r, mass in sol.row_duals.items())
     return TransportPlan(flows=tuple(flows), cost=sol.value)
 

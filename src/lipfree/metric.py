@@ -7,9 +7,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, over_common_denominator, parse_rat, rat, rat_str
+
+
+class BallRows(NamedTuple):
+    """The rows of the Lipschitz unit ball f(base) = 0, ||f|| <= 1 of a space.
+
+    The variables are the non-base points in order. Rows 2k and 2k + 1 are
+    f(p) - f(q) <= d(p, q) and f(q) - f(p) <= d(p, q) for the k-th pair
+    (p, q) of pairs().
+    """
+
+    rows: tuple  # ({variable: +-1}, d(p, q)) per row
+    cols: tuple  # each row's coefficients as (variable, coef), sorted by variable
+    var: tuple  # var[p] is the variable of point p, None for the base
+    arcs: tuple  # arcs[r] = (p, q): row r bounds f(p) - f(q)
 
 
 @dataclass(frozen=True)
@@ -74,34 +88,24 @@ class FiniteMetricSpace:
     def int_view(self) -> tuple:
         """(D, scale): D[i][j] = d[i][j] * scale as ints, scale the least
         common denominator of the matrix."""
-        scale = math.lcm(*(x.denominator for row in self.d for x in row))
-        D = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.d
-        )
-        return D, scale
+        n = self.n
+        nums, scale = over_common_denominator(x for row in self.d for x in row)
+        return tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), scale
 
     @cached_property
-    def ball_rows(self) -> tuple:
-        """(rows, cols) of the Lipschitz unit ball f(base) = 0, ||f|| <= 1.
-
-        The variables are the non-base points in order, point p being
-        variable p - (p > base). Rows 2k and 2k + 1 are f(p) - f(q) <= d(p, q)
-        and f(q) - f(p) <= d(p, q) for the k-th pair (p, q) of pairs(), as
-        ({variable: +-1}, d(p, q)); cols[r] is row r's coefficients sorted by
-        variable. Every ball program of the space shares them, so callers
-        only read them.
-        """
+    def ball_rows(self) -> BallRows:
+        """The unit-ball rows every ball program of the space shares, so
+        callers only read them; see :class:`BallRows` for the layout."""
         base = self.base
-        rows = []
+        var = tuple(None if p == base else p - (p > base) for p in self.points())
+        rows, arcs = [], []
         for p, q in self.pairs():
-            arc = {}
-            if p != base:
-                arc[p - (p > base)] = 1
-            if q != base:
-                arc[q - (q > base)] = -1
+            arc = {v: a for v, a in ((var[p], 1), (var[q], -1)) if v is not None}
             rows.append((arc, self.d[p][q]))
             rows.append(({v: -a for v, a in arc.items()}, self.d[p][q]))
-        return tuple(rows), tuple(sorted(coefs.items()) for coefs, _ in rows)
+            arcs += [(p, q), (q, p)]
+        cols = tuple(sorted(coefs.items()) for coefs, _ in rows)
+        return BallRows(tuple(rows), cols, var, tuple(arcs))
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -210,22 +214,26 @@ def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:
     with the first pair attaining it (0 and None below two points).
 
     The values are put over one common denominator den, and each pair's
-    ratio |dV| * d.den / (den * d.num) is compared cross-multiplied as ints;
-    the distances between the points must be positive.
+    ratio |dV| * d.den / (den * d.num) is compared cross-multiplied as ints.
+    A distance between the points that is not positive is a ValueError.
     """
     d = space.d
     points = list(points)
-    vals = [values[p] for p in points]
-    den = math.lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) for v in vals]
+    nums, den = over_common_denominator(values[p] for p in points)
     best_gap, best_dnum, pair = 0, 1, None
     for i, p in enumerate(points):
         dp, vp = d[p], nums[i]
         for j in range(i + 1, len(points)):
             dpq = dp[points[j]]
+            dnum = dpq.numerator
+            if dnum <= 0:
+                labels = space.labels
+                raise ValueError(
+                    f"distance d({labels[p]!r}, {labels[points[j]]!r}) = {dpq} is not positive"
+                )
             gap = abs(vp - nums[j]) * dpq.denominator
-            if gap * best_dnum > best_gap * dpq.numerator:
-                best_gap, best_dnum, pair = gap, dpq.numerator, (p, points[j])
+            if gap * best_dnum > best_gap * dnum:
+                best_gap, best_dnum, pair = gap, dnum, (p, points[j])
     return Fraction(best_gap, den * best_dnum), pair
 
 

@@ -1,15 +1,17 @@
 """Exact rational scalar layer.
 
 All values are exact, fractions.Fraction or int. The hot loops run on
-Python ints over common denominators and make Fractions only of their
-results: the simplex pivots and the certificate checker (see lp) and the
-Lipschitz-constant and inequality kernels (see metric).
+Python ints over common denominators (:func:`over_common_denominator`) and
+make Fractions only of their results: the simplex pivots and the
+certificate checker (see lp) and the Lipschitz-constant and inequality
+kernels (see metric).
 Values parsed from floats are converted to their exact binary rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -32,6 +34,14 @@ def parse_rat(value, field: str) -> Fraction:
         return Fraction(value)
     except TypeError:
         raise ValueError(f"field {field!r} holds {value!r}, not a number") from None
+
+
+def over_common_denominator(values) -> tuple:
+    """(nums, den): the exact values as int numerators over den, the least
+    common denominator, so values[i] == Fraction(nums[i], den)."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 ZERO = rat(0)

@@ -108,6 +108,23 @@ class TestExitCodes:
 
 
 class TestScalarCommands:
+    def test_lipnorm_of_function_on_its_space(self, line4, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"space": line4.to_json(), "values": ["0", "1", "1", "7"]}))
+        assert main(["lipnorm", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "3/2"
+
+    @pytest.mark.parametrize("distance", ["-1", "0"])
+    def test_lipnorm_rejects_a_distance_that_is_not_positive(self, tmp_path, capsys, distance):
+        # values (0, 1, 3) with d(a, c) = d(b, c) = 1; over d(a, b) = -1 an
+        # unchecked cross-multiplied comparison flips and reports -1
+        space = {"labels": ["a", "b", "c"], "base": 0,
+                 "d": [["0", distance, "1"], [distance, "0", "1"], ["1", "1", "0"]]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"space": space, "values": ["0", "1", "3"]}))
+        assert main(["lipnorm", str(path)]) == 2
+        assert f"d('a', 'b') = {distance} is not positive" in capsys.readouterr().err
+
     def test_freenorm_prints_bare_value(self, space_file, molecule_file, capsys):
         assert main(["freenorm", molecule_file, "--space", space_file]) == 0
         assert capsys.readouterr().out.strip() == "1"

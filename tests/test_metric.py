@@ -327,6 +327,16 @@ class TestIntegerKernels:
         got = pair_sequence_failures(space, scale, pairs, tolerance)
         assert got == ref_pair_sequence_failures(space, scale, pairs, tolerance)
 
+    @pytest.mark.parametrize("distance", [-1, 0])
+    def test_lip_constant_rejects_a_distance_that_is_not_positive(self, distance):
+        # equal values at distance 0 and a negative distance ahead of a
+        # larger ratio are both errors, not a skipped pair or a wrong sign
+        space = FiniteMetricSpace.from_matrix([[0, distance, 1], [distance, 0, 1], [1, 1, 0]])
+        for values in ([0, 1, 3], [1, 1, 3]):
+            with pytest.raises(ValueError, match=f"d\\('p0', 'p1'\\) = {distance} is not positive"):
+                lip_constant(space, [rat(v) for v in values], space.points())
+        assert lip_constant(space, [rat(v) for v in (0, 1, 3)], [0, 2]) == (3, (0, 2))
+
     def test_view_puts_the_matrix_over_one_denominator(self, triangle):
         space = build_example1_space(4)
         D, scale = space.int_view

@@ -346,9 +346,11 @@ class TestIntegerChecker:
         rng = random.Random(seed)
         space = _rational_metric(rng, rng.randint(2, 7))
         rows, var = _reference_ball_rows(space)
-        cached_rows, cached_cols = space.ball_rows
-        assert list(cached_rows) == rows
-        assert list(cached_cols) == [sorted(coefs.items()) for coefs, _ in rows]
+        ball = space.ball_rows
+        assert list(ball.rows) == rows
+        assert list(ball.cols) == [sorted(coefs.items()) for coefs, _ in rows]
+        assert ball.var == tuple(var.get(p) for p in space.points())
+        assert list(ball.arcs) == [arc for p, q in space.pairs() for arc in ((p, q), (q, p))]
         objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
         sides = ()
         if rng.random() < 0.5 and space.n > 2:

@@ -1,14 +1,15 @@
 """Paired benchmark of two commits: the end-to-end metrics of every workload
 and one traced run per side, written to one BENCH_*.json file.
 
-    python3 tools/bench_pairs.py BENCH_7.json --pairs 10 --first-seed 21
+    python3 tools/bench_pairs.py BENCH_7.json --base HEAD~1 --first-seed 21
 
 Each side is exported with ``git archive`` into its own temporary directory
 and ``perfbench/run.py`` runs there, from the committed files alone: the
-base (``--base``, default ``HEAD~1``) and the head (``HEAD``). Pair i runs
-both sides on seed ``first_seed + i`` with ``--trace 0``, the base first when
-i is even and the head first when i is odd; then each side makes one
-``--trace 1`` run on ``first_seed``. Per workload and metric the file holds
+base (``--base``, default ``HEAD~1``) and the head (``HEAD``). The workloads
+and the run length are those ``BENCHMARK.json`` fixes. On every workload,
+pair i of ten runs both sides on seed ``first_seed + i`` with ``--trace 0``,
+the base first when i is even and the head first when i is odd; then each
+side makes one ``--trace 1`` run on ``first_seed``. Per workload and metric the file holds
 each side's runs, median and quartiles and the number of pairs the head wins
 (strictly better in the direction ``BENCHMARK.json`` gives; ties count for
 neither side), and per side the traced per-layer figures. The stamp names
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -93,33 +95,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", type=Path, help="the BENCH_*.json file to write")
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against (default HEAD~1)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=21)
-    parser.add_argument("--seconds", type=float, default=30.0, help="perfbench --seconds")
-    parser.add_argument("--workloads", default="sweep,norms,constructions")
+    parser.add_argument("--first-seed", type=int, default=21,
+                        help="seed of the first pair (default 21)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    seeds = [args.first_seed + i for i in range(PAIRS)]
     workloads, stamp = {}, {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in spec["workloads"]):
             results = {side: [] for side in SIDES}
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i, seed in enumerate(seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    results[side].append(run_bench(trees[side], workload, seed, args.seconds, 0))
+                    results[side].append(run_bench(trees[side], workload, seed, seconds, 0))
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{results[side][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-            traced = {side: run_bench(trees[side], workload, args.first_seed, args.seconds, 1) for side in SIDES}
+            traced = {side: run_bench(trees[side], workload, seeds[0], seconds, 1) for side in SIDES}
             stamp = traced["head"]["stamp"]
             workloads[workload] = {
-                "seeds": [args.first_seed + i for i in range(args.pairs)],
+                "seeds": seeds,
                 "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
                 "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
                 "end_to_end": compare(results, spec),
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
             "nproc": stamp.get("nproc"), "cpu": stamp.get("cpu"),
             "python": platform.python_version(), "scalar_backend": stamp.get("scalar_backend"),
             "base_commit": commits["base"], "head_commit": commits["head"],
-            "seconds": args.seconds, "pairs": args.pairs,
+            "seconds": seconds, "pairs": PAIRS,
         },
         "workloads": workloads,
     }
