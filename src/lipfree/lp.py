@@ -7,7 +7,10 @@ basis has one row per free variable. The dual of the norm program is the
 min-cost transport on the complete graph with the base point absorbing
 imbalance: the multiplier of the row f(p) - f(q) <= d(p, q) is the mass
 moved along the arc p -> q, so one solve yields both the norming function
-and the transport plan.
+and the transport plan. The dual is always feasible: the star transport,
+which sends each point's mass straight to the base, uses only the arcs
+p -> base and base -> p, whose columns are the unit columns of the
+variable of p. The simplex starts there, in one phase.
 
 Every optimal solve is checked exactly, independently of the pivoting:
 the witness meets every row and attains the value, and the multipliers are
@@ -54,21 +57,23 @@ def simplex_standard(cols, b, costs):
 
     cols: sparse columns as [(row, coef), ...], with int or Fraction
     entries like b and costs. Returns
-    (status, x: dict, value, duals: list per row). Two-phase revised
-    simplex over Python ints, with one artificial per row as the start.
+    (status, x: dict, value, duals: list per row). One-phase revised
+    simplex over Python ints, started at a diagonal basis: for each row the
+    first column whose only entry sits on that row and is positive once the
+    row is signed so that its b is nonnegative. That basis is feasible, so
+    no phase 1 is needed; a row with no such column raises SimplexError.
 
     Each row is negated where b is negative and multiplied by the least
     common multiple of the denominators of its coefficients; b and the
     costs are each brought over one common denominator. Row scaling leaves
-    x and the reduced costs unchanged, and the artificial of row r is
-    scaled with it, so every basis is the scaled image of the rational
-    one. The basis inverse is kept as an integer matrix binv over one
-    positive common denominator det (the basis determinant, up to sign),
-    and each pivot updates it fraction-free (Bareiss) with an exact
-    division by the old det. Reduced costs are compared as integer
-    numerators over det, and the ratio test cross-multiplies, so the pivots
-    are those of the rational simplex; the results are converted back
-    to Fractions.
+    x and the reduced costs unchanged, so every basis is the scaled image
+    of the rational one. The basis inverse is kept as an integer matrix
+    binv over one common denominator det, the basis determinant (positive,
+    as the start's diagonal and every pivot are), and each pivot updates it
+    fraction-free (Bareiss) with an exact division by the old det. Reduced
+    costs are compared as integer numerators over det, and the ratio test
+    cross-multiplies, so the pivots are those of the rational simplex; the
+    results are converted back to Fractions.
     """
     m = len(b)
     n = len(cols)
@@ -81,114 +86,89 @@ def simplex_standard(cols, b, costs):
             scale[r] = lcm(scale[r], den)
     sign_scale = [-s if num < 0 else s for s, num in zip(scale, b_num)]
     icols = [[(r, num * (sign_scale[r] // den)) for r, num, den in col] for col in cols]
-    icols += [[(r, scale[r])] for r in range(m)]  # artificials, scaled too
 
-    det = prod(scale)
+    basis = [-1] * m
+    for j, col in enumerate(icols):
+        if len(col) == 1 and col[0][1] > 0 and basis[col[0][0]] < 0:
+            basis[col[0][0]] = j
+    if -1 in basis:
+        raise SimplexError(f"row {basis.index(-1)} has no positive unit column to start from")
+    diag = [icols[j][0][1] for j in basis]
+    det = prod(diag)
     binv = [[0] * m for _ in range(m)]  # adjugate of the diagonal start
     xb = [0] * m  # numerators of x_B over det * b_den
     for r, num in enumerate(b_num):
-        binv[r][r] = det // scale[r]
+        binv[r][r] = det // diag[r]
         xb[r] = binv[r][r] * num * sign_scale[r]
-    basis = list(range(n, n + m))  # artificials
-    art_cost = [0] * n + [1] * m
-    real_cost = c_num + [0] * m
+    in_basis = [False] * n
+    for j in basis:
+        in_basis[j] = True
 
-    def run_phase(cost, allow_artificial_entering):
-        nonlocal det
-        cap = _DANTZIG_CAP_FACTOR * (m + n)
-        priced = n + m if allow_artificial_entering else n
-        iteration = 0
-        in_basis = [False] * (n + m)
-        for j in basis:
-            in_basis[j] = True
-        while True:
-            iteration += 1
-            if iteration > cap + 200000:
-                raise SimplexError("pivot limit exceeded")
-            # y = cost_B B^-1 is y_num / det
-            y_num = [0] * m
-            for i in range(m):
-                ci = cost[basis[i]]
-                if ci:
-                    y_num = [y + ci * a for y, a in zip(y_num, binv[i])]
-            entering = -1
-            best_rc = 0
-            bland = iteration > cap
-            for j in range(priced):
-                if in_basis[j]:
-                    continue
-                rc = det * cost[j]  # reduced cost times det
-                for r, a in icols[j]:
-                    rc -= y_num[r] * a
-                if rc < 0:
-                    if bland:
-                        entering = j
-                        break
-                    if rc < best_rc:
-                        best_rc = rc
-                        entering = j
-            if entering < 0:
-                return sum(cost[j] * v for j, v in zip(basis, xb)), y_num
-            # entering column in the current basis is dvec / det
-            dvec = [0] * m
-            for r, a in icols[entering]:
-                dvec = [d + row[r] * a for d, row in zip(dvec, binv)]
-            leaving = -1
-            # drive lingering artificials out first (theta stays 0)
-            if not allow_artificial_entering:
-                for i in range(m):
-                    if basis[i] >= n and dvec[i] != 0 and xb[i] == 0:
-                        leaving = i
-                        break
-            if leaving < 0:
-                for i in range(m):
-                    di = dvec[i]
-                    if di > 0:
-                        if leaving < 0:
-                            leaving = i
-                            continue
-                        lhs = xb[i] * dvec[leaving]
-                        rhs = xb[leaving] * di
-                        if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                            leaving = i
+    cap = _DANTZIG_CAP_FACTOR * (m + n)
+    iteration = 0
+    while True:
+        iteration += 1
+        if iteration > cap + 200000:
+            raise SimplexError("pivot limit exceeded")
+        # y = c_B B^-1 is y_num / det
+        y_num = [0] * m
+        for i in range(m):
+            ci = c_num[basis[i]]
+            if ci:
+                y_num = [y + ci * a for y, a in zip(y_num, binv[i])]
+        entering = -1
+        best_rc = 0
+        bland = iteration > cap
+        for j in range(n):
+            if in_basis[j]:
+                continue
+            rc = det * c_num[j]  # reduced cost times det
+            for r, a in icols[j]:
+                rc -= y_num[r] * a
+            if rc < 0:
+                if bland:
+                    entering = j
+                    break
+                if rc < best_rc:
+                    best_rc = rc
+                    entering = j
+        if entering < 0:
+            break
+        # entering column in the current basis is dvec / det
+        dvec = [0] * m
+        for r, a in icols[entering]:
+            dvec = [d + row[r] * a for d, row in zip(dvec, binv)]
+        leaving = -1
+        for i in range(m):
+            di = dvec[i]
+            if di > 0:
                 if leaving < 0:
-                    return None, None  # unbounded
-            # the new determinant is |dvec[leaving]|; rows divide exactly by det
-            piv = dvec[leaving]
-            if piv < 0:
-                piv = -piv
-                prow = [-a for a in binv[leaving]]
-                px = -xb[leaving]
-            else:
-                prow = binv[leaving]
-                px = xb[leaving]
-            for i in range(m):
-                if i == leaving:
+                    leaving = i
                     continue
-                di = dvec[i]
-                if di or piv != det:
-                    binv[i] = [(piv * a - di * p) // det for a, p in zip(binv[i], prow)]
-                    xb[i] = (piv * xb[i] - di * px) // det
-            binv[leaving] = prow
-            xb[leaving] = px
-            det = piv
-            in_basis[basis[leaving]] = False
-            in_basis[entering] = True
-            basis[leaving] = entering
+                lhs = xb[i] * dvec[leaving]
+                rhs = xb[leaving] * di
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED, {}, None, None
+        # the new determinant is dvec[leaving] > 0; rows divide exactly by det
+        piv = dvec[leaving]
+        prow = binv[leaving]
+        px = xb[leaving]
+        for i in range(m):
+            if i == leaving:
+                continue
+            di = dvec[i]
+            if di or piv != det:
+                binv[i] = [(piv * a - di * p) // det for a, p in zip(binv[i], prow)]
+                xb[i] = (piv * xb[i] - di * px) // det
+        det = piv
+        in_basis[basis[leaving]] = False
+        in_basis[entering] = True
+        basis[leaving] = entering
 
-    value, _ = run_phase(art_cost, allow_artificial_entering=True)
-    if value is None:
-        raise SimplexError("phase 1 unbounded")
-    if value > 0:
-        return INFEASIBLE, {}, None, None
-    value, y_num = run_phase(real_cost, allow_artificial_entering=False)
-    if value is None:
-        return UNBOUNDED, {}, None, None
-    x = {}
-    for i in range(m):
-        if basis[i] < n and xb[i] != 0:
-            x[basis[i]] = Fraction(xb[i], det * b_den)
-    value = Fraction(value, c_den * det * b_den)
+    x = {basis[i]: Fraction(xb[i], det * b_den) for i in range(m) if xb[i] != 0}
+    value = Fraction(sum(c_num[j] * v for j, v in zip(basis, xb)), c_den * det * b_den)
     duals = [Fraction(s * yr, c_den * det) for s, yr in zip(sign_scale, y_num)]
     return OPTIMAL, x, value, duals
 
@@ -266,9 +246,8 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
             c[var[p]] += rat(w)
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
+    # is always feasible: its start basis is the star transport to the base
     status, x, value, duals = simplex_standard(cols, c, [bound for _, bound in rows])
-    if status == INFEASIBLE:
-        return LpSolution(status=UNBOUNDED, value=None, argument=None, row_duals=None)
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 

@@ -99,12 +99,8 @@ def verify_example1(
         name="example1-not-dual-daugavet",
         parameters={"N": N, "n": n, "alpha": alpha, "samples": samples, "seed": seed},
     )
-    report.add(
-        "averaged molecule functional has norm one",
-        "||mu|| = 1",
-        {"norm": free_norm(mu).value},
-        free_norm(mu).value == 1,
-    )
+    norm = free_norm(mu).value
+    report.add("averaged molecule functional has norm one", "||mu|| = 1", {"norm": norm}, norm == 1)
 
     if f is not None:
         fns = [_sign_normalize(f)[0]]
@@ -197,30 +193,28 @@ def verify_example2(
         random_free_element(rng, space, support_size=3, allowed=core)
         for _ in range(samples)
     ]
+    plateaus = []  # per sample: the row values, and whether the checks but alpha pass
+    for mu in mus:
+        g = free_norm(mu).witness
+        h = tail_plateau(g, n)
+        at_mu = mu.pairing(h)
+        diff = f - h
+        witness_val = diff.molecule_value(xn1, yn1)
+        values = {
+            "h_norm": h.norm,
+            "h_at_mu": at_mu,
+            "dist": diff.norm,
+            "witness_molecule_value": witness_val,
+        }
+        ok = h.norm <= 1 and at_mu == mu.pairing(g) and diff.norm == 2 and witness_val == 2
+        plateaus.append((values, ok))
     for a in alphas:
-        for idx, mu in enumerate(mus):
-            g = free_norm(mu).witness
-            h = tail_plateau(g, n)
-            at_mu = mu.pairing(h)
-            diff = f - h
-            witness_val = diff.molecule_value(xn1, yn1)
-            passed = (
-                h.norm <= 1
-                and at_mu == mu.pairing(g)
-                and at_mu > ONE - a
-                and diff.norm == 2
-                and witness_val == 2
-            )
+        for idx, (values, ok) in enumerate(plateaus):
             report.add(
                 f"plateau witness alpha={a} sample[{idx}]",
                 "h in ball, h(mu) > 1-alpha, ||f-h|| = 2 at the (n+1) molecule",
-                {
-                    "h_norm": h.norm,
-                    "h_at_mu": at_mu,
-                    "dist": diff.norm,
-                    "witness_molecule_value": witness_val,
-                },
-                passed,
+                values,
+                ok and values["h_at_mu"] > ONE - a,
             )
 
     # (b) no witness-far g gives the (n+1) molecule a large value. closed_max
@@ -344,8 +338,9 @@ def verify_delta_existence(
         for b in range(a + 1, k):
             m1 = Molecule(space, *pairs[a])
             m2 = Molecule(space, *pairs[b])
-            if free_dist(m1, m2) < 1:
-                bad.append((a + 1, b + 1, free_dist(m1, m2)))
+            dist = free_dist(m1, m2)
+            if dist < 1:
+                bad.append((a + 1, b + 1, dist))
     report.add(
         "pairwise molecule separation",
         "free_dist(m_i, m_j) >= 1 for 5 <= i < j <= k",

@@ -25,3 +25,28 @@ def test_pair_wins_follow_the_metric_direction_and_ties_count_for_neither():
     assert (out["wall_s"]["base"]["q1"], out["wall_s"]["base"]["median"], out["wall_s"]["base"]["q3"]) == (2, 3, 4)
     assert out["wall_s"]["base_iqr"] == 2
     assert out["wall_s"]["median_change"] == (2.0 - 3.0) / 3.0
+
+
+def test_tier1_parser_reads_counts_wall_time_and_acceptance_calls():
+    output = """\
+..........F......
+============================= slowest durations ==============================
+9.45s call     tests/test_acceptance.py::test_04_example2_certificates
+7.77s call     tests/test_acceptance.py::test_03_example1_certificates
+0.50s setup    tests/test_acceptance.py::test_03_example1_certificates
+2.79s call     tests/test_golden.py::test_report_matches_snapshot[certify_example2]
+=========================== short test summary info ============================
+FAILED tests/test_cli.py::TestDeterminism::test_entry_point_installed - FileN...
+1 failed, 217 passed in 75.12s (0:01:15)
+"""
+    assert bench_pairs.parse_tier1(output) == {
+        "passed": 217, "failed": 1, "wall_s": 75.12,
+        "acceptance_03_s": 7.77, "acceptance_04_s": 9.45,
+    }
+
+
+def test_tier1_parser_without_failures_or_acceptance_tests():
+    assert bench_pairs.parse_tier1("....\n4 passed in 0.31s\n") == {
+        "passed": 4, "failed": 0, "wall_s": 0.31,
+        "acceptance_03_s": None, "acceptance_04_s": None,
+    }

@@ -26,11 +26,6 @@ class TestSimplexCore:
         assert value == 4  # x0 = 2, x1 = 1
         assert x[0] == 2 and x[1] == 1
 
-    def test_infeasible(self):
-        # x0 = -1 with x0 >= 0 is impossible
-        status, *_ = lp.simplex_standard([[(0, ONE)]], [rat(-1)], [rat(1)])
-        assert status == lp.INFEASIBLE
-
     def test_unbounded(self):
         # min -x0 - x1 s.t. x0 - x1 = 0
         cols = [[(0, ONE)], [(0, -ONE)]]
@@ -62,23 +57,12 @@ class TestSimplexCore:
         assert value == rat("25/6")
         assert duals == [rat(-4), rat("1/3")]
 
-    def test_artificial_driven_out_on_negative_pivot(self):
-        # the second row is twice the first, so phase 1 ends with its
-        # artificial basic at 0; phase 2 drives it out on the entry -1 of
-        # column 2, and x3 (reduced cost 5) must then still price as positive
-        cols = [
-            [(0, ONE), (1, rat(2))],
-            [(0, ONE), (1, rat(2))],
-            [(0, ONE), (1, ONE)],
-            [(0, ONE)],
-        ]
-        status, x, value, duals = lp.simplex_standard(
-            cols, [rat(1), rat(2)], [rat(2), rat(2), rat(1), rat(5)]
-        )
-        assert status == lp.OPTIMAL
-        assert x == {0: ONE}
-        assert value == 2
-        assert duals == [ZERO, ONE]
+    def test_row_without_start_column_is_an_error(self):
+        # row 0 has the unit column 1; row 1 meets only column 0, which has
+        # two entries, and the negative unit column 2, so no start is there
+        cols = [[(0, ONE), (1, ONE)], [(0, ONE)], [(1, -ONE)]]
+        with pytest.raises(lp.SimplexError, match="row 1 "):
+            lp.simplex_standard(cols, [ONE, ONE], [ONE, ONE, ONE])
 
     def test_costs_with_different_denominators(self):
         # min 1/2 x0 + 2/3 x1 + 3/4 x2  s.t.  x0 + x1 = 2,  x1 + x2 = 1
@@ -93,13 +77,14 @@ class TestSimplexCore:
 
     def test_bland_fallback(self, monkeypatch):
         monkeypatch.setattr(lp, "_DANTZIG_CAP_FACTOR", 0)  # Bland from the start
-        # min -x0 - 2 x1  s.t.  x0 + 2 x1 + x2 = 2 has two optimal vertices;
-        # Dantzig enters x1 (reduced cost -2), Bland the first improving x0
+        # min -x1 - 2 x2  s.t.  s + x1 + 2 x2 = 2 starts at the slack s and has
+        # two optimal vertices; Dantzig enters x2 (reduced cost -2), Bland the
+        # first improving x1
         status, x, value, duals = lp.simplex_standard(
-            [[(0, ONE)], [(0, rat(2))], [(0, ONE)]], [rat(2)], [-ONE, rat(-2), ZERO]
+            [[(0, ONE)], [(0, ONE)], [(0, rat(2))]], [rat(2)], [ZERO, -ONE, rat(-2)]
         )
         assert status == lp.OPTIMAL
-        assert x == {0: rat(2)}
+        assert x == {1: rat(2)}
         assert value == -2
         assert duals == [-ONE]
         # Beale's cycling example

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lipfree import reproduce
 from lipfree.functions import nearest_point_function
 from lipfree.metric import build_hat_space, build_two_anchor_space
 from lipfree.reproduce import (
@@ -35,6 +36,21 @@ class TestExample2:
     def test_small_run_passes(self):
         report = verify_example2(N=5, n=4, alpha="1/2", eps="1/5", samples=2, seed=3)
         assert report.overall
+
+    def test_each_sample_norm_is_solved_once_for_all_alphas(self, monkeypatch):
+        calls = []
+        solve = reproduce.free_norm
+
+        def counting(mu):
+            calls.append(mu)
+            return solve(mu)
+
+        monkeypatch.setattr(reproduce, "free_norm", counting)
+        verify_example2(N=4, n=3, samples=2, alpha=["1/4", "1/2"])
+        two_alphas = len(calls)
+        calls.clear()
+        verify_example2(N=4, n=3, samples=2, alpha="1/2")
+        assert two_alphas == len(calls) == 2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

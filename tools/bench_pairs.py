@@ -12,15 +12,19 @@ the base first when i is even and the head first when i is odd; then each
 side makes one ``--trace 1`` run on ``first_seed``. Per workload and metric the file holds
 each side's runs, median and quartiles and the number of pairs the head wins
 (strictly better in the direction ``BENCHMARK.json`` gives; ties count for
-neither side), and per side the traced per-layer figures. The stamp names
-the machine, Python, the scalar backend and both commits.
+neither side), and per side the traced per-layer figures. Before the
+workloads, each side runs its tier-1 suite once; the file holds its passed
+and failed counts, its wall time and the call times of acceptance 03 and 04.
+The stamp names the machine, Python, the scalar backend and both commits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0", "-p", "no:cacheprovider"]
+ACCEPTANCE = {
+    "acceptance_03_s": "tests/test_acceptance.py::test_03_example1_certificates",
+    "acceptance_04_s": "tests/test_acceptance.py::test_04_example2_certificates",
+}
 
 
 def git(*args: str) -> str:
@@ -59,6 +68,27 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     result = json.loads(lines[-1])
     stamp = next((json.loads(line[len("# stamp "):]) for line in lines if line.startswith("# stamp ")), {})
     return {"stamp": stamp, **result}
+
+
+def parse_tier1(output: str) -> dict:
+    """Passed and failed counts and wall time from pytest's summary line, and
+    the call times of the acceptance tests from its --durations=0 table."""
+    summary = output.strip().rsplit("\n", 1)[-1]
+    counts = {kind: int(num) for num, kind in re.findall(r"(\d+) (passed|failed)", summary)}
+    wall = re.search(r" in ([\d.]+)s", summary)
+    calls = {test: float(sec) for sec, test in re.findall(r"^([\d.]+)s call\s+(\S+)$", output, re.M)}
+    return {
+        "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+        "wall_s": float(wall.group(1)) if wall else None,
+        **{name: calls.get(test) for name, test in ACCEPTANCE.items()},
+    }
+
+
+def run_tier1(tree: Path) -> dict:
+    """The tier-1 suite of tree, run once on its own sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    return parse_tier1(proc.stdout)
 
 
 def summarize(runs: list) -> dict:
@@ -108,6 +138,8 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
+        tier1 = {side: run_tier1(trees[side]) for side in SIDES}
+        print(f"tier-1: {tier1}", file=sys.stderr)
         for workload in (w["name"] for w in spec["workloads"]):
             results = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
@@ -133,6 +165,7 @@ def main(argv=None) -> int:
             "base_commit": commits["base"], "head_commit": commits["head"],
             "seconds": seconds, "pairs": PAIRS,
         },
+        "tier1": tier1,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
