@@ -29,6 +29,7 @@ from .metric import (
     build_annuli_space,
     build_hat_space,
     build_recursion_space,
+    metric_violations,
     validate,
 )
 from .scalars import format_scalar, parse_rat, rat
@@ -51,10 +52,23 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """The space, or a CliError naming its first violation of a metric axiom."""
+    bad = next(metric_violations(space), None)
+    if bad is None:
+        return space
+    points = ", ".join(repr(space.labels[p]) for p in bad.indices)
+    if bad.kind == "positivity":
+        text = f"d({points}) = {-bad.slack} is not positive"
+    else:
+        text = f"the {bad.kind} check fails at ({points}) by {bad.slack}"
+    raise CliError(f"the space is not a metric: {text}")
+
+
 def _space_from_args(args) -> FiniteMetricSpace:
     if getattr(args, "space", None) is None:
         raise CliError("--space is required for this command")
-    return FiniteMetricSpace.from_json(_load_json(args.space))
+    return _metric(FiniteMetricSpace.from_json(_load_json(args.space)))
 
 
 def _function_from_args(args) -> LipFunction:
@@ -64,6 +78,7 @@ def _function_from_args(args) -> LipFunction:
     if "space" not in obj:
         return LipFunction.from_json(obj, space=_space_from_args(args))
     f = LipFunction.from_json(obj)
+    _metric(f.space)
     if args.space is not None and _space_from_args(args) != f.space:
         raise CliError("the function file carries a space that differs from --space")
     return f

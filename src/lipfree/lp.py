@@ -23,11 +23,11 @@ comparison. The checker reads only the returned rationals and the rows,
 never the solver's basis, and names exact rationals when a check fails.
 
 All pivoting is exact and runs on Python ints: the rows are scaled to
-integers, and the basis inverse is kept as an integer matrix over one
-positive common denominator, updated by fraction-free (Bareiss) steps.
-Results are converted back to rationals only at the end. The pivot rule is
-Dantzig with smallest-index tie-breaking, falling back to Bland's rule after
-an iteration cap, so runs are deterministic and cycle-free.
+integers, and each solve keeps one integer tableau, which every pivot
+updates by the same fraction-free (Bareiss) step. Results are converted
+back to rationals only at the end. The pivot rule is Dantzig with
+smallest-index tie-breaking, falling back to Bland's rule after an
+iteration cap, so runs are deterministic and cycle-free.
 """
 
 from __future__ import annotations
@@ -67,25 +67,26 @@ def simplex_standard(cols, b, costs):
     common multiple of the denominators of its coefficients; b and the
     costs are each brought over one common denominator. Row scaling leaves
     x and the reduced costs unchanged, so every basis is the scaled image
-    of the rational one. The basis inverse is kept as an integer matrix
-    binv over one common denominator det, the basis determinant (positive,
-    as the start's diagonal and every pivot are), and each pivot updates it
-    fraction-free (Bareiss) with an exact division by the old det. Reduced
-    costs are compared as integer numerators over det, and the ratio test
-    cross-multiplies, so the pivots are those of the rational simplex; the
-    results are converted back to Fractions.
+    of the rational one. The solver state is one (m+1) x (m+1) integer
+    tableau over det, the basis determinant (positive, as the start's
+    diagonal and every pivot are): rows 0..m-1 hold [adj B | x_B] and row m
+    [y = c_B adj B | c_B x_B]. A pivot maps every other row i to
+    (piv * row - d_i * pivot row) // det, an exact division of integer
+    minors (Bareiss), with d_i the entering column in the basis and, for
+    the cost row, minus its reduced cost. Reduced costs are integer
+    numerators over det and the ratio test cross-multiplies, so the pivots
+    are those of the rational simplex.
     """
     m = len(b)
     n = len(cols)
     b_num, b_den = over_common_denominator(b)
     c_num, c_den = over_common_denominator(costs)
-    cols = [[(r, a.numerator, a.denominator) for r, a in col] for col in cols]
     scale = [1] * m
     for col in cols:
-        for r, _, den in col:
-            scale[r] = lcm(scale[r], den)
+        for r, a in col:
+            scale[r] = lcm(scale[r], a.denominator)
     sign_scale = [-s if num < 0 else s for s, num in zip(scale, b_num)]
-    icols = [[(r, num * (sign_scale[r] // den)) for r, num, den in col] for col in cols]
+    icols = [[(r, a.numerator * (sign_scale[r] // a.denominator)) for r, a in col] for col in cols]
 
     basis = [-1] * m
     for j, col in enumerate(icols):
@@ -93,13 +94,16 @@ def simplex_standard(cols, b, costs):
             basis[col[0][0]] = j
     if -1 in basis:
         raise SimplexError(f"row {basis.index(-1)} has no positive unit column to start from")
-    diag = [icols[j][0][1] for j in basis]
-    det = prod(diag)
-    binv = [[0] * m for _ in range(m)]  # adjugate of the diagonal start
-    xb = [0] * m  # numerators of x_B over det * b_den
-    for r, num in enumerate(b_num):
-        binv[r][r] = det // diag[r]
-        xb[r] = binv[r][r] * num * sign_scale[r]
+    det = prod(icols[j][0][1] for j in basis)
+    # [adj B | x_B] of the diagonal start, x_B over det * b_den, and the cost row
+    tableau = [[0] * (m + 1) for _ in range(m + 1)]
+    cost_row = tableau[m]
+    for r, (num, j) in enumerate(zip(b_num, basis)):
+        row = tableau[r]
+        row[r] = det // icols[j][0][1]
+        row[m] = row[r] * num * sign_scale[r]
+        cost_row[r] = c_num[j] * row[r]
+        cost_row[m] += c_num[j] * row[m]
     in_basis = [False] * n
     for j in basis:
         in_basis[j] = True
@@ -110,12 +114,7 @@ def simplex_standard(cols, b, costs):
         iteration += 1
         if iteration > cap + 200000:
             raise SimplexError("pivot limit exceeded")
-        # y = c_B B^-1 is y_num / det
-        y_num = [0] * m
-        for i in range(m):
-            ci = c_num[basis[i]]
-            if ci:
-                y_num = [y + ci * a for y, a in zip(y_num, binv[i])]
+        y = tableau[m]
         entering = -1
         best_rc = 0
         bland = iteration > cap
@@ -124,20 +123,17 @@ def simplex_standard(cols, b, costs):
                 continue
             rc = det * c_num[j]  # reduced cost times det
             for r, a in icols[j]:
-                rc -= y_num[r] * a
-            if rc < 0:
+                rc -= y[r] * a
+            if rc < best_rc:
+                best_rc, entering = rc, j
                 if bland:
-                    entering = j
                     break
-                if rc < best_rc:
-                    best_rc = rc
-                    entering = j
         if entering < 0:
             break
-        # entering column in the current basis is dvec / det
+        # the entering column in the current basis is dvec / det
         dvec = [0] * m
         for r, a in icols[entering]:
-            dvec = [d + row[r] * a for d, row in zip(dvec, binv)]
+            dvec = [d + row[r] * a for d, row in zip(dvec, tableau)]
         leaving = -1
         for i in range(m):
             di = dvec[i]
@@ -145,31 +141,27 @@ def simplex_standard(cols, b, costs):
                 if leaving < 0:
                     leaving = i
                     continue
-                lhs = xb[i] * dvec[leaving]
-                rhs = xb[leaving] * di
+                lhs = tableau[i][m] * dvec[leaving]
+                rhs = tableau[leaving][m] * di
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             return UNBOUNDED, {}, None, None
+        dvec.append(-best_rc)
         # the new determinant is dvec[leaving] > 0; rows divide exactly by det
         piv = dvec[leaving]
-        prow = binv[leaving]
-        px = xb[leaving]
-        for i in range(m):
-            if i == leaving:
-                continue
-            di = dvec[i]
-            if di or piv != det:
-                binv[i] = [(piv * a - di * p) // det for a, p in zip(binv[i], prow)]
-                xb[i] = (piv * xb[i] - di * px) // det
+        prow = tableau[leaving]
+        for i, (row, di) in enumerate(zip(tableau, dvec)):
+            if i != leaving and (di or piv != det):
+                tableau[i] = [(piv * a - di * p) // det for a, p in zip(row, prow)]
         det = piv
         in_basis[basis[leaving]] = False
         in_basis[entering] = True
         basis[leaving] = entering
 
-    x = {basis[i]: Fraction(xb[i], det * b_den) for i in range(m) if xb[i] != 0}
-    value = Fraction(sum(c_num[j] * v for j, v in zip(basis, xb)), c_den * det * b_den)
-    duals = [Fraction(s * yr, c_den * det) for s, yr in zip(sign_scale, y_num)]
+    x = {j: Fraction(row[m], det * b_den) for j, row in zip(basis, tableau) if row[m]}
+    value = Fraction(y[m], c_den * det * b_den)
+    duals = [Fraction(s * yr, c_den * det) for s, yr in zip(sign_scale, y)]
     return OPTIMAL, x, value, duals
 
 
@@ -218,27 +210,22 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     _check_points(space, objective)
     base = space.base
     ball = space.ball_rows
-    var, rows, cols = ball.var, ball.rows, ball.cols
+    var, rows = ball.var, ball.rows
     side_rows = []
     for sc in program.side_constraints:
         weights = _as_weights(sc.weights)
         _check_points(space, weights)
-        coefs = {}
-        for p, w in weights.items():
-            if p == base or w == 0:
-                continue
-            v = var[p]
-            coefs[v] = coefs.get(v, ZERO) + rat(w)
+        # var is injective, so each weight is the coefficient of its variable
+        coefs = sorted((var[p], rat(w)) for p, w in weights.items() if p != base and w != 0)
         bound = rat(sc.bound)
         if sc.relation == "<=":
-            side_rows.append((coefs, bound))
+            side_rows.append((tuple(coefs), bound))
         elif sc.relation == ">=":
-            side_rows.append(({v: -c for v, c in coefs.items()}, -bound))
+            side_rows.append((tuple((v, -c) for v, c in coefs), -bound))
         else:
             raise ValueError(f"unknown relation: {sc.relation}")
     if side_rows:
         rows = rows + tuple(side_rows)
-        cols = cols + tuple(sorted(coefs.items()) for coefs, _ in side_rows)
 
     c = [ZERO] * (space.n - 1)
     for p, w in objective.items():
@@ -247,7 +234,9 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     # is always feasible: its start basis is the star transport to the base
-    status, x, value, duals = simplex_standard(cols, c, [bound for _, bound in rows])
+    status, x, value, duals = simplex_standard(
+        [coefs for coefs, _ in rows], c, [bound for _, bound in rows]
+    )
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
@@ -260,7 +249,8 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
 def _verify_lip_solution(rows, c, witness, multipliers, value):
     """Exact optimality certificate of one ball solve, independent of pivoting.
 
-    rows are (coefs, bound) meaning coefs . f <= bound, c is the objective and
+    rows are (coefs, bound) meaning coefs . f <= bound, with coefs a tuple of
+    (variable, coefficient) sorted by variable; c is the objective and
     witness the values of f on the non-base points. The witness must meet
     every row and attain value; the multipliers (row -> y_r) must be
     nonnegative, sum coefficientwise to c and have bound-weighted sum value.
@@ -278,7 +268,7 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
     wnum, wden = over_common_denominator(witness)
     for r, (coefs, bound) in enumerate(rows):
         lhs = 0
-        for v, coef in coefs.items():
+        for v, coef in coefs:
             lhs += coef * wnum[v]
         if lhs * bound.denominator > bound.numerator * wden:
             raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {bound}")
@@ -291,7 +281,7 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
         if y < 0:
             raise SimplexError(f"multiplier of row {r} is negative: {y}")
         coefs, bound = rows[r]
-        for v, coef in coefs.items():
+        for v, coef in coefs:
             combined[v] += y * coef
         bound_sum += y * bound
     for v, (got, want) in enumerate(zip(combined, c)):

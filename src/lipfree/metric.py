@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .scalars import ONE, Scalar, ZERO, over_common_denominator, parse_rat, rat, rat_str
@@ -17,11 +18,13 @@ class BallRows(NamedTuple):
 
     The variables are the non-base points in order. Rows 2k and 2k + 1 are
     f(p) - f(q) <= d(p, q) and f(q) - f(p) <= d(p, q) for the k-th pair
-    (p, q) of pairs().
+    (p, q) of pairs(). Each row is stored once, as its coefficients
+    ((variable, +-1), ...) sorted by variable and its bound d(p, q): the
+    simplex reads the coefficients as the row's dual column and the
+    certificate checker reads the whole row.
     """
 
-    rows: tuple  # ({variable: +-1}, d(p, q)) per row
-    cols: tuple  # each row's coefficients as (variable, coef), sorted by variable
+    rows: tuple  # (((variable, +-1), ...), d(p, q)) per row
     var: tuple  # var[p] is the variable of point p, None for the base
     arcs: tuple  # arcs[r] = (p, q): row r bounds f(p) - f(q)
 
@@ -100,12 +103,12 @@ class FiniteMetricSpace:
         var = tuple(None if p == base else p - (p > base) for p in self.points())
         rows, arcs = [], []
         for p, q in self.pairs():
-            arc = {v: a for v, a in ((var[p], 1), (var[q], -1)) if v is not None}
+            # p < q, so var[p] < var[q]: the coefficients come sorted
+            arc = tuple((v, a) for v, a in ((var[p], 1), (var[q], -1)) if v is not None)
             rows.append((arc, self.d[p][q]))
-            rows.append(({v: -a for v, a in arc.items()}, self.d[p][q]))
+            rows.append((tuple((v, -a) for v, a in arc), self.d[p][q]))
             arcs += [(p, q), (q, p)]
-        cols = tuple(sorted(coefs.items()) for coefs, _ in rows)
-        return BallRows(tuple(rows), cols, var, tuple(arcs))
+        return BallRows(tuple(rows), var, tuple(arcs))
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -129,11 +132,16 @@ class FiniteMetricSpace:
             raise ValueError("space field 'base' must be an integer point index")
         if not isinstance(d, list) or not all(isinstance(row, list) for row in d):
             raise ValueError("space field 'd' must be a list of rows, each a list")
-        return cls(
-            labels=tuple(labels),
-            base=base,
-            d=tuple(tuple(parse_rat(x, "d") for x in row) for row in d),
-        )
+        parsed = {}  # a matrix repeats its distances: parse each string once
+
+        def parse(x):
+            if type(x) is not str:
+                return parse_rat(x, "d")
+            if x not in parsed:
+                parsed[x] = parse_rat(x, "d")
+            return parsed[x]
+
+        return cls(labels=tuple(labels), base=base, d=tuple(tuple(map(parse, row)) for row in d))
 
     @classmethod
     def from_matrix(cls, d, labels=None, base: int = 0) -> "FiniteMetricSpace":
@@ -169,31 +177,39 @@ class ValidationReport:
         }
 
 
-def validate(space: FiniteMetricSpace) -> ValidationReport:
-    """Report every symmetry/positivity/triangle violation with exact slack."""
-    bad = []
-    d = space.d
-    n = space.n
-    for i in range(n):
-        if d[i][i] != 0:
-            bad.append(Violation("diagonal", (i,), d[i][i]))
+def metric_violations(space: FiniteMetricSpace):
+    """Lazily yield each diagonal, then symmetry and positivity (per pair),
+    then triangle violation (i, j, k): d(i, k) > d(i, j) + d(j, k), with its
+    exact slack. The comparisons run on the ints of the space's int_view;
+    rows i, j are scanned only if some d(i, k) - d(j, k) exceeds d(i, j)."""
+    D, scale = space.int_view
+    for i, Di in enumerate(D):
+        if Di[i]:
+            yield Violation("diagonal", (i,), Fraction(Di[i], scale))
+    suspects = []
     for i, j in space.pairs():
-        if d[i][j] != d[j][i]:
-            bad.append(Violation("symmetry", (i, j), d[i][j] - d[j][i]))
-        if d[i][j] <= 0:
-            bad.append(Violation("positivity", (i, j), -d[i][j]))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            dij = d[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                slack = d[i][k] - dij - d[j][k]
-                if slack > 0:
-                    bad.append(Violation("triangle", (i, j, k), slack))
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+        Di, Dj = D[i], D[j]
+        if Di[j] != Dj[i]:
+            yield Violation("symmetry", (i, j), Fraction(Di[j] - Dj[i], scale))
+        if Di[j] <= 0:
+            yield Violation("positivity", (i, j), Fraction(-Di[j], scale))
+        diffs = list(map(sub, Di, Dj))
+        if max(diffs) > Di[j]:
+            suspects.append((i, j))
+        if -min(diffs) > Dj[i]:
+            suspects.append((j, i))
+    for i, j in sorted(suspects):
+        dij = D[i][j]
+        for k, (dik, djk) in enumerate(zip(D[i], D[j])):
+            slack = dik - dij - djk
+            if slack > 0 and k != i and k != j:
+                yield Violation("triangle", (i, j, k), Fraction(slack, scale))
+
+
+def validate(space: FiniteMetricSpace) -> ValidationReport:
+    """Report every metric_violations entry of the space."""
+    bad = tuple(metric_violations(space))
+    return ValidationReport(ok=not bad, violations=bad)
 
 
 def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import diametral, lp
 from .free import FreeElement, Molecule, free_dist, free_norm, molecule_distance_formula
@@ -79,7 +79,6 @@ def _sign_normalize(f: LipFunction) -> tuple:
 def verify_example1(
     N: int = 24,
     n: int = 3,
-    f: Optional[LipFunction] = None,
     samples: int = 50,
     seed: int = 0,
 ) -> CertificateReport:
@@ -102,23 +101,20 @@ def verify_example1(
     norm = free_norm(mu).value
     report.add("averaged molecule functional has norm one", "||mu|| = 1", {"norm": norm}, norm == 1)
 
-    if f is not None:
-        fns = [_sign_normalize(f)[0]]
-    else:
-        rng = random.Random(seed)
-        fns = []
-        attempts = 0
-        while len(fns) < samples and attempts < 2000 * samples:
-            attempts += 1
-            cand, smallest = _sign_normalize(random_lip_function(rng, space))
-            if smallest == n - 1:  # point index of the integer n
-                fns.append(cand)
-        report.add(
-            "rejection sampling matched the requested slice index",
-            f"{samples} functions with smallest admissible index n = {n}",
-            {"found": len(fns), "attempts": attempts},
-            len(fns) == (samples if f is None else 1),
-        )
+    rng = random.Random(seed)
+    fns = []
+    attempts = 0
+    while len(fns) < samples and attempts < 2000 * samples:
+        attempts += 1
+        cand, smallest = _sign_normalize(random_lip_function(rng, space))
+        if smallest == n - 1:  # point index of the integer n
+            fns.append(cand)
+    report.add(
+        "rejection sampling matched the requested slice index",
+        f"{samples} functions with smallest admissible index n = {n}",
+        {"found": len(fns), "attempts": attempts},
+        len(fns) == samples,
+    )
 
     bound = ONE - alpha / n
     for idx, fn in enumerate(fns):
@@ -264,21 +260,11 @@ def verify_example2(
 # hat-function family on separated pairs
 
 
-def verify_delta_existence(
-    space: Optional[FiniteMetricSpace] = None,
-    pairs: Optional[Sequence] = None,
-    scale=None,
-    tolerance=None,
-    k: int = 16,
-) -> CertificateReport:
+def verify_delta_existence(k: int = 16) -> CertificateReport:
     """Hat function and its swapped companions on k separated pairs: norm
     one, pairwise far companions, and window averages returning to f."""
-    if space is None:
-        hs = build_hat_space(k)
-        space, pairs, scale, tolerance = hs.space, hs.pairs, hs.scale, hs.tolerance
-    if pairs is None or scale is None or tolerance is None:
-        raise ValueError("explicit spaces need pairs, scale and tolerance")
-    k = len(pairs)
+    hs = build_hat_space(k)
+    space, pairs, scale, tolerance = hs.space, hs.pairs, hs.scale, hs.tolerance
     report = CertificateReport(
         name="delta-existence-hat-family",
         parameters={"k": k, "scale": rat(scale), "tolerance": rat(tolerance)},
@@ -355,21 +341,12 @@ def verify_delta_existence(
 
 
 def verify_daugavet_recursion(
-    space: Optional[FiniteMetricSpace] = None,
-    pairs: Optional[Sequence] = None,
-    annuli: Optional[Sequence] = None,
-    stages: int = 10,
-    samples: int = 5,
-    seed: int = 0,
+    stages: int = 10, samples: int = 5, seed: int = 0
 ) -> CertificateReport:
     """Stage invariants of the recursive construction, plus the separated-
     annuli certificate it rests on."""
-    if space is None:
-        rs = build_recursion_space(stages)
-        space, pairs, annuli = rs.space, rs.pairs, rs.annuli
-    if pairs is None or annuli is None:
-        raise ValueError("explicit spaces need pairs and annuli")
-    stages = len(pairs)
+    rs = build_recursion_space(stages)
+    space, pairs, annuli = rs.space, rs.pairs, rs.annuli
     eps_list = [rat(f"1/{2 ** (i + 1)}") for i in range(1, stages + 1)]
     report = CertificateReport(
         name="daugavet-recursion",

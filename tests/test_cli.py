@@ -39,6 +39,36 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         assert main(["validate", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ([["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
+             "the triangle check fails at ('a', 'b', 'c') by 3"),
+            ([["0", "1", "2"], ["1", "0", "1"], ["2", "3/2", "0"]],
+             "the symmetry check fails at ('b', 'c') by -1/2"),
+            ([["0", "1", "2"], ["1", "1/2", "1"], ["2", "1", "0"]], "the diagonal check fails at ('b') by 1/2"),
+        ],
+        ids=["triangle", "symmetry", "diagonal"],
+    )
+    @pytest.mark.parametrize("command", ["freenorm", "dist", "lipnorm"])
+    def test_space_that_is_no_metric_is_an_error(self, tmp_path, capsys, d, message, command):
+        # on the triangle case the norm of delta_c restricted to {a, c} was
+        # d(a, c) = 5 with exit 0, where the full space gives 2
+        space = {"labels": ["a", "b", "c"], "base": 0, "d": d}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "delta.json").write_text(json.dumps({"weights": {"c": "1"}}))
+        (tmp_path / "f.json").write_text(json.dumps({"space": space, "values": ["0", "1", "1"]}))
+        argv = {
+            "freenorm": ["freenorm", "delta.json", "--space", "space.json"],
+            "dist": ["dist", "delta.json", "delta.json", "--space", "space.json"],
+            "lipnorm": ["lipnorm", "f.json"],
+        }[command]
+        assert main([str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the space is not a metric: {message}" in captured.err
+        assert main(["validate", str(tmp_path / "space.json")]) == 1
+
     def test_missing_file_is_an_error(self, capsys):
         assert main(["validate", "/nonexistent/space.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,18 @@ class TestFreeNorm:
         assert res.value == 5
         assert res.witness.norm <= 1
         assert mu.pairing(res.witness) == 5
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_support_restriction_equals_full_space_solve(self, seed):
+        # on a metric the program over the support and the base has the
+        # value of the full-space ball program
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(3, 8))
+        support = rng.sample(range(space.n), rng.randint(1, space.n - 1))
+        mu = FreeElement.make(space, {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in support})
+        full = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=mu))
+        assert free_norm(mu).value == full.value
 
     def test_one_simplex_solve_per_norm(self, monkeypatch):
         calls = []

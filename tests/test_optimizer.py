@@ -15,7 +15,85 @@ from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, as_float, rat
 
 
+def _reference_simplex(cols, b, costs):
+    """Dense Fraction revised simplex with the start and pivot rule of
+    simplex_standard: rows signed so that b >= 0, each row's first positive
+    unit column as the start, Dantzig with smallest-index ties (Bland after
+    the same cap), and ties of the ratio test to the smallest basic column."""
+    m, n = len(b), len(cols)
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    A = [[Fraction(0)] * n for _ in range(m)]
+    for j, col in enumerate(cols):
+        for r, a in col:
+            A[r][j] = sign[r] * a
+    rhs = [s * bi for s, bi in zip(sign, b)]
+    basis = [
+        next(j for j, col in enumerate(cols) if len(col) == 1 and col[0][0] == r and A[r][j] > 0)
+        for r in range(m)
+    ]
+    binv = [[Fraction(int(i == r)) / A[r][basis[r]] for i in range(m)] for r in range(m)]
+
+    def solution():
+        xb = [sum(row[r] * rhs[r] for r in range(m)) for row in binv]
+        y = [sum(costs[basis[i]] * binv[i][r] for i in range(m)) for r in range(m)]
+        return xb, y
+
+    cap = 20 * (m + n)
+    for iteration in range(1, 10 * cap):
+        xb, y = solution()
+        rcs = [
+            (costs[j] - sum(y[r] * A[r][j] for r in range(m)), j)
+            for j in range(n)
+            if j not in basis
+        ]
+        improving = [(rc, j) for rc, j in rcs if rc < 0]
+        if not improving:
+            break
+        entering = improving[0][1] if iteration > cap else min(improving)[1]
+        d = [sum(row[r] * A[r][entering] for r in range(m)) for row in binv]
+        ratios = [(xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > 0]
+        if not ratios:
+            return lp.UNBOUNDED, {}, None, None
+        leaving = min(ratios)[2]
+        prow = [v / d[leaving] for v in binv[leaving]]
+        binv = [prow if i == leaving else [v - d[i] * p for v, p in zip(row, prow)] for i, row in enumerate(binv)]
+        basis[leaving] = entering
+    xb, y = solution()
+    x = {j: v for j, v in zip(basis, xb) if v}
+    value = sum((costs[j] * v for j, v in x.items()), ZERO)
+    return lp.OPTIMAL, x, value, [s * yr for s, yr in zip(sign, y)]
+
+
+def _random_rational(rng, top=6):
+    return Fraction(rng.randint(-top, top), rng.choice((1, 1, 2, 3, 5)))
+
+
 class TestSimplexCore:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_fraction_reference(self, seed):
+        # random programs with negative-b rows, rational entries and a start
+        # column per row (a unit column signed like b), shuffled among decoy
+        # unit columns of the wrong sign, dense columns and copies of columns
+        rng = random.Random(seed)
+        m = rng.randint(1, 4)
+        b = [_random_rational(rng) for _ in range(m)]
+        cols = []
+        for r in range(m):
+            magnitude = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+            cols.append([(r, -magnitude if b[r] < 0 else magnitude)])
+            if rng.random() < 0.3:
+                cols.append([(r, magnitude if b[r] < 0 else -magnitude)])
+        for _ in range(rng.randint(0, 6)):
+            col = [(r, a) for r in range(m) if (a := _random_rational(rng))]
+            if col:
+                cols.append(col)
+        columns = [(col, _random_rational(rng) + 2) for col in cols]  # mostly bounded
+        columns += rng.choices(columns, k=rng.randint(0, 2))  # exact ties in pricing
+        rng.shuffle(columns)
+        cols, costs = [col for col, _ in columns], [cost for _, cost in columns]
+        assert lp.simplex_standard(cols, b, costs) == _reference_simplex(cols, b, costs)
+
     def test_small_known_optimum(self):
         # min x0 + 2 x1  s.t.  x0 + x1 = 3, x0 <= 2 (as x0 + s = 2)
         cols = [[(0, ONE), (1, ONE)], [(0, ONE)], [(1, ONE)]]
@@ -290,7 +368,7 @@ class TestCertificateChecker:
     def test_negative_multiplier_is_rejected(self):
         # f <= 1, f <= 2, -f <= 1: maximize f; y = (1, 0, 0) proves f = 1, and
         # (4, -2, 1) combines to the same objective and value but is no proof
-        rows = [({0: ONE}, ONE), ({0: ONE}, rat(2)), ({0: -ONE}, ONE)]
+        rows = [(((0, ONE),), ONE), (((0, ONE),), rat(2)), (((0, -ONE),), ONE)]
         lp._verify_lip_solution(rows, [ONE], [ONE], {0: ONE}, ONE)
         with pytest.raises(lp.SimplexError, match="negative"):
             lp._verify_lip_solution(rows, [ONE], [ONE], {0: rat(4), 1: rat(-2), 2: ONE}, ONE)
@@ -312,13 +390,14 @@ def _rational_metric(rng, n):
 
 
 def _reference_ball_rows(space):
-    """The ball rows as (Fraction coefficients, bound), built per pair."""
+    """The ball rows as (sorted (variable, Fraction coefficient) tuple, bound),
+    built per pair."""
     var = {p: i for i, p in enumerate(p for p in space.points() if p != space.base)}
     rows = []
     for p, q in space.pairs():
-        arc = {var[x]: s for x, s in ((p, ONE), (q, -ONE)) if x != space.base}
-        rows.append((arc, space.d[p][q]))
-        rows.append(({v: -a for v, a in arc.items()}, space.d[p][q]))
+        arc = sorted((var[x], s) for x, s in ((p, ONE), (q, -ONE)) if x != space.base)
+        rows.append((tuple(arc), space.d[p][q]))
+        rows.append((tuple((v, -a) for v, a in arc), space.d[p][q]))
     return rows, var
 
 
@@ -333,7 +412,6 @@ class TestIntegerChecker:
         rows, var = _reference_ball_rows(space)
         ball = space.ball_rows
         assert list(ball.rows) == rows
-        assert list(ball.cols) == [sorted(coefs.items()) for coefs, _ in rows]
         assert ball.var == tuple(var.get(p) for p in space.points())
         assert list(ball.arcs) == [arc for p, q in space.pairs() for arc in ((p, q), (q, p))]
         objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
@@ -344,7 +422,7 @@ class TestIntegerChecker:
             t = Fraction(rng.randint(-7, 7), 7)
             sides = (lp.SideConstraint(lp.molecule_weights(space, p, q), "<=", t),)
             weights = lp.molecule_weights(space, p, q)
-            rows.append(({var[x]: w for x, w in weights.items()}, t))
+            rows.append((tuple(sorted((var[x], w) for x, w in weights.items())), t))
         sol = lp.solve_lip_ball(
             lp.LipBallProgram(space=space, objective=objective, side_constraints=sides)
         )

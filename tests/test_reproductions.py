@@ -4,7 +4,7 @@ import pytest
 
 from lipfree import reproduce
 from lipfree.functions import nearest_point_function
-from lipfree.metric import build_hat_space, build_two_anchor_space
+from lipfree.metric import build_two_anchor_space
 from lipfree.reproduce import (
     scan_theorem4_condition6,
     verify_daugavet_recursion,
@@ -64,15 +64,6 @@ class TestExample2:
 class TestDeltaExistence:
     def test_default_builder_small(self):
         report = verify_delta_existence(k=6)
-        assert report.overall
-
-    def test_explicit_space_needs_all_data(self):
-        hs = build_hat_space(5)
-        with pytest.raises(ValueError):
-            verify_delta_existence(space=hs.space)
-        report = verify_delta_existence(
-            space=hs.space, pairs=hs.pairs, scale=hs.scale, tolerance=hs.tolerance
-        )
         assert report.overall
 
 
