@@ -56,7 +56,10 @@ def _reference_simplex(cols, b, costs):
             return lp.UNBOUNDED, {}, None, None
         leaving = min(ratios)[2]
         prow = [v / d[leaving] for v in binv[leaving]]
-        binv = [prow if i == leaving else [v - d[i] * p for v, p in zip(row, prow)] for i, row in enumerate(binv)]
+        binv = [
+            prow if i == leaving else [v - d[i] * p for v, p in zip(row, prow)]
+            for i, row in enumerate(binv)
+        ]
         basis[leaving] = entering
     xb, y = solution()
     x = {j: v for j, v in zip(basis, xb) if v}
@@ -64,8 +67,8 @@ def _reference_simplex(cols, b, costs):
     return lp.OPTIMAL, x, value, [s * yr for s, yr in zip(sign, y)]
 
 
-def _random_rational(rng, top=6):
-    return Fraction(rng.randint(-top, top), rng.choice((1, 1, 2, 3, 5)))
+def _random_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
 
 
 class TestSimplexCore:
