@@ -1,15 +1,21 @@
 """Command-line front end: norms, distances, constructions, certificates.
 
+Each ``cmd_*`` handler returns its exit code and its result in exact values
+(Fractions, labels, ints, bools, lists, dicts, certificate reports); ``main``
+alone renders the result under ``--mode`` and writes it. ``lipnorm``,
+``freenorm`` and ``dist`` print the bare value unless ``--out`` is given;
+everything else is the JSON envelope ``{"mode", "seed", "result"}``, or a
+CSV table for the dichotomy profile, on stdout or in the ``--out`` file.
 Exit codes: 0 when everything requested verified, 1 when a certificate or
-validation fails, 2 for unusable input. Output is JSON (CSV for the
-dichotomy profile table) and is byte-identical for identical inputs,
-parameters and seed.
+validation fails, 2 for unusable input. Output is byte-identical for
+identical inputs, parameters and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -32,7 +38,8 @@ from .metric import (
     metric_violations,
     validate,
 )
-from .scalars import format_scalar, parse_rat, rat
+from .reports import render
+from .scalars import parse_rat, rat
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -88,85 +95,38 @@ def _element_from_path(path: str, space: FiniteMetricSpace) -> FreeElement:
     return FreeElement.from_json(_load_json(path), space)
 
 
-def _emit(args, payload) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(
-        payload, indent=2, sort_keys=True
-    )
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _envelope(args, result: dict) -> dict:
-    return {"mode": args.mode, "seed": args.seed, "result": result}
-
-
 def _scalar_list(text: str) -> list:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, result in exact values)
 
 
-def cmd_validate(args) -> int:
-    space = FiniteMetricSpace.from_json(_load_json(args.space))
-    rep = validate(space)
-    _emit(args, _envelope(args, rep.to_json()))
-    return PASS if rep.ok else FAIL
+def cmd_validate(args) -> tuple:
+    rep = validate(FiniteMetricSpace.from_json(_load_json(args.space)))
+    return (PASS if rep.ok else FAIL), rep.to_json()
 
 
-def cmd_lipnorm(args) -> int:
-    f = _function_from_args(args)
-    value = format_scalar(f.norm, args.mode)
-    if args.out:
-        _emit(args, _envelope(args, {"norm": value}))
-    else:
-        print(value)
-    return PASS
+def cmd_lipnorm(args) -> tuple:
+    return PASS, {"norm": _function_from_args(args).norm}
 
 
-def cmd_freenorm(args) -> int:
+def cmd_freenorm(args) -> tuple:
     space = _space_from_args(args)
-    mu = _element_from_path(args.element, space)
-    res = free_norm(mu)
-    if args.out:
-        _emit(
-            args,
-            _envelope(
-                args,
-                {
-                    "norm": format_scalar(res.value, args.mode),
-                    "witness": [format_scalar(v, args.mode) for v in res.witness.values],
-                    "plan": [
-                        [space.labels[p], space.labels[q], format_scalar(m, args.mode)]
-                        for p, q, m in res.plan.flows
-                    ],
-                },
-            ),
-        )
-    else:
-        print(format_scalar(res.value, args.mode))
-    return PASS
+    res = free_norm(_element_from_path(args.element, space))
+    plan = [[space.labels[p], space.labels[q], m] for p, q, m in res.plan.flows]
+    return PASS, {"norm": res.value, "witness": res.witness.values, "plan": plan}
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> tuple:
     space = _space_from_args(args)
     mu = _element_from_path(args.first, space)
     nu = _element_from_path(args.second, space)
-    value = free_dist(mu, nu)
-    if args.out:
-        _emit(args, _envelope(args, {"dist": format_scalar(value, args.mode)}))
-    else:
-        print(format_scalar(value, args.mode))
-    return PASS
+    return PASS, {"dist": free_dist(mu, nu)}
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple:
     space = _space_from_args(args)
     values = {
         space.index(lbl): parse_rat(v, "values") for lbl, v in _load_json(args.values).items()
@@ -179,79 +139,47 @@ def cmd_extend(args) -> int:
         direction=args.direction,
         shift_base=args.shift_base,
     )
-    _emit(
-        args,
-        _envelope(
-            args,
-            {"values": [format_scalar(v, args.mode) for v in f.values],
-             "norm": format_scalar(f.norm, args.mode)},
-        ),
-    )
-    return PASS
+    return PASS, {"values": f.values, "norm": f.norm}
 
 
-def cmd_slice(args) -> int:
+def cmd_slice(args) -> tuple:
     f = _function_from_args(args)
-    space = f.space
-    mols = molecules_in_slice(space, f, rat(args.alpha))
-    _emit(
-        args,
-        _envelope(
-            args,
-            {
-                "alpha": format_scalar(rat(args.alpha), args.mode),
-                "molecules": [
-                    {
-                        "u": space.labels[m.u],
-                        "v": space.labels[m.v],
-                        "value": format_scalar(f.molecule_value(m.u, m.v), args.mode),
-                    }
-                    for m in mols
-                ],
-            },
-        ),
-    )
-    return PASS
+    labels = f.space.labels
+    alpha = rat(args.alpha)
+    molecules = [
+        {"u": labels[m.u], "v": labels[m.v], "value": f.molecule_value(m.u, m.v)}
+        for m in molecules_in_slice(f.space, f, alpha)
+    ]
+    return PASS, {"alpha": alpha, "molecules": molecules}
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple:
     if args.construction == "daugavet":
         rs = build_recursion_space(args.stages)
         f, log = daugavet_recursive_construction(rs.space, rs.pairs, rs.annuli)
-        result = {
+        return PASS, {
             "space": rs.space.to_json(),
-            "function": [format_scalar(v, args.mode) for v in f.values],
+            "function": f.values,
             "stages": [
                 {
                     "stage": rec.stage,
-                    "lip_constant": format_scalar(rec.lip_constant, args.mode),
-                    "molecule_value": format_scalar(rec.molecule_value, args.mode),
+                    "lip_constant": rec.lip_constant,
+                    "molecule_value": rec.molecule_value,
                     "ok": rec.ok,
                 }
                 for rec in log
             ],
         }
-    elif args.construction == "delta-hat":
+    if args.construction == "delta-hat":
         hs = build_hat_space(args.pairs, args.scale)
         fam = delta_hat_family(hs.space, hs.pairs, hs.scale, hs.tolerance)
-        result = {
-            "space": hs.space.to_json(),
-            "f": [format_scalar(v, args.mode) for v in fam.f.values],
-            "g": {
-                str(i): [format_scalar(v, args.mode) for v in g.values]
-                for i, g in sorted(fam.g.items())
-            },
-        }
-    else:  # nearest
-        space = _space_from_args(args)
-        sites = [space.index(lbl) for lbl in _scalar_list(args.sites)]
-        f = nearest_point_function(space, sites)
-        result = {
-            "function": [format_scalar(v, args.mode) for v in f.values],
-            "norm": format_scalar(f.norm, args.mode),
-        }
-    _emit(args, _envelope(args, result))
-    return PASS
+        g = {i: g.values for i, g in fam.g.items()}
+        return PASS, {"space": hs.space.to_json(), "f": fam.f.values, "g": g}
+    # nearest
+    space = _space_from_args(args)
+    sites = [space.index(lbl) for lbl in _scalar_list(args.sites)]
+    f = nearest_point_function(space, sites)
+    return PASS, {"function": f.values, "norm": f.norm}
 
 
 def _given(args, **params) -> dict:
@@ -259,7 +187,7 @@ def _given(args, **params) -> dict:
     return {param: getattr(args, flag) for param, flag in params.items() if hasattr(args, flag)}
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple:
     name = args.certificate
     if getattr(args, "samples", 0) < 0:
         raise CliError("--samples must be non-negative")
@@ -282,50 +210,25 @@ def cmd_certify(args) -> int:
             raise CliError("certify annuli takes a single --eps value")
         asp = build_annuli_space(**_given(args, k="pairs"), eps=eps[0])
         report = diametral.verify_separated_annuli(
-            asp.space, asp.pairs, asp.annuli, list(asp.eps), **seeded
+            asp.space, asp.pairs, asp.annuli, asp.eps, **seeded
         )
-    _emit(args, _envelope(args, report.to_json(args.mode)))
-    if report.overall:
-        return PASS
-    first = report.failing()[0]
-    print(f"certificate failed: {first.description}", file=sys.stderr)
-    return FAIL
+    return (PASS if report.overall else FAIL), report
 
 
-def cmd_scan_dichotomy(args) -> int:
+def cmd_scan_dichotomy(args) -> tuple:
     f = _function_from_args(args)
     report = reproduce.scan_theorem4_condition6(
         f.space, f, _scalar_list(args.eps_grid), args.radius
     )
     if args.format == "json":
-        _emit(args, _envelope(args, report.to_json(args.mode)))
-        return PASS
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "eps",
-            "molecules",
-            "min_pair_distance",
-            "max_support_radius",
-            "small_pair_witness",
-            "escaping_witness",
-        ]
-    )
+        return PASS, report
+    rows = [["eps", "molecules", "min_pair_distance", "max_support_radius",
+             "small_pair_witness", "escaping_witness"]]
     for check, e in zip(report.checks, report.parameters["eps_grid"]):
         v = check.values
-        writer.writerow(
-            [
-                format_scalar(e, args.mode),
-                v["molecules"],
-                "" if v["min_pair_distance"] is None else format_scalar(v["min_pair_distance"], args.mode),
-                "" if v["max_support_radius"] is None else format_scalar(v["max_support_radius"], args.mode),
-                int(v["small_pair_witness"]),
-                int(v["escaping_witness"]),
-            ]
-        )
-    _emit(args, buf.getvalue())
-    return PASS
+        rows.append([e, v["molecules"], v["min_pair_distance"], v["max_support_radius"],
+                     int(v["small_pair_witness"]), int(v["escaping_witness"])])
+    return PASS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +321,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the commands that print their bare value when there is no --out, and its key
+BARE = {"lipnorm": "norm", "freenorm": "norm", "dist": "dist"}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _text(args, result) -> str:
+    """The result rendered under --mode: a bare value, the CSV table or the
+    JSON envelope."""
+    if args.command in BARE and not args.out:
+        return render(result[BARE[args.command]], args.mode) + "\n"
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(render(result, args.mode))
+        return buf.getvalue()
+    envelope = {"mode": args.mode, "seed": args.seed, "result": render(result, args.mode)}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up now, so a handler rebound after the parser was built runs
+        code, result = globals()[args.func.__name__](args)
+        text = _text(args, result)
     except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if code == FAIL and args.command == "certify":
+        print(f"certificate failed: {result.failing()[0].description}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ def verify_separated_annuli(
     space: FiniteMetricSpace,
     pairs: Sequence,
     annuli: Sequence,
-    eps,
+    eps: Sequence,
     battery: Optional[Sequence] = None,
     samples: int = 50,
     seed: int = 0,
@@ -86,7 +86,7 @@ def verify_separated_annuli(
     and by an explicitly constructed dual witness function.
     """
     pairs = [tuple(p) for p in pairs]
-    eps_list = [rat(e) for e in (eps if isinstance(eps, (list, tuple)) else [eps] * len(pairs))]
+    eps_list = [rat(e) for e in eps]
     report = CertificateReport(
         name="separated-annuli",
         parameters={

@@ -4,20 +4,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .scalars import Scalar, format_scalar
 
 
-def _render(value, mode: str):
-    """Scalars as canonical strings; containers recursively; rest verbatim."""
-    if isinstance(value, (dict,)):
-        return {str(k): _render(v, mode) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_render(v, mode) for v in value]
-    if isinstance(value, (bool, str, int)) or value is None:
-        return value
-    return format_scalar(value, mode)
+def render(value, mode: str):
+    """The JSON form of an exact value under mode ("exact" or "float"):
+    Fractions as :func:`scalars.format_scalar` strings, a certificate report
+    by its :meth:`CertificateReport.to_json`, containers recursively (keys
+    as strings), anything else verbatim."""
+
+    def walk(v):
+        if isinstance(v, Fraction):
+            return format_scalar(v, mode)
+        if isinstance(v, dict):
+            return {str(k): walk(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [walk(x) for x in v]
+        if isinstance(v, CertificateReport):
+            return v.to_json(mode)
+        return v
+
+    return walk(value)
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,7 @@ class CheckRecord:
         return {
             "description": self.description,
             "relation": self.relation,
-            "values": _render(self.values, mode),
+            "values": render(self.values, mode),
             "pass": self.passed,
             "slack": None if self.slack is None else format_scalar(self.slack, mode),
         }
@@ -77,8 +87,8 @@ class CertificateReport:
         slack = self.min_slack
         return {
             "claim": self.name,
-            "parameters": _render(self.parameters, mode),
-            "witnesses": _render(self.witnesses, mode),
+            "parameters": render(self.parameters, mode),
+            "witnesses": render(self.witnesses, mode),
             "checks": [c.to_json(mode) for c in self.checks],
             "overall": self.overall,
             "slack": None if slack is None else format_scalar(slack, mode),

@@ -47,6 +47,14 @@ def _as_list(value) -> list:
     return [value]
 
 
+def _rats(name: str, value) -> list:
+    """One value or a sequence, as a non-empty list of rationals."""
+    values = [rat(v) for v in _as_list(value)]
+    if not values:
+        raise ValueError(f"{name} must list at least one value")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # integers with d(n,k) = 3 - |1/n - 1/k|: no dual-Daugavet behavior
 
@@ -58,18 +66,18 @@ def _sign_normalize(f: LipFunction) -> tuple:
     opposite orientation would exceed the diameter. Returns (f, smallest
     admissible index j, as a point)."""
     space = f.space
-    base = space.base
+    base, d = space.base, space.d
     cap = rat("3/4")
     for cand in (f, -f):
+        values = cand.values
+        # d > 0, so f(m_{k1}) <= 3/4 and f(m_{1j}) >= 0 need no division
         ok = all(
-            cand.molecule_value(k, base) <= cap for k in space.points() if k != base
+            values[k] - values[base] <= cap * d[k][base] for k in space.points() if k != base
         )
         if not ok:
             continue
         admissible = [
-            j
-            for j in space.points()
-            if j != base and cand.molecule_value(base, j) >= 0
+            j for j in space.points() if j != base and values[base] >= values[j]
         ]
         if admissible:
             return cand, min(admissible)
@@ -156,8 +164,8 @@ def verify_example2(
     slice, yet no convex combination of far functions approaches f."""
     if N < n + 1:
         raise ValueError("need N >= n + 1")
-    alphas = [rat(a) for a in _as_list(alpha)]
-    eps_list = [rat(e) for e in _as_list(eps)]
+    alphas = _rats("alpha", alpha)
+    eps_list = _rats("eps", eps)
     if any(not (0 < a < 1) for a in alphas):
         raise ValueError("alpha must lie in (0, 1)")
     if any(not (0 < e < rat("1/2")) for e in eps_list):
@@ -347,13 +355,12 @@ def verify_daugavet_recursion(
     annuli certificate it rests on."""
     rs = build_recursion_space(stages)
     space, pairs, annuli = rs.space, rs.pairs, rs.annuli
-    eps_list = [rat(f"1/{2 ** (i + 1)}") for i in range(1, stages + 1)]
     report = CertificateReport(
         name="daugavet-recursion",
         parameters={"stages": stages, "samples": samples, "seed": seed},
     )
     annuli_report = diametral.verify_separated_annuli(
-        space, pairs, annuli, eps_list, samples=samples, seed=seed
+        space, pairs, annuli, rs.eps, samples=samples, seed=seed
     )
     if not annuli_report.checks[0].passed:
         raise ValueError("separated-annuli hypothesis fails on this input")
@@ -458,7 +465,7 @@ def verify_two_anchor_daugavet(
     no family of three disjoint separated annuli exists at all."""
     if N < 5:
         raise ValueError("need N >= 5")
-    deltas = [rat(x) for x in delta_grid]
+    deltas = _rats("delta_grid", delta_grid)
     space = build_two_anchor_space(N)
     sites = [space.base] + [p for p in space.points() if p >= 2 and p != space.base]
     f = nearest_point_function(space, sites)

@@ -126,6 +126,24 @@ class TestExitCodes:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["example2", "--alpha", ",", "--eps", ","], "alpha"),
+            (["example2", "--eps", ","], "eps"),
+            (["two-anchor", "--N", "5", "--deltas", ""], "delta_grid"),
+        ],
+        ids=["example2-alpha-and-eps", "example2-eps", "two-anchor-deltas"],
+    )
+    def test_empty_parameter_list_is_an_error(self, capsys, argv, message):
+        # an empty list once skipped every check it indexes: example 2 passed
+        # with neither part (a) nor part (b) run
+        small = ["--N", "4", "--n", "3", "--samples", "2"] if argv[0] == "example2" else []
+        assert main(["certify", *argv, *small]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message} must list at least one value" in captured.err
+
     @pytest.mark.parametrize("command", ["slice", "scan-dichotomy"])
     def test_function_space_must_match_space(self, tmp_path, capsys, command):
         simplex = FiniteMetricSpace.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -171,6 +189,125 @@ class TestScalarCommands:
         obj = json.loads(out.read_text())
         assert obj["mode"] == "exact" and obj["result"]["norm"] == "1"
         assert obj["result"]["plan"]  # transport certificate included
+
+
+def _envelope(mode, result, seed=0):
+    return json.dumps({"mode": mode, "seed": seed, "result": result}, indent=2, sort_keys=True) + "\n"
+
+
+class TestOutputContract:
+    """What each command writes under --mode, to stdout and to --out, byte
+    for byte: a bare value for lipnorm, freenorm and dist without --out, the
+    {mode, seed, result} envelope otherwise, the CSV table as it is."""
+
+    @pytest.fixture
+    def files(self, tmp_path, line4, space_file, molecule_file):
+        def write(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        return {
+            "space": space_file,
+            "mol": molecule_file,
+            "el": write("el.json", {"weights": {"1": "1/3", "3": "-2/7"}}),
+            "zero": write("zero.json", {"weights": {}}),
+            "f": write("f.json", {"values": ["0", "1/3", "7/3", "19/3"]}),
+            "f43": write("f43.json", {"values": ["0", "1/3", "3", "7"]}),
+            "vals": write("vals.json", {"0": "0", "3": "3"}),
+        }
+
+    CASES = {
+        "lipnorm-float": (
+            ["lipnorm", "f43", "--space", "space"], "float", "norm", {"norm": "1.3333333333333333"},
+        ),
+        "freenorm-float": (
+            ["freenorm", "el", "--space", "space"], "float", "norm",
+            {"norm": "0.6190476190476191",
+             "plan": [["1", "0", "0.047619047619047616"], ["1", "3", "0.2857142857142857"]],
+             "witness": ["0.0", "1.0", "-1.0", "-5.0"]},
+        ),
+        "freenorm-zero-exact": (
+            ["freenorm", "zero", "--space", "space"], "exact", "norm",
+            {"norm": "0", "plan": [], "witness": ["0", "0", "0", "0"]},
+        ),
+        "freenorm-zero-float": (
+            ["freenorm", "zero", "--space", "space"], "float", "norm",
+            {"norm": "0.0", "plan": [], "witness": ["0.0", "0.0", "0.0", "0.0"]},
+        ),
+        "dist-float": (
+            ["dist", "mol", "el", "--space", "space"], "float", "dist", {"dist": "0.47619047619047616"},
+        ),
+        "extend-float": (
+            ["extend", "--space", "space", "--values", "vals", "--direction", "upper", "--lip", "3/2",
+             "--shift-base"],
+            "float", None, {"norm": "1.5", "values": ["0.0", "1.5", "3.0", "9.0"]},
+        ),
+        "slice-float": (
+            ["slice", "--space", "space", "--function", "f", "--alpha", "1/3"], "float", None,
+            {"alpha": "0.3333333333333333",
+             "molecules": [
+                 {"u": "3", "v": "0", "value": "0.7777777777777778"},
+                 {"u": "3", "v": "1", "value": "1.0"},
+                 {"u": "7", "v": "0", "value": "0.9047619047619048"},
+                 {"u": "7", "v": "1", "value": "1.0"},
+                 {"u": "7", "v": "3", "value": "1.0"},
+             ]},
+        ),
+        "nearest-exact": (
+            ["construct", "nearest", "--space", "space", "--sites", "0,3"], "exact", None,
+            {"function": ["0", "1", "0", "4"], "norm": "1"},
+        ),
+        "nearest-float": (
+            ["construct", "nearest", "--space", "space", "--sites", "0,3"], "float", None,
+            {"function": ["0.0", "1.0", "0.0", "4.0"], "norm": "1.0"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_and_out_file(self, files, tmp_path, capsys, case):
+        words, mode, bare, result = self.CASES[case]
+        argv = [files.get(w, w) for w in words] + ["--mode", mode]
+        assert main(argv) == 0
+        expected = _envelope(mode, result)
+        assert capsys.readouterr().out == (expected if bare is None else result[bare] + "\n")
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == expected
+
+    def test_scan_dichotomy_csv_in_float_mode(self, files, tmp_path, capsys):
+        argv = ["scan-dichotomy", "--space", files["space"], "--function", files["f"],
+                "--eps-grid", "1/2,1/4,1/9", "--radius", "2", "--mode", "float"]
+        table = (
+            "eps,molecules,min_pair_distance,max_support_radius,small_pair_witness,escaping_witness\n"
+            "0.5,5,2.0,7.0,0,1\n0.25,5,2.0,7.0,0,1\n0.1111111111111111,4,2.0,7.0,0,1\n"
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == table
+
+    def test_handler_is_looked_up_when_main_runs(self, files, monkeypatch, capsys):
+        # a cli.cmd_* rebound after a first call (as the benchmark tracer
+        # does) is the handler the next call runs
+        import lipfree.cli as cli
+
+        argv = ["dist", files["mol"], files["mol"], "--space", files["space"]]
+        assert main(argv) == 0
+        seen = []
+        handler = cli.cmd_dist
+
+        def wrapped(args):
+            seen.append(args.command)
+            return handler(args)
+
+        monkeypatch.setattr(cli, "cmd_dist", wrapped)
+        assert main(argv) == 0
+        assert seen == ["dist"]
+        assert capsys.readouterr().out == "0\n0\n"
 
 
 class TestExtendAndSlice:
