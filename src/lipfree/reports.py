@@ -16,6 +16,7 @@ def render(value, mode: str):
     by its :meth:`CertificateReport.to_json`, containers recursively (keys
     as strings), anything else verbatim."""
 
+    # the recursion stays inside, so a wrapper around render sees one call per value
     def walk(v):
         if isinstance(v, Fraction):
             return format_scalar(v, mode)
