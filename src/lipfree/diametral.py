@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from . import lp
@@ -40,7 +41,9 @@ def wstar_delta_radius(
     ||f - g|| is the maximum of (f - g)(m_pq) over ordered pairs, so the sup
     decomposes into one LP per pair: minimize g(m_pq) subject to the ball and
     the slice constraint. Given pairs, the sup of max (f - g)(m_pq) over
-    just those pairs.
+    just those pairs. The slice row is scaled by the lcm of the denominators
+    of its weights, so the programs differ only in their objective and
+    share one lp.RhsSweep.
     """
     alpha = rat(alpha)
     if not (0 < alpha <= 2):
@@ -49,23 +52,38 @@ def wstar_delta_radius(
         raise ValueError("f must have norm exactly one")
     if require_membership and mu.pairing(f) <= ONE - alpha:
         raise ValueError("f does not lie in the slice")
+    weights = mu.weight_dict()
+    scale = lcm(*(w.denominator for w in weights.values()))
     slice_row = lp.SideConstraint(
-        weights=mu.weight_dict(), relation=">=", bound=ONE - alpha
+        weights={p: w * scale for p, w in weights.items()},
+        relation=">=",
+        bound=(ONE - alpha) * scale,
     )
+    sweep = lp.RhsSweep()
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:
         objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
         sol = lp.solve_lip_ball(
-            lp.LipBallProgram(space=space, objective=objective, side_constraints=(slice_row,))
+            lp.LipBallProgram(space=space, objective=objective, side_constraints=(slice_row,)),
+            sweep,
         )
         if sol.status != lp.OPTIMAL:
-            continue  # slice constraint infeasible against this ball: skip
+            break  # the slice misses the ball, whatever the objective
         value = f.molecule_value(p, q) + sol.value
         if best is None or value > best[0]:
             best = (value, sol.argument, (p, q))
     if best is None:
         raise ValueError("dual slice is empty")
     return RadiusResult(value=best[0], witness=best[1], pair=best[2])
+
+
+def _support(F: FreeElement) -> set:
+    """The support of F, with the base when F's weights do not sum to zero:
+    the base then carries the opposite total weight."""
+    support = set(F.support)
+    if sum(w for _, w in F.weights) != 0:
+        support.add(F.space.base)
+    return support
 
 
 def verify_separated_annuli(
@@ -111,9 +129,16 @@ def verify_separated_annuli(
     if battery is None:
         battery = []
         for s in range(samples):
-            avoid = annuli[s % len(annuli)]
+            avoid = set(annuli[s % len(annuli)])
             allowed = [p for p in space.points() if p not in avoid]
-            battery.append(random_free_element(rng, space, support_size=3, allowed=allowed))
+            # the support can meet the avoided annulus only through the base:
+            # redraw until the weights sum to zero, which takes two points
+            redraw = space.base in avoid and len(set(allowed) - {space.base}) > 1
+            while True:
+                F = random_free_element(rng, space, support_size=3, norm_one=False, allowed=allowed)
+                if not (redraw and _support(F) & avoid):
+                    break
+            battery.append(F * (ONE / free_norm(F).value))
 
     for idx, F in enumerate(battery):
         norm_f = free_norm(F)
@@ -125,9 +150,7 @@ def verify_separated_annuli(
                 False,
             )
             continue
-        support = set(F.support)
-        if sum(w for _, w in F.weights) != 0:
-            support.add(space.base)  # the base carries the opposite total weight
+        support = _support(F)
         missed = [i for i, A in enumerate(annuli) if not (support & set(A))]
         if not missed:
             report.add(

@@ -28,13 +28,27 @@ updates by the same fraction-free (Bareiss) step. Results are converted
 back to rationals only at the end. The pivot rule is Dantzig with
 smallest-index tie-breaking, falling back to Bland's rule after an
 iteration cap, so runs are deterministic and cycle-free.
+
+The per-pair sweeps share one stored tableau, which needs every row scale
+to be 1 so that the rows mean the same in every program of the sweep.
+``max_over_pairs`` multiplies its side row by d(p, q), so the row has
+coefficients +-1 and differs from pair to pair only in its column and
+cost: a ColumnSweep solves the plain ball program once, keeps that optimal
+tableau, and each pair copies it, appends its column and pivots on.
+``diametral.wstar_delta_radius`` scales its slice row to integers, so
+only b (the pair's objective) changes: an RhsSweep fixes the row signs at
+its first, cold solve and re-solves each later pair from the last optimal
+tableau by the dual simplex, whose basis stays dual feasible because the
+costs do not change. Either way every answer still passes the checker
+against the rows of its own program, and COUNTS totals the solves, the
+primal and dual pivots and the Bland fallbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .functions import LipFunction
@@ -52,41 +66,85 @@ class SimplexError(RuntimeError):
     pass
 
 
-def simplex_standard(cols, b, costs):
-    """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
+class SimplexCounts:
+    """Running totals of the simplex core, added to once per solve: solves,
+    pivots of the primal and of the dual loop, and the solves whose loop
+    reached the Dantzig cap and chose by Bland's rule."""
 
-    cols: sparse columns as [(row, coef), ...], with int or Fraction
-    entries like b and costs. Returns
-    (status, x: dict, value, duals: list per row). One-phase revised
-    simplex over Python ints, started at a diagonal basis: for each row the
-    first column whose only entry sits on that row and is positive once the
-    row is signed so that its b is nonnegative. That basis is feasible, so
-    no phase 1 is needed; a row with no such column raises SimplexError.
+    __slots__ = ("solves", "primal_pivots", "dual_pivots", "bland_fallbacks")
 
-    Each row is negated where b is negative and multiplied by the least
-    common multiple of the denominators of its coefficients; b and the
-    costs are each brought over one common denominator. Row scaling leaves
-    x and the reduced costs unchanged, so every basis is the scaled image
-    of the rational one. The solver state is one (m+1) x (m+1) integer
-    tableau over det, the basis determinant (positive, as the start's
-    diagonal and every pivot are): rows 0..m-1 hold [adj B | x_B] and row m
-    [y = c_B adj B | c_B x_B]. A pivot maps every other row i to
-    (piv * row - d_i * pivot row) // det, an exact division of integer
-    minors (Bareiss), with d_i the entering column in the basis and, for
-    the cost row, minus its reduced cost. Reduced costs are integer
-    numerators over det and the ratio test cross-multiplies, so the pivots
-    are those of the rational simplex.
+    def __init__(self):
+        self.solves = self.primal_pivots = self.dual_pivots = self.bland_fallbacks = 0
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+COUNTS = SimplexCounts()
+
+
+class _Tableau:
+    """The state of one solve, all Python ints.
+
+    icols are the columns with every row r multiplied by signs[r] (its sign
+    times its scale), c_num the costs over c_den, b_den the denominator of
+    b; basis[r] is the column basic in row r. rows is the (m+1) x (m+1)
+    tableau over det, the basis determinant (kept positive): rows 0..m-1
+    hold [adj B | x_B], row m holds [y = c_B adj B | c_B x_B]. Pivots replace
+    rows and never change one in place, so copy() is cheap and later pivots
+    on either tableau leave the other as it was.
     """
+
+    __slots__ = ("icols", "c_num", "c_den", "b_den", "signs", "basis", "in_basis", "det", "rows")
+
+    def __init__(self, icols, c_num, c_den, b_den, signs, basis, in_basis, det, rows):
+        self.icols, self.c_num, self.c_den, self.b_den = icols, c_num, c_den, b_den
+        self.signs, self.basis, self.in_basis, self.det, self.rows = signs, basis, in_basis, det, rows
+
+    def copy(self) -> "_Tableau":
+        return _Tableau(
+            list(self.icols), list(self.c_num), self.c_den, self.b_den, self.signs,
+            list(self.basis), list(self.in_basis), self.det, list(self.rows),
+        )
+
+    def append_column(self, col, cost) -> None:
+        """Add a nonbasic column with its cost; every entry must be integral
+        at its row's stored scale. Costs with a new denominator rescale the
+        costs and the cost row, which leaves every pivot choice as it was."""
+        icol = []
+        for r, a in col:
+            if self.signs[r] % a.denominator:
+                raise SimplexError(f"entry {a} of an added column is not integral at the scale of row {r}")
+            icol.append((r, a.numerator * (self.signs[r] // a.denominator)))
+        grow = cost.denominator // gcd(self.c_den, cost.denominator)
+        if grow > 1:
+            self.c_num = [grow * c for c in self.c_num]
+            self.rows[-1] = [grow * a for a in self.rows[-1]]
+            self.c_den *= grow
+        self.icols.append(icol)
+        self.c_num.append(cost.numerator * (self.c_den // cost.denominator))
+        self.in_basis.append(False)
+
+    def set_rhs(self, b) -> None:
+        """Replace b, keeping the basis: x_B = adj B . b and c_B x_B = y . b,
+        with b signed and scaled by the stored rows."""
+        b_num, self.b_den = over_common_denominator(b)
+        signed = [(r, s * num) for r, (s, num) in enumerate(zip(self.signs, b_num)) if num]
+        m = len(self.basis)
+        self.rows = [row[:m] + [sum(row[r] * v for r, v in signed)] for row in self.rows]
+
+
+def _start(cols, b, costs) -> _Tableau:
+    """The integer columns, the row signs and the tableau of the start basis."""
     m = len(b)
-    n = len(cols)
     b_num, b_den = over_common_denominator(b)
     c_num, c_den = over_common_denominator(costs)
     scale = [1] * m
     for col in cols:
         for r, a in col:
             scale[r] = lcm(scale[r], a.denominator)
-    sign_scale = [-s if num < 0 else s for s, num in zip(scale, b_num)]
-    icols = [[(r, a.numerator * (sign_scale[r] // a.denominator)) for r, a in col] for col in cols]
+    signs = [-s if num < 0 else s for s, num in zip(scale, b_num)]
+    icols = [[(r, a.numerator * (signs[r] // a.denominator)) for r, a in col] for col in cols]
 
     basis = [-1] * m
     for j, col in enumerate(icols):
@@ -96,28 +154,64 @@ def simplex_standard(cols, b, costs):
         raise SimplexError(f"row {basis.index(-1)} has no positive unit column to start from")
     det = prod(icols[j][0][1] for j in basis)
     # [adj B | x_B] of the diagonal start, x_B over det * b_den, and the cost row
-    tableau = [[0] * (m + 1) for _ in range(m + 1)]
-    cost_row = tableau[m]
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    cost_row = rows[m]
     for r, (num, j) in enumerate(zip(b_num, basis)):
-        row = tableau[r]
+        row = rows[r]
         row[r] = det // icols[j][0][1]
-        row[m] = row[r] * num * sign_scale[r]
+        row[m] = row[r] * num * signs[r]
         cost_row[r] = c_num[j] * row[r]
         cost_row[m] += c_num[j] * row[m]
-    in_basis = [False] * n
+    in_basis = [False] * len(cols)
     for j in basis:
         in_basis[j] = True
+    return _Tableau(icols, c_num, c_den, b_den, signs, basis, in_basis, det, rows)
 
+
+def _pivot(t: _Tableau, leaving: int, entering: int, dvec: list) -> None:
+    """Bring column entering into row leaving; dvec is that column in the
+    current basis times det, followed by minus its reduced cost times det.
+    Every other row i becomes (piv * row - dvec[i] * pivot row) // det, an
+    exact division of integer minors (Bareiss); a negative pivot negates
+    the tableau so that det stays positive."""
+    rows, det = t.rows, t.det
+    piv = dvec[leaving]
+    prow = rows[leaving]
+    for i, (row, di) in enumerate(zip(rows, dvec)):
+        if i != leaving and (di or piv != det):
+            rows[i] = [(piv * a - di * p) // det for a, p in zip(row, prow)]
+    if piv < 0:
+        rows[:] = [[-a for a in row] for row in rows]
+        piv = -piv
+    t.det = piv
+    t.in_basis[t.basis[leaving]] = False
+    t.in_basis[entering] = True
+    t.basis[leaving] = entering
+
+
+def _column(t: _Tableau, j: int) -> list:
+    """Column j in the current basis times det, one entry per row 0..m-1."""
+    rows = t.rows[:-1]
+    dvec = [0] * len(rows)
+    for r, a in t.icols[j]:
+        dvec = [d + row[r] * a for d, row in zip(dvec, rows)]
+    return dvec
+
+
+def _primal(t: _Tableau) -> tuple:
+    """Primal simplex from a feasible basis: (status, pivots, whether Bland's
+    rule priced). Dantzig with smallest-index ties, Bland after the cap."""
+    icols, c_num, in_basis, basis, rows = t.icols, t.c_num, t.in_basis, t.basis, t.rows
+    m, n = len(basis), len(icols)
     cap = _DANTZIG_CAP_FACTOR * (m + n)
-    iteration = 0
+    pivots = 0
     while True:
-        iteration += 1
-        if iteration > cap + 200000:
+        if pivots >= cap + 200000:
             raise SimplexError("pivot limit exceeded")
-        y = tableau[m]
+        bland = pivots >= cap
+        det, y = t.det, rows[m]
         entering = -1
         best_rc = 0
-        bland = iteration > cap
         for j in range(n):
             if in_basis[j]:
                 continue
@@ -129,11 +223,8 @@ def simplex_standard(cols, b, costs):
                 if bland:
                     break
         if entering < 0:
-            break
-        # the entering column in the current basis is dvec / det
-        dvec = [0] * m
-        for r, a in icols[entering]:
-            dvec = [d + row[r] * a for d, row in zip(dvec, tableau)]
+            return OPTIMAL, pivots, bland
+        dvec = _column(t, entering)
         leaving = -1
         for i in range(m):
             di = dvec[i]
@@ -141,28 +232,170 @@ def simplex_standard(cols, b, costs):
                 if leaving < 0:
                     leaving = i
                     continue
-                lhs = tableau[i][m] * dvec[leaving]
-                rhs = tableau[leaving][m] * di
+                lhs = rows[i][m] * dvec[leaving]
+                rhs = rows[leaving][m] * di
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return UNBOUNDED, {}, None, None
+            return UNBOUNDED, pivots, bland
         dvec.append(-best_rc)
-        # the new determinant is dvec[leaving] > 0; rows divide exactly by det
-        piv = dvec[leaving]
-        prow = tableau[leaving]
-        for i, (row, di) in enumerate(zip(tableau, dvec)):
-            if i != leaving and (di or piv != det):
-                tableau[i] = [(piv * a - di * p) // det for a, p in zip(row, prow)]
-        det = piv
-        in_basis[basis[leaving]] = False
-        in_basis[entering] = True
-        basis[leaving] = entering
+        _pivot(t, leaving, entering, dvec)
+        pivots += 1
 
-    x = {j: Fraction(row[m], det * b_den) for j, row in zip(basis, tableau) if row[m]}
-    value = Fraction(y[m], c_den * det * b_den)
-    duals = [Fraction(s * yr, c_den * det) for s, yr in zip(sign_scale, y)]
+
+def _dual(t: _Tableau) -> tuple:
+    """Dual simplex from a basis whose reduced costs are all nonnegative:
+    (pivots, whether Bland's rule chose). The leaving row has the most
+    negative x_B (Bland: the smallest basic column among the negative ones);
+    the entering column has the least ratio of reduced cost to minus its
+    entry in that row, ties to the smallest column. Every pivot entry is
+    negative, so every pivot negates the tableau."""
+    icols, c_num, in_basis, basis, rows = t.icols, t.c_num, t.in_basis, t.basis, t.rows
+    m, n = len(basis), len(icols)
+    cap = _DANTZIG_CAP_FACTOR * (m + n)
+    pivots = 0
+    while True:
+        if pivots >= cap + 200000:
+            raise SimplexError("pivot limit exceeded")
+        bland = pivots >= cap
+        leaving = -1
+        for i in range(m):
+            xi = rows[i][m]
+            if xi < 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                xl = rows[leaving][m]
+                if (basis[i] < basis[leaving]) if bland else (xi < xl or (xi == xl and basis[i] < basis[leaving])):
+                    leaving = i
+        if leaving < 0:
+            return pivots, bland
+        det, y, lrow = t.det, rows[m], rows[leaving]
+        entering = -1
+        best_rc = best_alpha = 0
+        for j in range(n):
+            if in_basis[j]:
+                continue
+            alpha = 0  # entry of column j in the leaving row, times det
+            for r, a in icols[j]:
+                alpha += lrow[r] * a
+            if alpha < 0:
+                rc = det * c_num[j]
+                for r, a in icols[j]:
+                    rc -= y[r] * a
+                # rc / -alpha < best_rc / -best_alpha, cross-multiplied
+                if entering < 0 or rc * best_alpha > best_rc * alpha:
+                    entering, best_rc, best_alpha = j, rc, alpha
+        if entering < 0:
+            raise SimplexError(f"row {leaving} has no entering column: the program is infeasible")
+        dvec = _column(t, entering)
+        dvec.append(-best_rc)
+        _pivot(t, leaving, entering, dvec)
+        pivots += 1
+
+
+def _read_out(t: _Tableau, status: str, primal: int, dual: int, bland: bool) -> tuple:
+    """(status, x, value, duals) of the solve, back in rationals; adds the
+    solve to COUNTS."""
+    counts = COUNTS
+    counts.solves += 1
+    counts.primal_pivots += primal
+    if dual:
+        counts.dual_pivots += dual
+    if bland:
+        counts.bland_fallbacks += 1
+    if status == UNBOUNDED:
+        return UNBOUNDED, {}, None, None
+    m = len(t.basis)
+    x_den, y_den = t.det * t.b_den, t.det * t.c_den
+    y = t.rows[m]
+    x = {j: Fraction(row[m], x_den) for j, row in zip(t.basis, t.rows) if row[m]}
+    value = Fraction(y[m], y_den * t.b_den)
+    duals = [Fraction(s * yr, y_den) for s, yr in zip(t.signs, y)]
     return OPTIMAL, x, value, duals
+
+
+def simplex_standard(cols, b, costs, sweep=None):
+    """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
+
+    cols: sparse columns as [(row, coef), ...], with int or Fraction
+    entries like b and costs. Returns
+    (status, x: dict, value, duals: list per row). One-phase simplex over
+    Python ints in three parts: _start builds the integer columns, the row
+    signs and the tableau of the start basis, _primal pivots it to the
+    optimum and _read_out turns the result back into rationals. Given
+    sweep, a ColumnSweep or RhsSweep, the solve starts from the tableau
+    that sweep stored instead.
+
+    The start is a diagonal basis: for each row the first column whose only
+    entry sits on that row and is positive once the row is signed so that
+    its b is nonnegative. That basis is feasible, so no phase 1 is needed;
+    a row with no such column raises SimplexError. Each row is negated
+    where b is negative and multiplied by the least common multiple of the
+    denominators of its coefficients; b and the costs are each brought over
+    one common denominator. Row scaling leaves x and the reduced costs
+    unchanged, so every basis is the scaled image of the rational one.
+    Every pivot is the fraction-free (Bareiss) update of _pivot; reduced
+    costs are integer numerators over det and the ratio test
+    cross-multiplies, so the pivots are those of the rational simplex.
+    """
+    if sweep is not None:
+        return sweep.solve(cols, b, costs)
+    t = _start(cols, b, costs)
+    status, pivots, bland = _primal(t)
+    return _read_out(t, status, pivots, 0, bland)
+
+
+class ColumnSweep:
+    """Stored state of a sweep of programs that differ only in their last
+    column and its cost, the side row of a ball program.
+
+    The first solve runs the program without the last column to its optimum
+    and keeps that tableau; every solve copies it, appends its last column
+    and pivots on. The other columns and b must be those of the first call.
+    """
+
+    def __init__(self):
+        self.plain = None
+
+    def solve(self, cols, b, costs):
+        plain_pivots = plain_bland = 0
+        if self.plain is None:
+            plain = _start(cols[:-1], b, costs[:-1])
+            status, plain_pivots, plain_bland = _primal(plain)
+            if status == UNBOUNDED:
+                return _read_out(plain, status, plain_pivots, 0, plain_bland)
+            self.plain = plain
+        t = self.plain.copy()
+        t.append_column(cols[-1], costs[-1])
+        status, pivots, bland = _primal(t)
+        return _read_out(t, status, plain_pivots + pivots, 0, plain_bland or bland)
+
+
+class RhsSweep:
+    """Stored state of a sweep of programs that differ only in b, the
+    objective of a ball program.
+
+    The first solve is cold and fixes the row signs; each later one puts its
+    b into the last optimal tableau, whose reduced costs stay nonnegative,
+    and re-solves with the dual simplex. The columns and costs must be those
+    of the first call.
+    """
+
+    def __init__(self):
+        self.tableau = None
+
+    def solve(self, cols, b, costs):
+        if self.tableau is None:
+            t = _start(cols, b, costs)
+            status, pivots, bland = _primal(t)
+            if status == OPTIMAL:
+                self.tableau = t
+            return _read_out(t, status, pivots, 0, bland)
+        t = self.tableau
+        t.set_rhs(b)
+        pivots, bland = _dual(t)
+        return _read_out(t, OPTIMAL, 0, pivots, bland)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +436,12 @@ def _check_points(space, weights):
             raise ValueError(f"point index {p} outside space")
 
 
-def solve_lip_ball(program: LipBallProgram) -> LpSolution:
-    """Exact optimum of the objective over the Lipschitz unit ball."""
+def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
+    """Exact optimum of the objective over the Lipschitz unit ball.
+
+    Given sweep (see simplex_standard), the dual starts from the tableau
+    the sweep stored; the answer is checked all the same.
+    """
     space = program.space
     objective = _as_weights(program.objective)
     _check_points(space, objective)
@@ -234,9 +471,10 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     # is always feasible: its start basis is the star transport to the base
-    status, x, value, duals = simplex_standard(
-        [coefs for coefs, _ in rows], c, [bound for _, bound in rows]
-    )
+    dual = ([coefs for coefs, _ in rows], c, [bound for _, bound in rows])
+    if sweep is not None:
+        dual += (sweep,)
+    status, x, value, duals = simplex_standard(*dual)
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
@@ -352,23 +590,36 @@ def max_over_pairs(
     """Best objective value over g in the ball with some pair witnessing
     (base_fn - g)(m_pq) >= threshold; one LP per pair (p, q) of pairs,
     every ordered pair of distinct points by default.
+
+    The side row of pair (p, q) is that witness inequality times d(p, q):
+    g(p) - g(q) <= f(p) - f(q) - d(p, q) threshold, with coefficients +-1,
+    so the programs differ only in that row and share one ColumnSweep. A
+    pair with f(p) - f(q) + d(p, q) < d(p, q) threshold is skipped, as
+    g(p) - g(q) >= -d(p, q) on the ball; that test runs on ints over the
+    common denominators of f, the distances and the threshold.
     """
     threshold = rat(threshold)
     if threshold > 2:
         raise ValueError("threshold must be <= 2")
     objective = _as_weights(objective)
+    fnum, fden = over_common_denominator(base_fn.values)
+    D, scale = space.int_view
+    # (fnum[p] - fnum[q]) / fden + D / scale < D / scale * threshold, times fden * scale * tden
+    gap_factor = scale * threshold.denominator
+    dist_factor = fden * (threshold.numerator - threshold.denominator)
+    values, d = base_fn.values, space.d
+    sweep = ColumnSweep()
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:
-        fval = base_fn.molecule_value(p, q)
-        if fval + ONE < threshold:
+        if (fnum[p] - fnum[q]) * gap_factor < D[p][q] * dist_factor:
             continue  # infeasible: g(m_pq) >= -1 always
         side = SideConstraint(
-            weights=molecule_weights(space, p, q),
+            weights={p: ONE, q: -ONE},
             relation="<=",
-            bound=fval - threshold,
+            bound=values[p] - values[q] - d[p][q] * threshold,
         )
         sol = solve_lip_ball(
-            LipBallProgram(space=space, objective=objective, side_constraints=(side,))
+            LipBallProgram(space=space, objective=objective, side_constraints=(side,)), sweep
         )
         if sol.status != OPTIMAL:
             continue

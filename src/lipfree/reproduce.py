@@ -534,12 +534,13 @@ def scan_theorem4_condition6(
     if f.norm != 1:
         raise ValueError("f must have norm exactly one")
     radius = rat(radius)
+    eps_list = _rats("eps_grid", eps_grid)
     report = CertificateReport(
         name="slice-dichotomy-scan",
-        parameters={"eps_grid": [rat(e) for e in _as_list(eps_grid)], "radius": radius},
+        parameters={"eps_grid": eps_list, "radius": radius},
     )
     base = space.base
-    for e in (rat(x) for x in _as_list(eps_grid)):
+    for e in eps_list:
         cut = ONE - e
         mols = [(u, v) for u, v in space.ordered_pairs() if f.molecule_value(u, v) > cut]
         if mols:

@@ -50,3 +50,11 @@ def test_tier1_parser_without_failures_or_acceptance_tests():
         "passed": 4, "failed": 0, "wall_s": 0.31,
         "acceptance_03_s": None, "acceptance_04_s": None,
     }
+
+
+def test_counts_are_null_without_the_counter(tmp_path):
+    package = tmp_path / "src" / "lipfree"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "lp.py").write_text("")
+    assert bench_pairs.run_counts(tmp_path) == {"acceptance_03": None, "acceptance_04": None}

@@ -144,6 +144,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"error: {message} must list at least one value" in captured.err
 
+    def test_empty_eps_grid_is_an_error(self, space_file, tmp_path, capsys):
+        # an empty grid once printed the CSV header alone and exited 0
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"values": ["0", "1", "3", "7"]}))
+        argv = ["scan-dichotomy", "--space", space_file, "--function", str(fn), "--eps-grid", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: eps_grid must list at least one value" in captured.err
+
     @pytest.mark.parametrize("command", ["slice", "scan-dichotomy"])
     def test_function_space_must_match_space(self, tmp_path, capsys, command):
         simplex = FiniteMetricSpace.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])

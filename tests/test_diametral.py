@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lipfree import lp
+from lipfree.cli import main
 from lipfree.diametral import verify_separated_annuli, wstar_delta_radius
 from lipfree.free import Molecule, free_norm
 from lipfree.metric import build_recursion_space
@@ -152,6 +153,17 @@ class TestVerifySeparatedAnnuli:
         )
         assert report.overall
         assert len(report.checks) >= 5  # hypothesis + one per sample
+
+    @pytest.mark.parametrize("stages", [2, 3, 4])
+    def test_recursion_certificate_passes_over_a_grid(self, stages, capsys):
+        # the base u_1 lies in A_1, so an element avoiding A_1 must weigh to
+        # zero; seed 0 once failed at stages 2 and at stages 3 with 2 samples
+        for samples in (1, 2, 5):
+            for seed in range(3):
+                argv = ["certify", "daug-rec", "--stages", str(stages),
+                        "--samples", str(samples), "--seed", str(seed)]
+                assert main(argv) == 0, argv
+        capsys.readouterr()
 
     def test_overlap_fails_hypothesis(self):
         rs = build_recursion_space(3)

@@ -2,12 +2,15 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipfree import lp
+from lipfree.diametral import wstar_delta_radius
+from lipfree.free import FreeElement, Molecule, free_norm
 from lipfree.functions import LipFunction
 from lipfree.metric import FiniteMetricSpace, build_simplex_space
 from lipfree.reproduce import verify_example2
@@ -186,6 +189,105 @@ class TestSimplexCore:
         assert x == {0: rat("3/4"), 3: ONE, 5: ONE}
         assert value == rat("-5/4")
         assert duals == [ZERO, rat("-3/2"), rat("-5/4")]
+
+
+def _feasible_for_every_b(rng):
+    """A random program with a positive and a negative unit column on each
+    row, so that every b is feasible, among dense rational columns."""
+    m = rng.randint(1, 4)
+    columns = []
+    for r in range(m):
+        for sign in (1, -1):
+            columns.append(([(r, sign * Fraction(rng.randint(1, 4), rng.choice((1, 2, 3))))], _random_rational(rng) + 3))
+    for _ in range(rng.randint(0, 6)):
+        col = [(r, a) for r in range(m) if (a := _random_rational(rng))]
+        if col:
+            columns.append((col, _random_rational(rng) + 2))
+    rng.shuffle(columns)
+    return [col for col, _ in columns], [cost for _, cost in columns], m
+
+
+class TestDualResolve:
+    """RhsSweep: a cold first solve, then dual-simplex re-solves in place."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_resolves_match_cold_solves(self, seed, cap_factor):
+        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
+            self._resolves_match_cold_solves(random.Random(seed))
+
+    def _resolves_match_cold_solves(self, rng):
+        cols, costs, m = _feasible_for_every_b(rng)
+        sweep = lp.RhsSweep()
+        for _ in range(4):
+            b = [_random_rational(rng) for _ in range(m)]
+            status, x, value, duals = lp.simplex_standard(cols, b, costs, sweep)
+            cold = _reference_simplex(cols, b, costs)
+            assert (status, value) == (cold[0], cold[2])
+            if status == lp.OPTIMAL:
+                assert sweep.tableau.det > 0
+                assert all(v > 0 for v in x.values())
+                assert [sum(x.get(j, 0) * a for j, col in enumerate(cols) for r2, a in col if r2 == r)
+                        for r in range(m)] == b
+                assert sum(costs[j] * v for j, v in x.items()) == value
+
+    def test_degenerate_resolve_under_bland_does_not_cycle(self, monkeypatch):
+        # ball programs of a 5-point space are highly degenerate: every
+        # arc column ties with others; Bland runs from the first pivot
+        monkeypatch.setattr(lp, "_DANTZIG_CAP_FACTOR", 0)
+        space = random_space(random.Random(4), 5)
+        rows = space.ball_rows.rows
+        cols, costs = [coefs for coefs, _ in rows], [bound for _, bound in rows]
+        before = lp.COUNTS.as_dict()
+        sweep = lp.RhsSweep()
+        for p, q in space.ordered_pairs():
+            b = [ZERO] * (space.n - 1)
+            for point, w in lp.molecule_weights(space, p, q).items():
+                b[space.ball_rows.var[point]] = -w
+            warm = lp.simplex_standard(cols, b, costs, sweep)
+            cold = lp.simplex_standard(cols, b, costs)
+            assert warm[0] == cold[0] == lp.OPTIMAL
+            assert warm[2] == cold[2] == 1  # every molecule has norm one
+        assert lp.COUNTS.dual_pivots > before["dual_pivots"]
+        assert lp.COUNTS.bland_fallbacks - before["bland_fallbacks"] == 2 * space.n * (space.n - 1)
+
+    def test_negative_pivot_keeps_det_positive(self):
+        # min x0 + 2 x1  s.t.  2 x0 - 3 x1 = b: b = 1 is solved at x0 = 1/2
+        # (det 2); b = -1 makes x0 negative, and x1 enters on the pivot -3
+        cols, costs = [[(0, rat(2))], [(0, rat(-3))]], [ONE, rat(2)]
+        sweep = lp.RhsSweep()
+        assert lp.simplex_standard(cols, [ONE], costs, sweep) == (lp.OPTIMAL, {0: rat("1/2")}, rat("1/2"), [rat("1/2")])
+        assert sweep.tableau.det == 2
+        before = lp.COUNTS.dual_pivots
+        warm = lp.simplex_standard(cols, [-ONE], costs, sweep)
+        assert lp.COUNTS.dual_pivots == before + 1
+        assert sweep.tableau.det == 3
+        assert warm == lp.simplex_standard(cols, [-ONE], costs) == (
+            lp.OPTIMAL, {1: rat("1/3")}, rat("2/3"), [rat("-2/3")]
+        )
+
+    @pytest.mark.parametrize("sweep", [lp.RhsSweep, lp.ColumnSweep])
+    def test_row_without_start_column_is_an_error_on_the_cold_path(self, sweep):
+        cols = [[(0, ONE), (1, ONE)], [(0, ONE)], [(1, -ONE)], [(0, ONE), (1, ONE)]]
+        with pytest.raises(lp.SimplexError, match="row 1 has no positive unit column"):
+            lp.simplex_standard(cols, [ONE, ONE], [ONE] * 4, sweep())
+
+    def test_counts_are_added_once_per_solve(self, monkeypatch):
+        space = build_simplex_space(4, 1)
+        f = random_lip_function(random.Random(3), space)
+        calls = []
+        solve = lp.simplex_standard
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "simplex_standard", counting)
+        before = lp.COUNTS.as_dict()
+        lp.max_over_pairs(space, f, rat("3/2"), {1: ONE, 2: -ONE})
+        assert lp.COUNTS.solves - before["solves"] == len(calls) > 0
+        assert lp.COUNTS.primal_pivots > before["primal_pivots"]
+        assert lp.COUNTS.dual_pivots == before["dual_pivots"]
 
 
 def _scipy_lip_ball(space, objective, side=()):
@@ -511,3 +613,107 @@ class TestMaxOverPairs:
         report = verify_example2(N=4, n=3, samples=2, seed=77)
         assert report.overall
         assert len(calls) == 112
+
+
+def _first_max(values):
+    """The first key whose float value is within 1e-9 of the largest, and
+    that largest value: the arg-max of a sweep that keeps the first of ties."""
+    top = max(values.values())
+    return next(k for k, v in values.items() if v >= top - 1e-9), top
+
+
+def _sweep_case(seed):
+    """A random space of 3 to 8 points, a norm-one function on it and a
+    random objective."""
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(3, 8))
+    f = random_lip_function(rng, space)
+    objective = {p: rat(rng.randint(-4, 4)) for p in space.points() if p != space.base}
+    return rng, space, f, objective
+
+
+class TestSweepOracle:
+    """Whole sweeps against per-pair HiGHS solves and per-pair cold exact
+    solves: the warm starts may change witnesses, never values or pairs."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_max_over_pairs(self, seed):
+        rng, space, f, objective = _sweep_case(seed)
+        threshold = rat(rng.choice(["1/2", "1", "3/2", "7/4", "2"]))
+        res = lp.max_over_pairs(space, f, threshold, objective)
+        floats, cold = {}, {}
+        for p, q in space.ordered_pairs():
+            bound = f.molecule_value(p, q) - threshold
+            weights = lp.molecule_weights(space, p, q)
+            oracle = _scipy_lip_ball(space, objective, [(weights, "<=", bound)])
+            assert oracle.status in (0, 2)
+            sol = lp.solve_lip_ball(lp.LipBallProgram(
+                space=space, objective=objective,
+                side_constraints=(lp.SideConstraint(weights, "<=", bound),),
+            ))
+            assert (oracle.status == 0) == (sol.status == lp.OPTIMAL)
+            if sol.status == lp.OPTIMAL:
+                floats[(p, q)] = -oracle.fun
+                cold[(p, q)] = sol.value
+        if not cold:
+            assert (res.status, res.value, res.pair) == (lp.INFEASIBLE, None, None)
+            return
+        pair, top = _first_max(floats)
+        assert res.status == lp.OPTIMAL
+        assert abs(as_float(res.value) - top) < 1e-9
+        assert res.pair == pair
+        best = max(cold.values())
+        assert (res.value, res.pair) == (best, next(k for k, v in cold.items() if v == best))
+        u, v = res.pair
+        assert res.argument.norm <= 1
+        assert f.molecule_value(u, v) - res.argument.molecule_value(u, v) >= threshold
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_wstar_delta_radius(self, seed):
+        rng, space, f, _ = _sweep_case(seed)
+        weights = {p: rat(rng.randint(-3, 3)) for p in rng.sample(space.points(), 3)}
+        mu = FreeElement.make(space, weights)
+        if mu.is_zero():
+            return
+        mu = mu * (ONE / free_norm(mu).value)
+        alpha = rat(rng.choice(["1/4", "1/2", "1", "3/2"]))
+        res = wstar_delta_radius(space, f, mu, alpha, require_membership=False)
+        slice_row = lp.SideConstraint(mu.weight_dict(), ">=", ONE - alpha)
+        floats, cold = {}, {}
+        for p, q in space.ordered_pairs():
+            objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
+            oracle = _scipy_lip_ball(space, objective, [(mu.weight_dict(), ">=", ONE - alpha)])
+            sol = lp.solve_lip_ball(lp.LipBallProgram(space, objective, (slice_row,)))
+            assert oracle.status == 0 and sol.status == lp.OPTIMAL  # mu has norm one
+            floats[(p, q)] = as_float(f.molecule_value(p, q)) - oracle.fun
+            cold[(p, q)] = f.molecule_value(p, q) + sol.value
+        pair, top = _first_max(floats)
+        assert abs(as_float(res.value) - top) < 1e-9
+        assert res.pair == pair
+        best = max(cold.values())
+        assert (res.value, res.pair) == (best, next(k for k, v in cold.items() if v == best))
+        assert res.witness.norm <= 1
+        assert mu.pairing(res.witness) >= ONE - alpha
+        u, v = res.pair
+        assert f.molecule_value(u, v) - res.witness.molecule_value(u, v) == res.value
+
+    def test_empty_slice_skips_every_pair(self, monkeypatch):
+        # ||mu|| = 1/4 < 1 - alpha: the first cold solve is unbounded, which
+        # no objective changes, so the sweep stops there
+        space = random_space(random.Random(8), 5)
+        f = random_lip_function(random.Random(9), space)
+        mu = Molecule(space, 1, 2).element() * rat("1/4")
+        assert _scipy_lip_ball(space, {}, [(mu.weight_dict(), ">=", rat("1/2"))]).status == 2
+        calls = []
+        solve = lp.simplex_standard
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "simplex_standard", counting)
+        with pytest.raises(ValueError, match="dual slice is empty"):
+            wstar_delta_radius(space, f, mu, rat("1/2"), require_membership=False)
+        assert len(calls) == 1

@@ -14,7 +14,10 @@ each side's runs, median and quartiles and the number of pairs the head wins
 (strictly better in the direction ``BENCHMARK.json`` gives; ties count for
 neither side), and per side the traced per-layer figures. Before the
 workloads, each side runs its tier-1 suite once; the file holds its passed
-and failed counts, its wall time and the call times of acceptance 03 and 04.
+and failed counts, its wall time and the call times of acceptance 03 and 04,
+and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
+pivots, Bland fallbacks) of one in-process run at the parameters of
+acceptance 03 and 04; a side whose ``lp`` has no counts records null.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -41,6 +44,28 @@ ACCEPTANCE = {
     "acceptance_03_s": "tests/test_acceptance.py::test_03_example1_certificates",
     "acceptance_04_s": "tests/test_acceptance.py::test_04_example2_certificates",
 }
+
+# the runs of tests/test_acceptance.py's acceptance 03 and 04; prints one
+# JSON object of the simplex counts each run adds, or null per run
+COUNTS_SCRIPT = """
+import json
+from lipfree import lp
+counts = getattr(lp, "COUNTS", None)
+out = {"acceptance_03": None, "acceptance_04": None}
+if counts is not None:
+    from lipfree import reproduce
+    runs = {
+        "acceptance_03": lambda: [reproduce.verify_example1(N=24, n=n, samples=50, seed=0) for n in range(2, 7)],
+        "acceptance_04": lambda: reproduce.verify_example2(
+            N=7, n=6, alpha=["1/4", "1/2"], eps=["1/10", "1/5", "2/5"], samples=20, seed=0
+        ),
+    }
+    for name, run in runs.items():
+        before = counts.as_dict()
+        run()
+        out[name] = {key: value - before[key] for key, value in counts.as_dict().items()}
+print(json.dumps(out))
+"""
 
 
 def git(*args: str) -> str:
@@ -89,6 +114,14 @@ def run_tier1(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
     return parse_tier1(proc.stdout)
+
+
+def run_counts(tree: Path) -> dict:
+    """The simplex counts of acceptance 03 and 04 on the sources of tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COUNTS_SCRIPT], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def summarize(runs: list) -> dict:
@@ -140,6 +173,8 @@ def main(argv=None) -> int:
             export(commits[side], trees[side])
         tier1 = {side: run_tier1(trees[side]) for side in SIDES}
         print(f"tier-1: {tier1}", file=sys.stderr)
+        counts = {side: run_counts(trees[side]) for side in SIDES}
+        print(f"simplex counts: {counts}", file=sys.stderr)
         for workload in (w["name"] for w in spec["workloads"]):
             results = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
@@ -166,6 +201,7 @@ def main(argv=None) -> int:
             "seconds": seconds, "pairs": PAIRS,
         },
         "tier1": tier1,
+        "simplex_counts": counts,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
