@@ -8,7 +8,9 @@ the exact primal–dual check in lp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from . import lp
 from .functions import LipFunction, mcshane_extend
@@ -126,8 +128,13 @@ def all_molecules(space: FiniteMetricSpace):
 @dataclass(frozen=True)
 class FreeNormResult:
     value: Scalar
-    witness: LipFunction  # norming function in the Lipschitz unit ball
     plan: lp.TransportPlan
+    lift: Callable[[], LipFunction] = field(compare=False, repr=False)
+
+    @cached_property
+    def witness(self) -> LipFunction:
+        """Norming function in the Lipschitz unit ball, built on first read."""
+        return self.lift()
 
 
 def free_norm(mu: FreeElement) -> FreeNormResult:
@@ -135,12 +142,13 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
 
     The program runs on the subspace spanned by the support and the base
     (the norm is unchanged there); the witness is lifted back by a
-    1-Lipschitz extension, so both certificates are valid on the full space.
+    1-Lipschitz extension on first read of .witness, so both certificates
+    are valid on the full space.
     """
     space = mu.space
     if mu.is_zero():
         zero_fn = LipFunction(space, (ZERO,) * space.n)
-        return FreeNormResult(value=ZERO, witness=zero_fn, plan=lp.TransportPlan((), ZERO))
+        return FreeNormResult(ZERO, lp.TransportPlan((), ZERO), lambda: zero_fn)
     pts = sorted(set(mu.support) | {space.base})
     if len(pts) == space.n:
         return _free_norm_direct(mu)
@@ -152,27 +160,19 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
     pos = {p: i for i, p in enumerate(pts)}
     sub_mu = FreeElement.make(sub, {pos[p]: w for p, w in mu.weights})
     res = _free_norm_direct(sub_mu)
-    lifted = mcshane_extend(
-        space,
-        pts,
-        {p: res.witness.values[pos[p]] for p in pts},
-        ONE,
-        direction="lower",
-    )
-    flows = tuple(
-        sorted((pts[p], pts[q], mass) for p, q, mass in res.plan.flows)
-    )
-    return FreeNormResult(
-        value=res.value,
-        witness=lifted,
-        plan=lp.TransportPlan(flows=flows, cost=res.plan.cost),
-    )
+
+    def lift():
+        values = res.witness.values
+        return mcshane_extend(space, pts, {p: values[pos[p]] for p in pts}, ONE, "lower")
+
+    flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in res.plan.flows))
+    return FreeNormResult(res.value, lp.TransportPlan(flows, res.plan.cost), lift)
 
 
 def _free_norm_direct(mu: FreeElement) -> FreeNormResult:
     sol = lp.solve_lip_ball(lp.LipBallProgram(space=mu.space, objective=mu))
-    plan = lp.ball_plan(mu.space, sol)
-    return FreeNormResult(value=sol.value, witness=sol.argument, plan=plan)
+    witness = sol.argument
+    return FreeNormResult(sol.value, lp.ball_plan(mu.space, sol), lambda: witness)
 
 
 def free_dist(mu: FreeElement, nu) -> Scalar:

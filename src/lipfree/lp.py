@@ -16,11 +16,10 @@ Every optimal solve is checked exactly, independently of the pivoting:
 the witness meets every row and attains the value, and the multipliers are
 nonnegative, combine the rows into the objective and attain the same value.
 By weak duality this pair is a proof of optimality. The check runs on
-Python ints: the ball rows, built once per space (``ball_rows`` of the
-space) and shared by all its programs, have coefficients +-1, so with the
-witness over its common denominator each row is one cross-multiplied int
-comparison. The checker reads only the returned rationals and the rows,
-never the solver's basis, and names exact rationals when a check fails.
+Python ints: with the witness over its common denominator, each pair's two
+ball rows are one comparison against the space's ``int_view``. The checker
+reads only the returned rationals, the rows and the space, never the
+solver's basis, and names exact rationals when a check fails.
 
 All pivoting is exact and runs on Python ints: the rows are scaled to
 integers, and each solve keeps one integer tableau, which every pivot
@@ -478,13 +477,13 @@ def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
-    _verify_lip_solution(rows, c, duals, x, value)
+    _verify_lip_solution(rows, c, duals, x, value, space)
     values = tuple(ZERO if v is None else duals[v] for v in var)
     arg = LipFunction(space=space, values=values)
     return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=dict(x))
 
 
-def _verify_lip_solution(rows, c, witness, multipliers, value):
+def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
     """Exact optimality certificate of one ball solve, independent of pivoting.
 
     rows are (coefs, bound) meaning coefs . f <= bound, with coefs a tuple of
@@ -499,12 +498,15 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
     coefficients is checked in ints as lhs * bound.den <= bound.num * wden;
     a row with Fraction coefficients gives a Fraction lhs and the same
     comparison stays exact. The multiplier checks touch only the nonzero
-    multipliers, at most one per variable. Only the returned rationals and
-    the rows are read, never the solver's basis, and a failure names the
-    exact values.
+    multipliers, at most one per variable. Only the returned rationals, the
+    rows and space are read, never the solver's basis, and a failure names
+    the exact values. Given space, rows begin with its ball rows, which are
+    checked on its int_view instead (_check_ball_rows).
     """
     wnum, wden = over_common_denominator(witness)
-    for r, (coefs, bound) in enumerate(rows):
+    first = 0 if space is None else _check_ball_rows(space, wnum, wden)
+    for r in range(first, len(rows)):
+        coefs, bound = rows[r]
         lhs = 0
         for v, coef in coefs:
             lhs += coef * wnum[v]
@@ -527,6 +529,27 @@ def _verify_lip_solution(rows, c, witness, multipliers, value):
             raise SimplexError(f"multipliers give {got}, not {want}, on variable {v}")
     if bound_sum != value:
         raise SimplexError(f"multipliers attain {bound_sum}, not the LP value {value}")
+
+
+def _check_ball_rows(space, wnum, wden) -> int:
+    """Check rows 2k, 2k + 1 of space.ball_rows, +-(f(p) - f(q)) <= d(p, q)
+    for the k-th pair, as |W[p] - W[q]| <= D[p][q] * wden with W the
+    witness times scale; returns the number of rows checked."""
+    D, scale = space.int_view
+    W = [0 if v is None else wnum[v] * scale for v in space.ball_rows.var]
+    r = 0
+    for p, Dp in enumerate(D):
+        Wp = W[p]
+        for q in range(p + 1, len(D)):
+            gap = Wp - W[q]
+            if abs(gap) > Dp[q] * wden:
+                if gap <= Dp[q] * wden:  # only the reversed row fails
+                    r, gap = r + 1, -gap
+                raise SimplexError(
+                    f"witness violates row {r}: {Fraction(gap, wden * scale)} > {space.d[p][q]}"
+                )
+            r += 2
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class BallRows(NamedTuple):
     (p, q) of pairs(). Each row is stored once, as its coefficients
     ((variable, +-1), ...) sorted by variable and its bound d(p, q): the
     simplex reads the coefficients as the row's dual column and the
-    certificate checker reads the whole row.
+    certificate checker reads the rows of the nonzero multipliers.
     """
 
     rows: tuple  # (((variable, +-1), ...), d(p, q)) per row
@@ -213,16 +213,17 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
 
 
 def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:
-    """Points p with d(u,p) + d(v,p) < d(u,v) + delta (delta-approximate segment)."""
+    """Points p with d(u,p) + d(v,p) < d(u,v) + delta (delta-approximate segment),
+    compared cross-multiplied on the ints of the space's int_view."""
     if u == v:
         raise ValueError("seg endpoints must differ")
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    duv = space.d[u][v]
-    return frozenset(
-        p for p in space.points() if space.d[u][p] + space.d[v][p] < duv + delta
-    )
+    D, scale = space.int_view
+    Du, Dv, dden = D[u], D[v], delta.denominator
+    cut = Du[v] * dden + delta.numerator * scale
+    return frozenset(p for p in space.points() if (Du[p] + Dv[p]) * dden < cut)
 
 
 def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:

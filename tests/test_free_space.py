@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipfree import lp
+from lipfree import free, lp
 from lipfree.free import (
     FreeElement,
     Molecule,
@@ -15,8 +15,9 @@ from lipfree.free import (
     molecule_distance_formula,
     molecules_in_slice,
 )
-from lipfree.functions import LipFunction
+from lipfree.functions import LipFunction, mcshane_extend
 from lipfree.metric import (
+    FiniteMetricSpace,
     build_example2_space,
     build_half_line_space,
     example2_point,
@@ -124,6 +125,65 @@ class TestFreeNorm:
             calls.clear()
             free_norm(mu)
             assert len(calls) == 1
+
+
+def count_lifts(monkeypatch):
+    """Count the McShane lifts free_norm makes; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mcshane_extend(*args, **kwargs)
+
+    monkeypatch.setattr(free, "mcshane_extend", counting)
+    return calls
+
+
+class TestLazyLift:
+    """A small-support norm lifts its witness to the full space only when
+    .witness is read, and then once."""
+
+    def small_support(self):
+        space = build_half_line_space([0, 1, 3, 7, 8, 12])
+        return FreeElement.make(space, {1: rat(2), 4: rat(-1), 5: rat("1/3")})
+
+    def test_value_alone_makes_no_lift(self, monkeypatch):
+        calls = count_lifts(monkeypatch)
+        mu = self.small_support()
+        res = free_norm(mu)
+        assert res.value > 0 and res.plan.cost == res.value
+        assert free_dist(mu, FreeElement.delta(mu.space, 2)) > 0
+        assert calls == []
+
+    def test_witness_is_lifted_once_and_kept(self, monkeypatch):
+        mu = self.small_support()
+        space, pts = mu.space, (0, 1, 4, 5)  # the support and the base 0
+        sub = FiniteMetricSpace(
+            labels=tuple(space.labels[p] for p in pts),
+            base=0,
+            d=tuple(tuple(space.d[p][q] for q in pts) for p in pts),
+        )
+        sub_mu = FreeElement.make(sub, {1: rat(2), 2: rat(-1), 3: rat("1/3")})
+        sub_values = free_norm(sub_mu).witness.values
+        eager = mcshane_extend(space, pts, dict(zip(pts, sub_values)), ONE, "lower")
+        calls = count_lifts(monkeypatch)
+        res = free_norm(mu)
+        witness = res.witness
+        assert len(calls) == 1
+        assert res.witness is witness
+        assert len(calls) == 1
+        assert witness == eager
+        assert witness.norm <= 1
+        assert mu.pairing(witness) == res.value
+
+    def test_results_compare_by_value_and_plan(self, monkeypatch):
+        calls = count_lifts(monkeypatch)
+        mu = self.small_support()
+        first, second = free_norm(mu), free_norm(mu)
+        first.witness
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len(calls) == 1
 
 
 class TestFreeDist:

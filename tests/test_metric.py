@@ -42,6 +42,16 @@ def rational_matrix_space(rng, n):
     return FiniteMetricSpace.from_matrix(d, base=rng.randrange(n))
 
 
+def rational_metric_space(rng, n):
+    """Shortest-path closure of rational_matrix_space: a rational metric."""
+    d = [list(row) for row in rational_matrix_space(rng, n).d]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetricSpace.from_matrix(d, base=rng.randrange(n))
+
+
 def random_fraction(rng, lo, hi):
     return Fraction(rng.randint(lo, hi), rng.choice(PRIMES))
 
@@ -292,6 +302,22 @@ class TestIntegerKernels:
         factor = Fraction(rng.randint(1, 60), rng.choice(PRIMES))
         got = list(quadruple_failures(space, u, v, points, factor))
         assert got == ref_quadruple_failures(space, u, v, points, factor)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_seg_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(2, 9))
+        u, v = rng.sample(range(space.n), 2)
+        d = space.d
+        delta = random_fraction(rng, 1, 90)
+        if rng.random() < 0.5:
+            # put delta exactly on the detour of some point, which seg excludes
+            p = rng.randrange(space.n)
+            detour = d[u][p] + d[v][p] - d[u][v]
+            delta = detour if detour > 0 else delta
+        ref = frozenset(p for p in space.points() if d[u][p] + d[v][p] < d[u][v] + delta)
+        assert seg(space, u, v, delta) == ref
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)

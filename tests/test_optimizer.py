@@ -538,6 +538,28 @@ class TestIntegerChecker:
         witness = [sol.argument.values[p] for p in var]
         lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_ball_rows_on_int_view_match_fraction_rows(self, seed):
+        # a witness moved off the optimum at one point: checking the ball rows
+        # on the space's int_view gives the outcome of the Fraction rows
+        rng = random.Random(seed)
+        space = _rational_metric(rng, rng.randint(2, 7))
+        rows, var = _reference_ball_rows(space)
+        objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
+        sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=objective))
+        c = [objective[p] for p in var]
+        witness = [sol.argument.values[p] for p in var]
+        witness[rng.randrange(len(witness))] += Fraction(rng.randint(-9, 9), rng.choice(PRIMES))
+
+        def outcome(*space_arg):
+            try:
+                lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value, *space_arg)
+            except lp.SimplexError as exc:
+                return str(exc)
+
+        assert outcome(space) == outcome()
+
     def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
         # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
         # f(1) - f(0) <= 2, before any other
