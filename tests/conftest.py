@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from lipfree import free
+from lipfree.functions import mcshane_extend
 from lipfree.metric import FiniteMetricSpace, build_half_line_space
 from lipfree.sampling import random_space
 from lipfree.scalars import rat
@@ -22,6 +24,19 @@ def triangle() -> FiniteMetricSpace:
             [rat(3), rat(4), 0],
         ]
     )
+
+
+@pytest.fixture
+def lifts(monkeypatch) -> list:
+    """The McShane lifts free_norm makes from here on, one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mcshane_extend(*args, **kwargs)
+
+    monkeypatch.setattr(free, "mcshane_extend", counting)
+    return calls
 
 
 def spaces_for(seed: int, count: int, n_range=(3, 8)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipfree import free, lp
+from lipfree import lp
 from lipfree.free import (
     FreeElement,
     Molecule,
@@ -127,18 +127,6 @@ class TestFreeNorm:
             assert len(calls) == 1
 
 
-def count_lifts(monkeypatch):
-    """Count the McShane lifts free_norm makes; returns the list of calls."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return mcshane_extend(*args, **kwargs)
-
-    monkeypatch.setattr(free, "mcshane_extend", counting)
-    return calls
-
-
 class TestLazyLift:
     """A small-support norm lifts its witness to the full space only when
     .witness is read, and then once."""
@@ -147,15 +135,14 @@ class TestLazyLift:
         space = build_half_line_space([0, 1, 3, 7, 8, 12])
         return FreeElement.make(space, {1: rat(2), 4: rat(-1), 5: rat("1/3")})
 
-    def test_value_alone_makes_no_lift(self, monkeypatch):
-        calls = count_lifts(monkeypatch)
+    def test_value_alone_makes_no_lift(self, lifts):
         mu = self.small_support()
         res = free_norm(mu)
         assert res.value > 0 and res.plan.cost == res.value
         assert free_dist(mu, FreeElement.delta(mu.space, 2)) > 0
-        assert calls == []
+        assert lifts == []
 
-    def test_witness_is_lifted_once_and_kept(self, monkeypatch):
+    def test_witness_is_lifted_once_and_kept(self, lifts):
         mu = self.small_support()
         space, pts = mu.space, (0, 1, 4, 5)  # the support and the base 0
         sub = FiniteMetricSpace(
@@ -166,24 +153,23 @@ class TestLazyLift:
         sub_mu = FreeElement.make(sub, {1: rat(2), 2: rat(-1), 3: rat("1/3")})
         sub_values = free_norm(sub_mu).witness.values
         eager = mcshane_extend(space, pts, dict(zip(pts, sub_values)), ONE, "lower")
-        calls = count_lifts(monkeypatch)
         res = free_norm(mu)
+        assert lifts == []
         witness = res.witness
-        assert len(calls) == 1
+        assert len(lifts) == 1
         assert res.witness is witness
-        assert len(calls) == 1
+        assert len(lifts) == 1
         assert witness == eager
         assert witness.norm <= 1
         assert mu.pairing(witness) == res.value
 
-    def test_results_compare_by_value_and_plan(self, monkeypatch):
-        calls = count_lifts(monkeypatch)
+    def test_results_compare_by_value_and_plan(self, lifts):
         mu = self.small_support()
         first, second = free_norm(mu), free_norm(mu)
         first.witness
         assert first == second
         assert hash(first) == hash(second)
-        assert len(calls) == 1
+        assert len(lifts) == 1
 
 
 class TestFreeDist:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from lipfree import free, reproduce
-from lipfree.functions import mcshane_extend, nearest_point_function
+from lipfree import reproduce
+from lipfree.functions import nearest_point_function
 from lipfree.metric import build_two_anchor_space
 from lipfree.reproduce import (
     scan_theorem4_condition6,
@@ -66,15 +66,8 @@ class TestDeltaExistence:
         report = verify_delta_existence(k=6)
         assert report.overall
 
-    def test_molecule_distances_lift_no_witness(self, monkeypatch):
+    def test_molecule_distances_lift_no_witness(self, lifts):
         # the pairwise separation reads only the value of each free_dist
-        lifts = []
-
-        def counting(*args, **kwargs):
-            lifts.append(args)
-            return mcshane_extend(*args, **kwargs)
-
-        monkeypatch.setattr(free, "mcshane_extend", counting)
         assert verify_delta_existence(k=12).overall
         assert lifts == []
 
