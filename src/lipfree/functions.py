@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -13,7 +14,7 @@ from .metric import (
     pair_sequence_failures,
     quadruple_failures,
 )
-from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, over_common_denominator, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def mcshane_extend(
 
     lower: pointwise-minimal extension  max_s(values[s] - L d(s, p));
     upper: pointwise-maximal extension  min_s(values[s] + L d(s, p)).
-    The partial assignment is checked to be L-Lipschitz first.
+    The partial assignment is checked to be L-Lipschitz first. This is the
+    package's only McShane formula: every other extension calls its kernel.
     """
     subset = sorted(set(subset))
     if not subset:
@@ -117,16 +119,20 @@ def mcshane_extend(
         )
     if direction not in ("lower", "upper"):
         raise ValueError(f"unknown direction: {direction}")
-    out = []
-    for p in space.points():
-        if p in vals:
-            out.append(vals[p])
-        elif direction == "lower":
-            out.append(max(vals[s] - L * space.d[s][p] for s in subset))
-        else:
-            out.append(min(vals[s] + L * space.d[s][p] for s in subset))
-    f = LipFunction(space, tuple(out))
+    f = LipFunction(space, tuple(_mcshane(space, vals, L, direction, space.points())))
     return f.rooted() if shift_base else f
+
+
+def _mcshane(space: FiniteMetricSpace, values: dict, L, direction: str, points) -> list:
+    """The lower or upper McShane value of values (site -> value) at each point,
+    on ints: the values over their common denominator, d from the int_view."""
+    D, scale = space.int_view
+    nums, den = over_common_denominator(values.values())
+    sgn = 1 if direction == "lower" else -1
+    k, m = sgn * L.denominator * scale, L.numerator * den
+    sites = [(k * a, D[s]) for a, s in zip(nums, values)]
+    out_den = den * L.denominator * scale
+    return [Fraction(sgn * max(a - m * Ds[p] for a, Ds in sites), out_den) for p in points]
 
 
 def _example2_layout(space: FiniteMetricSpace):
@@ -182,8 +188,8 @@ def nearest_point_function(space: FiniteMetricSpace, sites: Sequence) -> LipFunc
         raise ValueError("sites must be non-empty")
     if sites[0] != space.base:
         raise ValueError("first site must be the base point")
-    vals = tuple(min(space.d[s][p] for s in sites) for p in space.points())
-    return LipFunction(space, vals)
+    zeros = dict.fromkeys(sites, ZERO)
+    return LipFunction(space, tuple(_mcshane(space, zeros, ONE, "upper", space.points())))
 
 
 @dataclass(frozen=True)
@@ -228,9 +234,8 @@ def daugavet_recursive_construction(
     for n, (u_n, v_n) in enumerate(pairs, start=1):
         if n > 1:
             c = ONE - half**n
-            prev = list(f)
-            f[u_n] = min(f[x] + c * space.d[x][u_n] for x in prev)
-            f[v_n] = max(f[x] - c * space.d[x][v_n] for x in prev + [u_n])
+            f[u_n] = _mcshane(space, f, c, "upper", [u_n])[0]
+            f[v_n] = _mcshane(space, f, c, "lower", [v_n])[0]
         log.append(
             StageRecord(
                 stage=n,
@@ -281,9 +286,9 @@ def delta_hat_family(space: FiniteMetricSpace, pairs: Sequence, a, tolerance=0) 
 def annulus_case_extension(f: LipFunction, A, u: int, v: int, eps) -> LipFunction:
     """Rescale f off A and rebuild it inside so the (u,v) molecule is nearly normed.
 
-    Case 1 (v outside A) pins g(u) = g(v) + (1-eps) d(u,v) and extends into A;
-    case 2 (v inside A) uses the inf/sup assignment. Both yield ||g|| <= 1 and
-    g(m_uv) >= 1 - eps, verified before returning.
+    g(u) is g(v) + (1-eps) d(u,v) when v is outside A (case 1), else the upper
+    extension of g off A (case 2); both extend lower into A. Both yield
+    ||g|| <= 1 and g(m_uv) >= 1 - eps, verified before returning.
     """
     space = f.space
     eps = rat(eps)
@@ -301,15 +306,9 @@ def annulus_case_extension(f: LipFunction, A, u: int, v: int, eps) -> LipFunctio
     g = {p: one_m_eps * f.values[p] for p in outside}
     if v not in A:
         g[u] = g[v] + one_m_eps * space.d[u][v]
-        out = mcshane_extend(space, g.keys(), g, ONE, direction="lower")
     else:
-        g[u] = min(g[x] + space.d[x][u] for x in outside)
-        for y in sorted(A):
-            if y == u:
-                continue
-            g[y] = max(g[x] - space.d[x][y] for x in list(outside) + [u])
-        out = LipFunction(space, tuple(g[p] for p in space.points()))
-    out = out.rooted()
+        g[u] = _mcshane(space, g, ONE, "upper", [u])[0]
+    out = mcshane_extend(space, g, g, ONE, direction="lower").rooted()
     if out.norm > 1:
         raise ValueError("extension left the Lipschitz unit ball")
     if out.molecule_value(u, v) < one_m_eps:

@@ -231,27 +231,25 @@ def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:
     with the first pair attaining it (0 and None below two points).
 
     The values are put over one common denominator den, and each pair's
-    ratio |dV| * d.den / (den * d.num) is compared cross-multiplied as ints.
-    A distance between the points that is not positive is a ValueError.
+    ratio |dV| / D[p][q] is compared cross-multiplied on the ints of the
+    space's int_view. A distance between the points that is not positive is
+    a ValueError.
     """
-    d = space.d
+    D, scale = space.int_view
     points = list(points)
     nums, den = over_common_denominator(values[p] for p in points)
-    best_gap, best_dnum, pair = 0, 1, None
-    for i, p in enumerate(points):
-        dp, vp = d[p], nums[i]
-        for j in range(i + 1, len(points)):
-            dpq = dp[points[j]]
-            dnum = dpq.numerator
-            if dnum <= 0:
-                labels = space.labels
-                raise ValueError(
-                    f"distance d({labels[p]!r}, {labels[points[j]]!r}) = {dpq} is not positive"
-                )
-            gap = abs(vp - nums[j]) * dpq.denominator
-            if gap * best_dnum > best_gap * dnum:
-                best_gap, best_dnum, pair = gap, dnum, (p, points[j])
-    return Fraction(best_gap, den * best_dnum), pair
+    best_gap, best_D, pair = 0, 1, None
+    for i, (p, vp) in enumerate(zip(points, nums)):
+        Dp = D[p]
+        for q, vq in zip(points[i + 1 :], nums[i + 1 :]):
+            Dpq = Dp[q]
+            if Dpq <= 0:
+                lbl_p, lbl_q = space.labels[p], space.labels[q]
+                raise ValueError(f"distance d({lbl_p!r}, {lbl_q!r}) = {space.d[p][q]} is not positive")
+            gap = abs(vp - vq)
+            if gap * best_D > best_gap * Dpq:
+                best_gap, best_D, pair = gap, Dpq, (p, q)
+    return Fraction(best_gap * scale, den * best_D), pair
 
 
 def quadruple_failures(space: FiniteMetricSpace, u: int, v: int, points, factor):

@@ -3,8 +3,8 @@
 All values are exact, fractions.Fraction or int. The hot loops run on
 Python ints over common denominators (:func:`over_common_denominator`) and
 make Fractions only of their results: the simplex pivots and the
-certificate checker (see lp) and the Lipschitz-constant and inequality
-kernels (see metric).
+certificate checker (see lp), the Lipschitz-constant and inequality
+kernels (see metric) and the McShane extensions (see functions).
 Values parsed from floats are converted to their exact binary rational.
 """
 
@@ -28,12 +28,15 @@ def rat(value) -> Fraction:
 
 
 def parse_rat(value, field: str) -> Fraction:
-    """rat for input data: a value that is no number or string is a
-    ValueError naming the field it was read from."""
-    try:
-        return Fraction(value)
-    except TypeError:
-        raise ValueError(f"field {field!r} holds {value!r}, not a number") from None
+    """rat for input data: a value that is no finite number or numeric
+    string (a boolean, inf, nan, "1/0", a list) is a ValueError naming the
+    field it was read from."""
+    if value.__class__ is not bool:
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"field {field!r} holds {value!r}, not a number")
 
 
 def over_common_denominator(values) -> tuple:

@@ -95,8 +95,14 @@ class TestExitCodes:
             ([], None, "must hold a JSON object"),
             (None, {"weights": [["1", "1"], ["3", "-1"]]}, "'weights'"),
             (None, {"weights": {"zz": "1"}}, "unknown point label: 'zz'"),
+            ({"d": [["0", "1", "3", "7"], ["1", "0", "2", float("inf")],
+                    ["3", "2", "0", "4"], ["7", "6", "4", "0"]]},
+             None, "field 'd' holds inf, not a number"),
+            (None, {"weights": {"1": float("nan"), "3": "-1"}},
+             "field 'weights' holds nan, not a number"),
         ],
-        ids=["d-number", "d-row-not-list", "top-level-array", "weights-list", "unknown-label"],
+        ids=["d-number", "d-row-not-list", "top-level-array", "weights-list", "unknown-label",
+             "d-infinity", "weights-nan"],
     )
     def test_malformed_input_is_an_error(self, line4, tmp_path, capsys, space, element, message):
         # a dict edits the valid space, a list replaces it by [space]
@@ -108,6 +114,27 @@ class TestExitCodes:
         argv = ["freenorm", str(tmp_path / "mol.json"), "--space", str(tmp_path / "space.json")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, shown", [(float("-inf"), "-inf"), (True, "True"), ("1/0", "'1/0'")],
+        ids=["minus-infinity", "boolean", "zero-denominator"],
+    )
+    @pytest.mark.parametrize("command", ["lipnorm", "extend"])
+    def test_value_that_is_no_finite_number_is_an_error(
+        self, line4, tmp_path, capsys, command, value, shown
+    ):
+        # json.load reads Infinity and NaN, which Fraction meets with
+        # OverflowError or ValueError, and turns true into 1
+        if command == "lipnorm":
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps({"space": line4.to_json(), "values": ["0", value, "3", "7"]}))
+            argv = ["lipnorm", str(path)]
+        else:
+            (tmp_path / "space.json").write_text(json.dumps(line4.to_json()))
+            (tmp_path / "vals.json").write_text(json.dumps({"0": "0", "3": value}))
+            argv = ["extend", "--space", str(tmp_path / "space.json"), "--values", str(tmp_path / "vals.json")]
+        assert main(argv) == 2
+        assert f"field 'values' holds {shown}, not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from lipfree.metric import (
 )
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, rat
+from test_metric import PRIMES, random_fraction, rational_metric_space, ref_lip_constant
 
 
 class TestLipFunctionBasics:
@@ -223,3 +225,88 @@ class TestAnnulusExtension:
         with pytest.raises(ValueError):
             annulus_case_extension(f, {v}, u, v, rs.eps[1])
 
+
+
+def ref_lower(space, values, L, p):
+    return max(v - L * space.d[s][p] for s, v in values.items())
+
+
+def ref_upper(space, values, L, p):
+    return min(v + L * space.d[s][p] for s, v in values.items())
+
+
+class TestMcShaneKernel:
+    """Every McShane value of functions against the Fraction formulas the
+    int kernel replaced, on rational metrics whose common denominator is a
+    product of distinct primes."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_mcshane_extend_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(2, 9))
+        subset = rng.sample(range(space.n), rng.randint(1, space.n))
+        if rng.random() < 0.2:
+            values, L = dict.fromkeys(subset, random_fraction(rng, -60, 60)), ZERO
+        else:
+            values = {s: random_fraction(rng, -60, 60) for s in subset}
+            # fractional L, exactly the subset's constant one time in three
+            L = ref_lip_constant(space, values, subset)[0] + random_fraction(rng, 0, 20)
+        for direction, ref in (("lower", ref_lower), ("upper", ref_upper)):
+            f = mcshane_extend(space, subset, values, L, direction)
+            assert f.values == tuple(ref(space, values, L, p) for p in space.points())
+            assert all(type(x) is Fraction for x in f.values)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_point_function_is_the_least_site_distance(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(2, 9))
+        others = [p for p in space.points() if p != space.base]
+        sites = [space.base, *rng.sample(others, rng.randint(0, len(others)))]
+        f = nearest_point_function(space, sites)
+        assert f.values == tuple(min(space.d[s][p] for s in sites) for p in space.points())
+        assert all(type(x) is Fraction for x in f.values)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_annulus_case_two_matches_hand_built_assembly(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(3, 9))
+        u, v = rng.sample(range(space.n), 2)
+        others = [p for p in space.points() if p not in (u, v)]
+        A = {u, v, *rng.sample(others, rng.randint(0, len(others) - 1))}
+        f = LipFunction(space, tuple(random_fraction(rng, -60, 60) for _ in space.points()))
+        f = f * (1 / f.norm) if f.norm else f
+        eps = 1 - Fraction(rng.randint(1, 3), rng.choice(PRIMES[2:8]))
+        # case 2 as it was written out by hand: g(u) the upper and every other
+        # point of A the lower extension of the rescaled f off A
+        outside = [p for p in space.points() if p not in A]
+        g = {p: (1 - eps) * f.values[p] for p in outside}
+        g[u] = ref_upper(space, g, ONE, u)
+        for y in sorted(A - {u}):
+            g[y] = ref_lower(space, {x: g[x] for x in outside + [u]}, ONE, y)
+        ref = LipFunction(space, tuple(g[p] for p in space.points())).rooted()
+        try:
+            got = annulus_case_extension(f, A, u, v, eps)
+        except ValueError as exc:
+            assert "annulus hypothesis fails" in str(exc)
+        else:
+            assert got == ref
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_recursion_stage_values_match_min_max_formulas(self, k):
+        rs = build_recursion_space(k)
+        space, d = rs.space, rs.space.d
+        f, log = daugavet_recursive_construction(space, rs.pairs, rs.annuli)
+        ref = {rs.pairs[0][0]: ZERO, rs.pairs[0][1]: ZERO}
+        for n, ((u, v), rec) in enumerate(zip(rs.pairs, log), start=1):
+            if n > 1:
+                c = 1 - Fraction(1, 2**n)
+                prev = list(ref)
+                ref[u] = min(ref[x] + c * d[x][u] for x in prev)
+                ref[v] = max(ref[x] - c * d[x][v] for x in prev + [u])
+            # the final lower extension with constant 1 keeps the stage values
+            assert (f.values[u], f.values[v]) == (ref[u], ref[v])
+            assert rec.lip_constant == ref_lip_constant(space, ref, sorted(ref))[0]
+            assert rec.molecule_value == (ref[u] - ref[v]) / d[u][v]
