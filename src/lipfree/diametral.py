@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from . import lp
@@ -41,9 +40,8 @@ def wstar_delta_radius(
     ||f - g|| is the maximum of (f - g)(m_pq) over ordered pairs, so the sup
     decomposes into one LP per pair: minimize g(m_pq) subject to the ball and
     the slice constraint. Given pairs, the sup of max (f - g)(m_pq) over
-    just those pairs. The slice row is scaled by the lcm of the denominators
-    of its weights, so the programs differ only in their objective and
-    share one lp.RhsSweep.
+    just those pairs. The programs differ only in their objective and share
+    one lp.RhsSweep.
     """
     alpha = rat(alpha)
     if not (0 < alpha <= 2):
@@ -52,13 +50,7 @@ def wstar_delta_radius(
         raise ValueError("f must have norm exactly one")
     if require_membership and mu.pairing(f) <= ONE - alpha:
         raise ValueError("f does not lie in the slice")
-    weights = mu.weight_dict()
-    scale = lcm(*(w.denominator for w in weights.values()))
-    slice_row = lp.SideConstraint(
-        weights={p: w * scale for p, w in weights.items()},
-        relation=">=",
-        bound=(ONE - alpha) * scale,
-    )
+    slice_row = lp.SideConstraint(weights=mu.weight_dict(), relation=">=", bound=ONE - alpha)
     sweep = lp.RhsSweep()
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:

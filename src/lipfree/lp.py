@@ -21,26 +21,26 @@ ball rows are one comparison against the space's ``int_view``. The checker
 reads only the returned rationals, the rows and the space, never the
 solver's basis, and names exact rationals when a check fails.
 
-All pivoting is exact and runs on Python ints: the rows are scaled to
-integers, and each solve keeps one integer tableau, which every pivot
-updates by the same fraction-free (Bareiss) step. Results are converted
-back to rationals only at the end. The pivot rule is Dantzig with
-smallest-index tie-breaking, falling back to Bland's rule after an
-iteration cap, so runs are deterministic and cycle-free.
+All pivoting is exact and runs on Python ints: every row of a ball
+program is integral as solve_lip_ball builds it (the ball rows have
+coefficients +-1, and each side row is multiplied by the lcm of its
+coefficients' denominators), and each solve keeps one integer tableau,
+which every pivot updates by the same fraction-free (Bareiss) step.
+Results are converted back to rationals only at the end. The pivot rule
+is Dantzig with smallest-index tie-breaking, falling back to Bland's rule
+after an iteration cap, so runs are deterministic and cycle-free.
 
-The per-pair sweeps share one stored tableau, which needs every row scale
-to be 1 so that the rows mean the same in every program of the sweep.
-``max_over_pairs`` multiplies its side row by d(p, q), so the row has
-coefficients +-1 and differs from pair to pair only in its column and
-cost: a ColumnSweep solves the plain ball program once, keeps that optimal
-tableau, and each pair copies it, appends its column and pivots on.
-``diametral.wstar_delta_radius`` scales its slice row to integers, so
-only b (the pair's objective) changes: an RhsSweep fixes the row signs at
-its first, cold solve and re-solves each later pair from the last optimal
-tableau by the dual simplex, whose basis stays dual feasible because the
-costs do not change. Either way every answer still passes the checker
-against the rows of its own program, and COUNTS totals the solves, the
-primal and dual pivots and the Bland fallbacks.
+The per-pair sweeps share one stored tableau. ``max_over_pairs``
+multiplies its side row by d(p, q), so the row has coefficients +-1 and
+differs from pair to pair only in its column and cost: a ColumnSweep
+solves the plain ball program once, keeps that optimal tableau, and each
+pair copies it, appends its column and pivots on. In
+``diametral.wstar_delta_radius`` only b (the pair's objective) changes:
+an RhsSweep solves its first pair cold and re-solves each later pair from
+the last optimal tableau by the dual simplex, whose basis stays dual
+feasible because the costs do not change. Either way every answer still
+passes the checker against the rows of its own program, and COUNTS
+totals the solves, the primal and dual pivots and the Bland fallbacks.
 """
 
 from __future__ import annotations
@@ -85,86 +85,74 @@ COUNTS = SimplexCounts()
 class _Tableau:
     """The state of one solve, all Python ints.
 
-    icols are the columns with every row r multiplied by signs[r] (its sign
-    times its scale), c_num the costs over c_den, b_den the denominator of
-    b; basis[r] is the column basic in row r. rows is the (m+1) x (m+1)
-    tableau over det, the basis determinant (kept positive): rows 0..m-1
-    hold [adj B | x_B], row m holds [y = c_B adj B | c_B x_B]. Pivots replace
-    rows and never change one in place, so copy() is cheap and later pivots
-    on either tableau leave the other as it was.
+    icols are the integer columns as given, c_num the costs over c_den,
+    b_den the denominator of b; basis[r] is the column basic in row r. rows
+    is the (m+1) x (m+1) tableau over det, the absolute basis determinant:
+    rows 0..m-1 hold [adj B | x_B], row m holds [y = c_B adj B | c_B x_B].
+    Pivots replace rows and never change one in place, so copy() is cheap
+    and later pivots on either tableau leave the other as it was.
     """
 
-    __slots__ = ("icols", "c_num", "c_den", "b_den", "signs", "basis", "in_basis", "det", "rows")
+    __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "det", "rows")
 
-    def __init__(self, icols, c_num, c_den, b_den, signs, basis, in_basis, det, rows):
+    def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, det, rows):
         self.icols, self.c_num, self.c_den, self.b_den = icols, c_num, c_den, b_den
-        self.signs, self.basis, self.in_basis, self.det, self.rows = signs, basis, in_basis, det, rows
+        self.basis, self.in_basis, self.det, self.rows = basis, in_basis, det, rows
 
     def copy(self) -> "_Tableau":
         return _Tableau(
-            list(self.icols), list(self.c_num), self.c_den, self.b_den, self.signs,
+            list(self.icols), list(self.c_num), self.c_den, self.b_den,
             list(self.basis), list(self.in_basis), self.det, list(self.rows),
         )
 
     def append_column(self, col, cost) -> None:
-        """Add a nonbasic column with its cost; every entry must be integral
-        at its row's stored scale. Costs with a new denominator rescale the
-        costs and the cost row, which leaves every pivot choice as it was."""
-        icol = []
-        for r, a in col:
-            if self.signs[r] % a.denominator:
-                raise SimplexError(f"entry {a} of an added column is not integral at the scale of row {r}")
-            icol.append((r, a.numerator * (self.signs[r] // a.denominator)))
+        """Add a nonbasic integer column with its cost. Costs with a new
+        denominator rescale the costs and the cost row, which leaves every
+        pivot choice as it was."""
         grow = cost.denominator // gcd(self.c_den, cost.denominator)
         if grow > 1:
             self.c_num = [grow * c for c in self.c_num]
             self.rows[-1] = [grow * a for a in self.rows[-1]]
             self.c_den *= grow
-        self.icols.append(icol)
+        self.icols.append(col)
         self.c_num.append(cost.numerator * (self.c_den // cost.denominator))
         self.in_basis.append(False)
 
     def set_rhs(self, b) -> None:
-        """Replace b, keeping the basis: x_B = adj B . b and c_B x_B = y . b,
-        with b signed and scaled by the stored rows."""
+        """Replace b, keeping the basis: x_B = adj B . b and c_B x_B = y . b."""
         b_num, self.b_den = over_common_denominator(b)
-        signed = [(r, s * num) for r, (s, num) in enumerate(zip(self.signs, b_num)) if num]
+        nonzero = [(r, num) for r, num in enumerate(b_num) if num]
         m = len(self.basis)
-        self.rows = [row[:m] + [sum(row[r] * v for r, v in signed)] for row in self.rows]
+        self.rows = [row[:m] + [sum(row[r] * v for r, v in nonzero)] for row in self.rows]
 
 
 def _start(cols, b, costs) -> _Tableau:
-    """The integer columns, the row signs and the tableau of the start basis."""
+    """The tableau of the start basis."""
     m = len(b)
     b_num, b_den = over_common_denominator(b)
     c_num, c_den = over_common_denominator(costs)
-    scale = [1] * m
-    for col in cols:
-        for r, a in col:
-            scale[r] = lcm(scale[r], a.denominator)
-    signs = [-s if num < 0 else s for s, num in zip(scale, b_num)]
-    icols = [[(r, a.numerator * (signs[r] // a.denominator)) for r, a in col] for col in cols]
-
     basis = [-1] * m
-    for j, col in enumerate(icols):
-        if len(col) == 1 and col[0][1] > 0 and basis[col[0][0]] < 0:
-            basis[col[0][0]] = j
+    for j, col in enumerate(cols):
+        if len(col) == 1:
+            r, a = col[0]
+            if basis[r] < 0 and (a < 0 if b_num[r] < 0 else a > 0):
+                basis[r] = j
     if -1 in basis:
         raise SimplexError(f"row {basis.index(-1)} has no positive unit column to start from")
-    det = prod(icols[j][0][1] for j in basis)
+    det = abs(prod(cols[j][0][1] for j in basis))
     # [adj B | x_B] of the diagonal start, x_B over det * b_den, and the cost row
     rows = [[0] * (m + 1) for _ in range(m + 1)]
     cost_row = rows[m]
     for r, (num, j) in enumerate(zip(b_num, basis)):
         row = rows[r]
-        row[r] = det // icols[j][0][1]
-        row[m] = row[r] * num * signs[r]
+        row[r] = det // cols[j][0][1]
+        row[m] = row[r] * num
         cost_row[r] = c_num[j] * row[r]
         cost_row[m] += c_num[j] * row[m]
     in_basis = [False] * len(cols)
     for j in basis:
         in_basis[j] = True
-    return _Tableau(icols, c_num, c_den, b_den, signs, basis, in_basis, det, rows)
+    return _Tableau(list(cols), c_num, c_den, b_den, basis, in_basis, det, rows)
 
 
 def _pivot(t: _Tableau, leaving: int, entering: int, dvec: list) -> None:
@@ -310,32 +298,27 @@ def _read_out(t: _Tableau, status: str, primal: int, dual: int, bland: bool) -> 
     y = t.rows[m]
     x = {j: Fraction(row[m], x_den) for j, row in zip(t.basis, t.rows) if row[m]}
     value = Fraction(y[m], y_den * t.b_den)
-    duals = [Fraction(s * yr, y_den) for s, yr in zip(t.signs, y)]
+    duals = [Fraction(yr, y_den) for yr in y[:m]]
     return OPTIMAL, x, value, duals
 
 
 def simplex_standard(cols, b, costs, sweep=None):
     """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
 
-    cols: sparse columns as [(row, coef), ...], with int or Fraction
-    entries like b and costs. Returns
-    (status, x: dict, value, duals: list per row). One-phase simplex over
-    Python ints in three parts: _start builds the integer columns, the row
-    signs and the tableau of the start basis, _primal pivots it to the
-    optimum and _read_out turns the result back into rationals. Given
-    sweep, a ColumnSweep or RhsSweep, the solve starts from the tableau
-    that sweep stored instead.
+    cols: sparse columns as [(row, coef), ...] with integer entries; b and
+    costs are rational. Returns (status, x: dict, value, duals: list per
+    row). One-phase simplex over Python ints in three parts: _start builds
+    the tableau of the start basis, _primal pivots it to the optimum and
+    _read_out turns the result back into rationals. Given sweep, a
+    ColumnSweep or RhsSweep, the solve starts from the tableau that sweep
+    stored instead.
 
     The start is a diagonal basis: for each row the first column whose only
-    entry sits on that row and is positive once the row is signed so that
-    its b is nonnegative. That basis is feasible, so no phase 1 is needed;
-    a row with no such column raises SimplexError. Each row is negated
-    where b is negative and multiplied by the least common multiple of the
-    denominators of its coefficients; b and the costs are each brought over
-    one common denominator. Row scaling leaves x and the reduced costs
-    unchanged, so every basis is the scaled image of the rational one.
-    Every pivot is the fraction-free (Bareiss) update of _pivot; reduced
-    costs are integer numerators over det and the ratio test
+    entry sits on that row and has the sign of its b (positive where b is
+    0). That basis is feasible, so no phase 1 is needed; a row with no such
+    column raises SimplexError. b and the costs are each brought over one
+    common denominator. Every pivot is the fraction-free (Bareiss) update of
+    _pivot; reduced costs are integer numerators over det and the ratio test
     cross-multiplies, so the pivots are those of the rational simplex.
     """
     if sweep is not None:
@@ -375,10 +358,10 @@ class RhsSweep:
     """Stored state of a sweep of programs that differ only in b, the
     objective of a ball program.
 
-    The first solve is cold and fixes the row signs; each later one puts its
-    b into the last optimal tableau, whose reduced costs stay nonnegative,
-    and re-solves with the dual simplex. The columns and costs must be those
-    of the first call.
+    The first solve is cold; each later one puts its b into the last
+    optimal tableau, whose reduced costs stay nonnegative, and re-solves
+    with the dual simplex. The columns and costs must be those of the first
+    call.
     """
 
     def __init__(self):
@@ -447,19 +430,20 @@ def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
     base = space.base
     ball = space.ball_rows
     var, rows = ball.var, ball.rows
-    side_rows = []
+    side_rows, scales = [], {}
     for sc in program.side_constraints:
         weights = _as_weights(sc.weights)
         _check_points(space, weights)
-        # var is injective, so each weight is the coefficient of its variable
-        coefs = sorted((var[p], rat(w)) for p, w in weights.items() if p != base and w != 0)
-        bound = rat(sc.bound)
-        if sc.relation == "<=":
-            side_rows.append((tuple(coefs), bound))
-        elif sc.relation == ">=":
-            side_rows.append((tuple((v, -c) for v, c in coefs), -bound))
-        else:
+        sign = {"<=": 1, ">=": -1}.get(sc.relation)
+        if sign is None:
             raise ValueError(f"unknown relation: {sc.relation}")
+        # var is injective, so each weight is the coefficient of its variable;
+        # the row times k, the lcm of their denominators, is integral
+        coefs = sorted((var[p], rat(w)) for p, w in weights.items() if p != base and w != 0)
+        k = lcm(*(a.denominator for _, a in coefs))
+        coefs = tuple((v, sign * a.numerator * (k // a.denominator)) for v, a in coefs)
+        scales[len(rows) + len(side_rows)] = k
+        side_rows.append((coefs, sign * k * rat(sc.bound)))
     if side_rows:
         rows = rows + tuple(side_rows)
 
@@ -480,7 +464,9 @@ def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
     _verify_lip_solution(rows, c, duals, x, value, space)
     values = tuple(ZERO if v is None else duals[v] for v in var)
     arg = LipFunction(space=space, values=values)
-    return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=dict(x))
+    # a side row's multiplier times its k is the multiplier of the caller's row
+    row_duals = {r: y * scales.get(r, 1) for r, y in x.items()}
+    return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=row_duals)
 
 
 def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):

@@ -21,10 +21,14 @@ def rat(value) -> Fraction:
     """Convert int/str/Fraction/float to an exact rational.
 
     Strings accept "p/q", decimal ("2.5", "1e-9") and integer forms; other
-    strings, "inf" and "nan" included, raise ValueError. Floats are
-    converted exactly (binary expansion), not via repr rounding.
+    strings, "inf", "nan" and a zero denominator ("1/0") included, raise
+    ValueError. Floats are converted exactly (binary expansion), not via
+    repr rounding.
     """
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 def parse_rat(value, field: str) -> Fraction:

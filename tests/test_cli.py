@@ -154,6 +154,31 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extend", "--space", "space.json", "--values", "vals.json", "--lip", "1/0"],
+            ["slice", "--space", "space.json", "--function", "fn.json", "--alpha", "1/0"],
+            ["construct", "delta-hat", "--pairs", "3", "--scale", "1/0"],
+            ["certify", "two-anchor", "--N", "5", "--deltas", "1/0"],
+            ["certify", "example2", "--N", "4", "--n", "3", "--samples", "2", "--eps", "1/0"],
+            ["certify", "annuli", "--pairs", "2", "--eps", "1/0"],
+            ["scan-dichotomy", "--space", "space.json", "--function", "fn.json", "--radius", "1/0"],
+            ["scan-dichotomy", "--space", "space.json", "--function", "fn.json", "--eps-grid", "1/2,1/0"],
+        ],
+        ids=["extend-lip", "slice-alpha", "hat-scale", "two-anchor-deltas", "example2-eps",
+             "annuli-eps", "scan-radius", "scan-eps-grid"],
+    )
+    def test_zero_denominator_option_is_an_error(self, line4, tmp_path, capsys, argv):
+        # Fraction("1/0") raises ZeroDivisionError, which once ended in a traceback
+        (tmp_path / "space.json").write_text(json.dumps(line4.to_json()))
+        (tmp_path / "vals.json").write_text(json.dumps({"0": "0", "3": "1"}))
+        (tmp_path / "fn.json").write_text(json.dumps({"values": ["0", "1", "3", "7"]}))
+        assert main([str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: '1/0' has a zero denominator"]
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["example2", "--alpha", ",", "--eps", ","], "alpha"),

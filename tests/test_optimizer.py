@@ -13,7 +13,7 @@ from lipfree.diametral import wstar_delta_radius
 from lipfree.free import FreeElement, Molecule, free_norm
 from lipfree.functions import LipFunction
 from lipfree.metric import FiniteMetricSpace, build_simplex_space
-from lipfree.reproduce import verify_example2
+from lipfree.reproduce import verify_example1, verify_example2
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, as_float, rat
 
@@ -78,20 +78,21 @@ class TestSimplexCore:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_fraction_reference(self, seed):
-        # random programs with negative-b rows, rational entries and a start
-        # column per row (a unit column signed like b), shuffled among decoy
-        # unit columns of the wrong sign, dense columns and copies of columns
+        # random programs with negative-b rows, integer column entries,
+        # rational b and costs and a start column per row (a unit column
+        # signed like b), shuffled among decoy unit columns of the wrong
+        # sign, dense columns and copies of columns
         rng = random.Random(seed)
         m = rng.randint(1, 4)
         b = [_random_rational(rng) for _ in range(m)]
         cols = []
         for r in range(m):
-            magnitude = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+            magnitude = rng.randint(1, 4)
             cols.append([(r, -magnitude if b[r] < 0 else magnitude)])
             if rng.random() < 0.3:
                 cols.append([(r, magnitude if b[r] < 0 else -magnitude)])
         for _ in range(rng.randint(0, 6)):
-            col = [(r, a) for r in range(m) if (a := _random_rational(rng))]
+            col = [(r, a) for r in range(m) if (a := rng.randint(-6, 6))]
             if col:
                 cols.append(col)
         columns = [(col, _random_rational(rng) + 2) for col in cols]  # mostly bounded
@@ -126,20 +127,21 @@ class TestSimplexCore:
         assert value == 0
 
     def test_flipped_row_with_rational_coefficients(self):
-        # min 3 x0 + 2 x1 + x2  s.t.  -2/3 x0 - 1/2 x1 = -1,  x0 + 1/3 x2 = 1/2;
-        # the first row is negated, and the rows are scaled by 6 and 3
+        # min 3 x0 + 2 x1 + x2  s.t.  -2/3 x0 - 1/2 x1 = -1,  x0 + 1/3 x2 = 1/2
+        # with the rows times 6 and 3; b of the first row is negative, so it
+        # starts from its negative unit column
         cols = [
-            [(0, rat("-2/3")), (1, ONE)],
-            [(0, rat("-1/2"))],
-            [(1, rat("1/3"))],
+            [(0, -4), (1, 3)],
+            [(0, -3)],
+            [(1, 1)],
         ]
         status, x, value, duals = lp.simplex_standard(
-            cols, [rat(-1), rat("1/2")], [rat(3), rat(2), rat(1)]
+            cols, [rat(-6), rat("3/2")], [rat(3), rat(2), rat(1)]
         )
         assert status == lp.OPTIMAL
         assert x == {0: rat("1/2"), 1: rat("4/3")}
         assert value == rat("25/6")
-        assert duals == [rat(-4), rat("1/3")]
+        assert duals == [rat("-2/3"), rat("1/9")]
 
     def test_row_without_start_column_is_an_error(self):
         # row 0 has the unit column 1; row 1 meets only column 0, which has
@@ -171,15 +173,15 @@ class TestSimplexCore:
         assert x == {1: rat(2)}
         assert value == -2
         assert duals == [-ONE]
-        # Beale's cycling example
+        # Beale's cycling example, row 0 times 4 and row 1 times 2
         cols = [
-            [(0, ONE)],
-            [(1, ONE)],
-            [(2, ONE)],
-            [(0, rat("1/4")), (1, rat("1/2"))],
-            [(0, rat(-8)), (1, rat(-12))],
-            [(0, -ONE), (1, rat("-1/2")), (2, ONE)],
-            [(0, rat(9)), (1, rat(3))],
+            [(0, 4)],
+            [(1, 2)],
+            [(2, 1)],
+            [(0, 1), (1, 1)],
+            [(0, -32), (1, -24)],
+            [(0, -4), (1, -1), (2, 1)],
+            [(0, 36), (1, 6)],
         ]
         costs = [ZERO, ZERO, ZERO, rat("-3/4"), rat(20), rat("-1/2"), rat(6)]
         status, x, value, duals = lp.simplex_standard(
@@ -188,19 +190,19 @@ class TestSimplexCore:
         assert status == lp.OPTIMAL
         assert x == {0: rat("3/4"), 3: ONE, 5: ONE}
         assert value == rat("-5/4")
-        assert duals == [ZERO, rat("-3/2"), rat("-5/4")]
+        assert duals == [ZERO, rat("-3/4"), rat("-5/4")]
 
 
 def _feasible_for_every_b(rng):
     """A random program with a positive and a negative unit column on each
-    row, so that every b is feasible, among dense rational columns."""
+    row, so that every b is feasible, among dense integer columns."""
     m = rng.randint(1, 4)
     columns = []
     for r in range(m):
         for sign in (1, -1):
-            columns.append(([(r, sign * Fraction(rng.randint(1, 4), rng.choice((1, 2, 3))))], _random_rational(rng) + 3))
+            columns.append(([(r, sign * rng.randint(1, 4))], _random_rational(rng) + 3))
     for _ in range(rng.randint(0, 6)):
-        col = [(r, a) for r in range(m) if (a := _random_rational(rng))]
+        col = [(r, a) for r in range(m) if (a := rng.randint(-6, 6))]
         if col:
             columns.append((col, _random_rational(rng) + 2))
     rng.shuffle(columns)
@@ -289,6 +291,21 @@ class TestDualResolve:
         assert lp.COUNTS.primal_pivots > before["primal_pivots"]
         assert lp.COUNTS.dual_pivots == before["dual_pivots"]
 
+
+    @pytest.mark.parametrize(
+        "run, counts",
+        [
+            (lambda: verify_example2(N=4, n=3, samples=2, seed=77), (112, 451, 22, 0)),
+            (lambda: verify_example1(N=12, n=3, samples=5, seed=9), (9, 78, 0, 0)),
+        ],
+        ids=["example2-both-sweeps", "example1"],
+    )
+    def test_pivot_counts_are_pinned(self, run, counts):
+        # solves, primal and dual pivots and Bland fallbacks of one run: a
+        # change to the start basis, the pivot rule or a column's scale moves them
+        before = lp.COUNTS.as_dict()
+        run()
+        assert tuple(v - before[k] for k, v in lp.COUNTS.as_dict().items()) == counts
 
 def _scipy_lip_ball(space, objective, side=()):
     """Float oracle via scipy: maximize objective over the Lipschitz ball."""
@@ -559,6 +576,42 @@ class TestIntegerChecker:
                 return str(exc)
 
         assert outcome(space) == outcome()
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_side_row_is_made_integral_once(self, seed, factor):
+        # a side row with Fraction weights and the same row times factor are
+        # one program; each answer's row_duals are multipliers of the caller's
+        # own rows, and the simplex receives int column entries only
+        rng = random.Random(seed)
+        space = _rational_metric(rng, rng.randint(2, 7))
+        rows, var = _reference_ball_rows(space)
+        objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
+        c = [objective[p] for p in var]
+        weights = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var if rng.random() < 0.7}
+        relation, sign = rng.choice([("<=", 1), (">=", -1)])
+        bound = sign * Fraction(rng.randint(0, 9), rng.choice(PRIMES))  # f = 0 is feasible
+        entry_types = set()
+        solve = lp.simplex_standard
+
+        def spy(cols, *rest):
+            entry_types.update(type(a) for col in cols for _, a in col)
+            return solve(cols, *rest)
+
+        values = []
+        for scale in (1, factor):
+            side = lp.SideConstraint({p: w * scale for p, w in weights.items()}, relation, bound * scale)
+            with patch.object(lp, "simplex_standard", spy):
+                sol = lp.solve_lip_ball(
+                    lp.LipBallProgram(space=space, objective=objective, side_constraints=(side,))
+                )
+            assert sol.status == lp.OPTIMAL
+            side_row = (tuple(sorted((var[p], sign * w * scale) for p, w in weights.items())), sign * bound * scale)
+            witness = [sol.argument.values[p] for p in var]
+            lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value)
+            values.append(sol.value)
+        assert values[0] == values[1]
+        assert entry_types == {int}
 
     def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
         # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
