@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import lp
 from .functions import LipFunction, mcshane_extend
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, subspace
 from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
 
 
@@ -152,11 +152,7 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
     pts = sorted(set(mu.support) | {space.base})
     if len(pts) == space.n:
         return _free_norm_direct(mu)
-    sub = FiniteMetricSpace(
-        labels=tuple(space.labels[p] for p in pts),
-        base=pts.index(space.base),
-        d=tuple(tuple(space.d[p][q] for q in pts) for p in pts),
-    )
+    sub = subspace(space, pts)
     pos = {p: i for i, p in enumerate(pts)}
     sub_mu = FreeElement.make(sub, {pos[p]: w for p, w in mu.weights})
     res = _free_norm_direct(sub_mu)

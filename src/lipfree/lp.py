@@ -30,6 +30,11 @@ Results are converted back to rationals only at the end. The pivot rule
 is Dantzig with smallest-index tie-breaking, falling back to Bland's rule
 after an iteration cap, so runs are deterministic and cycle-free.
 
+Columns 2k and 2k + 1 of a ball program, the rows of its k-th pair, are
+negatives of each other with one cost, so at most one prices negative:
+det*c - |y_a - y_b|, (a, b) from ``BallRows.pairs``. Pricing and the dual
+ratio test take each pair once and make the column-by-column choices.
+
 The per-pair sweeps share one stored tableau. ``max_over_pairs``
 multiplies its side row by d(p, q), so the row has coefficients +-1 and
 differs from pair to pair only in its column and cost: a ColumnSweep
@@ -93,16 +98,16 @@ class _Tableau:
     and later pivots on either tableau leave the other as it was.
     """
 
-    __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "det", "rows")
+    __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "det", "rows", "pairs")
 
-    def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, det, rows):
+    def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, det, rows, pairs):
         self.icols, self.c_num, self.c_den, self.b_den = icols, c_num, c_den, b_den
-        self.basis, self.in_basis, self.det, self.rows = basis, in_basis, det, rows
+        self.basis, self.in_basis, self.det, self.rows, self.pairs = basis, in_basis, det, rows, pairs
 
     def copy(self) -> "_Tableau":
         return _Tableau(
             list(self.icols), list(self.c_num), self.c_den, self.b_den,
-            list(self.basis), list(self.in_basis), self.det, list(self.rows),
+            list(self.basis), list(self.in_basis), self.det, list(self.rows), self.pairs,
         )
 
     def append_column(self, col, cost) -> None:
@@ -126,7 +131,7 @@ class _Tableau:
         self.rows = [row[:m] + [sum(row[r] * v for r, v in nonzero)] for row in self.rows]
 
 
-def _start(cols, b, costs) -> _Tableau:
+def _start(cols, b, costs, pairs) -> _Tableau:
     """The tableau of the start basis."""
     m = len(b)
     b_num, b_den = over_common_denominator(b)
@@ -152,7 +157,7 @@ def _start(cols, b, costs) -> _Tableau:
     in_basis = [False] * len(cols)
     for j in basis:
         in_basis[j] = True
-    return _Tableau(list(cols), c_num, c_den, b_den, basis, in_basis, det, rows)
+    return _Tableau(list(cols), c_num, c_den, b_den, basis, in_basis, det, rows, pairs)
 
 
 def _pivot(t: _Tableau, leaving: int, entering: int, dvec: list) -> None:
@@ -187,9 +192,10 @@ def _column(t: _Tableau, j: int) -> list:
 
 def _primal(t: _Tableau) -> tuple:
     """Primal simplex from a feasible basis: (status, pivots, whether Bland's
-    rule priced). Dantzig with smallest-index ties, Bland after the cap."""
-    icols, c_num, in_basis, basis, rows = t.icols, t.c_num, t.in_basis, t.basis, t.rows
-    m, n = len(basis), len(icols)
+    rule priced). Dantzig with smallest-index ties, Bland after the cap; each
+    pair of t.pairs is priced once, and a later column must price lower."""
+    icols, c_num, in_basis, basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.basis, t.rows, t.pairs
+    m, n, paired = len(basis), len(icols), 2 * len(t.pairs)
     cap = _DANTZIG_CAP_FACTOR * (m + n)
     pivots = 0
     while True:
@@ -199,7 +205,15 @@ def _primal(t: _Tableau) -> tuple:
         det, y = t.det, rows[m]
         entering = -1
         best_rc = 0
-        for j in range(n):
+        if pairs:
+            yz = y[:m] + [0]
+            rcs = [det * c - abs(yz[a] - yz[b]) for c, (a, b) in zip(c_num[0:paired:2], pairs)]
+            best_rc = next((rc for rc in rcs if rc < 0), 0) if bland else min(0, min(rcs))
+            if best_rc < 0:
+                k = rcs.index(best_rc)
+                a, b = pairs[k]
+                entering = 2 * k + (yz[a] < yz[b])
+        for j in range(paired, n) if entering < 0 or not bland else ():
             if in_basis[j]:
                 continue
             rc = det * c_num[j]  # reduced cost times det
@@ -236,9 +250,11 @@ def _dual(t: _Tableau) -> tuple:
     negative x_B (Bland: the smallest basic column among the negative ones);
     the entering column has the least ratio of reduced cost to minus its
     entry in that row, ties to the smallest column. Every pivot entry is
-    negative, so every pivot negates the tableau."""
-    icols, c_num, in_basis, basis, rows = t.icols, t.c_num, t.in_basis, t.basis, t.rows
-    m, n = len(basis), len(icols)
+    negative, so every pivot negates the tableau. Of each pair of t.pairs
+    only the column with the negative entry is a candidate, taken in column
+    order before the other columns."""
+    icols, c_num, in_basis, basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.basis, t.rows, t.pairs
+    m, n, paired = len(basis), len(icols), 2 * len(t.pairs)
     cap = _DANTZIG_CAP_FACTOR * (m + n)
     pivots = 0
     while True:
@@ -260,7 +276,15 @@ def _dual(t: _Tableau) -> tuple:
         det, y, lrow = t.det, rows[m], rows[leaving]
         entering = -1
         best_rc = best_alpha = 0
-        for j in range(n):
+        yz, lz = y[:m] + [0], lrow[:m] + [0]
+        for k, (c, (a, b)) in enumerate(zip(c_num[0:paired:2], pairs)):
+            g = lz[a] - lz[b]  # entry of column 2k in the leaving row; column 2k + 1 has -g
+            if g:
+                s = 1 if g < 0 else -1  # the column with the negative entry
+                alpha, rc = s * g, det * c - s * (yz[a] - yz[b])
+                if entering < 0 or rc * best_alpha > best_rc * alpha:
+                    entering, best_rc, best_alpha = 2 * k + (s < 0), rc, alpha
+        for j in range(paired, n):
             if in_basis[j]:
                 continue
             alpha = 0  # entry of column j in the leaving row, times det
@@ -302,7 +326,7 @@ def _read_out(t: _Tableau, status: str, primal: int, dual: int, bland: bool) -> 
     return OPTIMAL, x, value, duals
 
 
-def simplex_standard(cols, b, costs, sweep=None):
+def simplex_standard(cols, b, costs, sweep=None, pairs=()):
     """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
 
     cols: sparse columns as [(row, coef), ...] with integer entries; b and
@@ -311,7 +335,8 @@ def simplex_standard(cols, b, costs, sweep=None):
     the tableau of the start basis, _primal pivots it to the optimum and
     _read_out turns the result back into rationals. Given sweep, a
     ColumnSweep or RhsSweep, the solve starts from the tableau that sweep
-    stored instead.
+    stored instead. Given pairs, a BallRows.pairs table, columns 2k and
+    2k + 1 must be the k-th pair's two ball rows; they are priced together.
 
     The start is a diagonal basis: for each row the first column whose only
     entry sits on that row and has the sign of its b (positive where b is
@@ -322,8 +347,8 @@ def simplex_standard(cols, b, costs, sweep=None):
     cross-multiplies, so the pivots are those of the rational simplex.
     """
     if sweep is not None:
-        return sweep.solve(cols, b, costs)
-    t = _start(cols, b, costs)
+        return sweep.solve(cols, b, costs, pairs)
+    t = _start(cols, b, costs, pairs)
     status, pivots, bland = _primal(t)
     return _read_out(t, status, pivots, 0, bland)
 
@@ -340,10 +365,10 @@ class ColumnSweep:
     def __init__(self):
         self.plain = None
 
-    def solve(self, cols, b, costs):
+    def solve(self, cols, b, costs, pairs):
         plain_pivots = plain_bland = 0
         if self.plain is None:
-            plain = _start(cols[:-1], b, costs[:-1])
+            plain = _start(cols[:-1], b, costs[:-1], pairs)
             status, plain_pivots, plain_bland = _primal(plain)
             if status == UNBOUNDED:
                 return _read_out(plain, status, plain_pivots, 0, plain_bland)
@@ -367,9 +392,9 @@ class RhsSweep:
     def __init__(self):
         self.tableau = None
 
-    def solve(self, cols, b, costs):
+    def solve(self, cols, b, costs, pairs):
         if self.tableau is None:
-            t = _start(cols, b, costs)
+            t = _start(cols, b, costs, pairs)
             status, pivots, bland = _primal(t)
             if status == OPTIMAL:
                 self.tableau = t
@@ -454,10 +479,8 @@ def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     # is always feasible: its start basis is the star transport to the base
-    dual = ([coefs for coefs, _ in rows], c, [bound for _, bound in rows])
-    if sweep is not None:
-        dual += (sweep,)
-    status, x, value, duals = simplex_standard(*dual)
+    cols, bounds = [coefs for coefs, _ in rows], [bound for _, bound in rows]
+    status, x, value, duals = simplex_standard(cols, c, bounds, sweep, ball.pairs)
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 

@@ -21,12 +21,14 @@ class BallRows(NamedTuple):
     (p, q) of pairs(). Each row is stored once, as its coefficients
     ((variable, +-1), ...) sorted by variable and its bound d(p, q): the
     simplex reads the coefficients as the row's dual column and the
-    certificate checker reads the rows of the nonzero multipliers.
+    certificate checker reads the rows of the nonzero multipliers. The
+    simplex prices rows 2k and 2k + 1 together through pairs[k].
     """
 
     rows: tuple  # (((variable, +-1), ...), d(p, q)) per row
     var: tuple  # var[p] is the variable of point p, None for the base
     arcs: tuple  # arcs[r] = (p, q): row r bounds f(p) - f(q)
+    pairs: tuple  # pairs[k] = (a, b): the variables of the k-th pair, the base as n - 1
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,9 @@ class FiniteMetricSpace:
 
     @cached_property
     def int_view(self) -> tuple:
-        """(D, scale): D[i][j] = d[i][j] * scale as ints, scale the least
-        common denominator of the matrix."""
+        """(D, scale): D[i][j] = d[i][j] * scale as ints, scale a common
+        denominator of the matrix (the least for a space built from its
+        matrix; see :func:`subspace`)."""
         n = self.n
         nums, scale = over_common_denominator(x for row in self.d for x in row)
         return tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), scale
@@ -101,14 +104,16 @@ class FiniteMetricSpace:
         callers only read them; see :class:`BallRows` for the layout."""
         base = self.base
         var = tuple(None if p == base else p - (p > base) for p in self.points())
-        rows, arcs = [], []
+        at = [self.n - 1 if v is None else v for v in var]
+        rows, arcs, pairs = [], [], []
         for p, q in self.pairs():
             # p < q, so var[p] < var[q]: the coefficients come sorted
             arc = tuple((v, a) for v, a in ((var[p], 1), (var[q], -1)) if v is not None)
             rows.append((arc, self.d[p][q]))
             rows.append((tuple((v, -a) for v, a in arc), self.d[p][q]))
             arcs += [(p, q), (q, p)]
-        return BallRows(tuple(rows), var, tuple(arcs))
+            pairs.append((at[p], at[q]))
+        return BallRows(tuple(rows), var, tuple(arcs), tuple(pairs))
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -153,6 +158,19 @@ class FiniteMetricSpace:
             base=base,
             d=tuple(tuple(rat(x) for x in row) for row in d),
         )
+
+
+def subspace(space: FiniteMetricSpace, points: list) -> FiniteMetricSpace:
+    """The space on the sorted points, the base among them, keeping the
+    parent's int_view restricted to them at the parent's scale."""
+    sub = FiniteMetricSpace(
+        labels=tuple(space.labels[p] for p in points),
+        base=points.index(space.base),
+        d=tuple(tuple(space.d[p][q] for q in points) for p in points),
+    )
+    D, scale = space.int_view
+    sub.__dict__["int_view"] = tuple(tuple(D[p][q] for q in points) for p in points), scale
+    return sub
 
 
 @dataclass(frozen=True)
@@ -314,12 +332,10 @@ def build_example1_space(N: int) -> FiniteMetricSpace:
     """Integers 1..N with d(n,k) = 3 - |1/n - 1/k|; base is the point 1."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    three = rat(3)
     d = [[ZERO] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            val = three - abs(rat(f"1/{i + 1}") - rat(f"1/{j + 1}"))
-            d[i][j] = d[j][i] = val
+    for a in range(1, N + 1):
+        for b in range(a + 1, N + 1):
+            d[a - 1][b - 1] = d[b - 1][a - 1] = Fraction(3 * a * b - (b - a), a * b)
     return FiniteMetricSpace.from_matrix(
         d, labels=[str(i + 1) for i in range(N)], base=0
     )

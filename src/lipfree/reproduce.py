@@ -10,6 +10,7 @@ closed supremum sits exactly on the boundary.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
@@ -32,12 +33,13 @@ from .metric import (
     build_two_anchor_space,
     example2_point,
     extract_separated_pairs,
+    lip_constant,
     pair_sequence_failures,
     quadruple_failures,
     seg,
 )
 from .reports import CertificateReport
-from .sampling import random_free_element, random_lip_function
+from .sampling import random_free_element
 from .scalars import ONE, TWO, ZERO, rat
 
 
@@ -57,31 +59,6 @@ def _rats(name: str, value) -> list:
 
 # ---------------------------------------------------------------------------
 # integers with d(n,k) = 3 - |1/n - 1/k|: no dual-Daugavet behavior
-
-
-def _sign_normalize(f: LipFunction) -> tuple:
-    """Flip the sign so that f(m_{k1}) <= 3/4 for all k and some f(m_{1j}) >= 0.
-
-    At least one sign always works: two violations of the 3/4 cap with
-    opposite orientation would exceed the diameter. Returns (f, smallest
-    admissible index j, as a point)."""
-    space = f.space
-    base, d = space.base, space.d
-    cap = rat("3/4")
-    for cand in (f, -f):
-        values = cand.values
-        # d > 0, so f(m_{k1}) <= 3/4 and f(m_{1j}) >= 0 need no division
-        ok = all(
-            values[k] - values[base] <= cap * d[k][base] for k in space.points() if k != base
-        )
-        if not ok:
-            continue
-        admissible = [
-            j for j in space.points() if j != base and values[base] >= values[j]
-        ]
-        if admissible:
-            return cand, min(admissible)
-    raise ValueError("no sign normalization exists; is ||f|| <= 1?")
 
 
 def verify_example1(
@@ -110,13 +87,30 @@ def verify_example1(
     report.add("averaged molecule functional has norm one", "||mu|| = 1", {"norm": norm}, norm == 1)
 
     rng = random.Random(seed)
+    D, scale = space.int_view
+    base = space.base
+    others = [p for p in space.points() if p != base]
     fns = []
     attempts = 0
     while len(fns) < samples and attempts < 2000 * samples:
         attempts += 1
-        cand, smallest = _sign_normalize(random_lip_function(rng, space))
+        L = ZERO
+        while L == 0:  # the draws of sampling.random_lip_function
+            v = [rng.randint(-10, 10) for _ in space.points()]
+            v[base] = 0
+            L = lip_constant(space, v, space.points())[0]
+        # the first sign s of f = s v / L with f(m_k1) <= 3/4 for all k and some f(m_1j) >= 0;
+        # two violations of the cap with opposite orientation would exceed the diameter
+        lhs, rhs = 4 * L.denominator * scale, 3 * L.numerator
+        for s in (1, -1):
+            if all(s * v[k] * lhs <= rhs * D[k][base] for k in others):
+                smallest = next((j for j in others if s * v[j] <= 0), None)
+                if smallest is not None:
+                    break
+        else:
+            raise ValueError("no sign normalization exists; is ||f|| <= 1?")
         if smallest == n - 1:  # point index of the integer n
-            fns.append(cand)
+            fns.append(LipFunction(space, tuple(Fraction(s * x * L.denominator, L.numerator) for x in v)))
     report.add(
         "rejection sampling matched the requested slice index",
         f"{samples} functions with smallest admissible index n = {n}",

@@ -458,8 +458,8 @@ def _tamper(monkeypatch, part):
     point the objective weighs, by 1/7 in its otherwise optimal answer."""
     solve = lp.simplex_standard
 
-    def tampered(cols, b, costs):
-        status, x, value, duals = solve(cols, b, costs)
+    def tampered(cols, b, costs, *rest):
+        status, x, value, duals = solve(cols, b, costs, *rest)
         if part == "multiplier":
             r = max(x)
             x = {**x, r: x[r] + rat("1/7")}
@@ -509,6 +509,85 @@ def _rational_metric(rng, n):
             for j in range(n):
                 d[i][j] = min(d[i][j], d[i][k] + d[k][j])
     return FiniteMetricSpace.from_matrix(d, base=rng.randrange(n))
+
+
+def _side_column(rng, m):
+    return [(r, a) for r in range(m) if (a := rng.randint(-4, 4))] or [(rng.randrange(m), 1)]
+
+
+def _ball_program(rng, sides):
+    """The dual of a ball program on a _rational_metric space as
+    solve_lip_ball hands it to simplex_standard, cols, b and costs, with
+    sides random integral side rows after the ball rows; and the pair
+    table of the space."""
+    space = _rational_metric(rng, rng.randint(2, 7))
+    ball, m = space.ball_rows, space.n - 1
+    cols = [coefs for coefs, _ in ball.rows] + [_side_column(rng, m) for _ in range(sides)]
+    costs = [bound for _, bound in ball.rows] + [_random_rational(rng) for _ in range(sides)]
+    return cols, [_random_rational(rng) for _ in range(m)], costs, ball.pairs
+
+
+def _pivots_and_counts(solve):
+    """What solve() returns, the (leaving row, entering column) of each
+    pivot it makes and the COUNTS it adds."""
+    pivots = []
+    pivot = lp._pivot
+
+    def recording(t, leaving, entering, dvec):
+        pivots.append((leaving, entering))
+        pivot(t, leaving, entering, dvec)
+
+    before = lp.COUNTS.as_dict()
+    with patch.object(lp, "_pivot", recording):
+        out = solve()
+    return out, pivots, {k: v - before[k] for k, v in lp.COUNTS.as_dict().items()}
+
+
+class TestPairPricing:
+    """Pricing columns 2k, 2k + 1 once per pair makes every choice of the
+    column-by-column loop, under Dantzig and Bland, in the primal simplex
+    and in the dual simplex's ratio test."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_cold_solve(self, seed, cap_factor):
+        rng = random.Random(seed)
+        cols, b, costs, pairs = _ball_program(rng, rng.randint(0, 2))
+        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
+            paired = _pivots_and_counts(lambda: lp.simplex_standard(cols, b, costs, None, pairs))
+            generic = _pivots_and_counts(lambda: lp.simplex_standard(cols, b, costs))
+        assert paired == generic
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rhs_sweep(self, seed, cap_factor):
+        rng = random.Random(seed)
+        cols, b, costs, pairs = _ball_program(rng, rng.randint(0, 2))
+        bs = [b] + [[_random_rational(rng) for _ in b] for _ in range(3)]
+
+        def sweep(*rest):
+            sweep = lp.RhsSweep()
+            return [lp.simplex_standard(cols, b, costs, sweep, *rest) for b in bs]
+
+        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
+            assert _pivots_and_counts(lambda: sweep(pairs)) == _pivots_and_counts(sweep)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
+    @settings(max_examples=60, deadline=None)
+    def test_column_sweep(self, seed, cap_factor):
+        rng = random.Random(seed)
+        cols, b, costs, pairs = _ball_program(rng, rng.randint(1, 2))
+        lasts = [(cols[-1], costs[-1])] + [(_side_column(rng, len(b)), _random_rational(rng)) for _ in range(3)]
+
+        def sweep(*rest):
+            sweep = lp.ColumnSweep()
+            return [
+                lp.simplex_standard(cols[:-1] + [col], b, costs[:-1] + [cost], sweep, *rest)
+                for col, cost in lasts
+            ]
+
+        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
+            assert _pivots_and_counts(lambda: sweep(pairs)) == _pivots_and_counts(sweep)
 
 
 def _reference_ball_rows(space):

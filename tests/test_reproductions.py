@@ -1,10 +1,12 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from lipfree import reproduce
+from lipfree import lp, reproduce
 from lipfree.functions import nearest_point_function
-from lipfree.metric import build_two_anchor_space
+from lipfree.metric import build_example1_space, build_two_anchor_space, metric_violations
 from lipfree.reproduce import (
     scan_theorem4_condition6,
     verify_daugavet_recursion,
@@ -13,10 +15,71 @@ from lipfree.reproduce import (
     verify_example2,
     verify_two_anchor_daugavet,
 )
+from lipfree.sampling import random_lip_function
 from lipfree.scalars import rat
 
 
+def _reference_sign_normalize(f):
+    """The Fraction sign normalization example 1's sampler made before it
+    ran on ints: (s f, smallest admissible point) for the first sign s with
+    f(m_k1) <= 3/4 for all k and some f(m_1j) >= 0."""
+    space = f.space
+    base, d = space.base, space.d
+    for cand in (f, -f):
+        values = cand.values
+        if all(values[k] - values[base] <= rat("3/4") * d[k][base] for k in space.points() if k != base):
+            admissible = [j for j in space.points() if j != base and values[base] >= values[j]]
+            if admissible:
+                return cand, min(admissible)
+    raise ValueError("no sign normalization exists; is ||f|| <= 1?")
+
+
+def _reference_samples(space, n, samples, seed):
+    rng = random.Random(seed)
+    fns, attempts = [], 0
+    while len(fns) < samples and attempts < 2000 * samples:
+        attempts += 1
+        cand, smallest = _reference_sign_normalize(random_lip_function(rng, space))
+        if smallest == n - 1:
+            fns.append(cand)
+    return fns, attempts
+
+
 class TestExample1:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_int_sampler_keeps_the_fraction_samples(self, n, monkeypatch):
+        space = build_example1_space(24)
+        kept = []
+        solve = lp.max_over_pairs
+
+        def recording(space, fn, *rest):
+            kept.append(fn)
+            return solve(space, fn, *rest)
+
+        monkeypatch.setattr(lp, "max_over_pairs", recording)
+        for seed in range(5):
+            kept.clear()
+            report = verify_example1(N=24, n=n, samples=3, seed=seed)
+            fns, attempts = _reference_samples(space, n, 3, seed)
+            check = next(c for c in report.checks if c.description.startswith("rejection sampling"))
+            assert check.values == {"found": len(fns), "attempts": attempts}
+            assert kept == fns
+
+    def test_a_draw_no_sign_admits_is_an_error(self, monkeypatch):
+        # L far below the true constant puts both signs above the 3/4 cap
+        monkeypatch.setattr(reproduce, "lip_constant", lambda *args: (Fraction(1, 100), None))
+        with pytest.raises(ValueError, match="no sign normalization"):
+            verify_example1(N=24, n=3, samples=1, seed=0)
+
+    def test_space_is_three_minus_reciprocal_gap(self):
+        for N in range(2, 31):
+            space = build_example1_space(N)
+            assert space.d == tuple(
+                tuple(Fraction(0) if a == b else 3 - abs(Fraction(1, a) - Fraction(1, b)) for b in range(1, N + 1))
+                for a in range(1, N + 1)
+            )
+            assert next(metric_violations(space), None) is None
+
     def test_small_run_passes(self):
         report = verify_example1(N=10, n=3, samples=3, seed=7)
         assert report.overall
