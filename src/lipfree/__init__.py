@@ -3,41 +3,41 @@
 Norms are Kantorovich-Rubinstein transport values computed by exact
 rational linear programming, with a dual norming function and a primal
 transport plan certifying every result.
+
+The exported names are resolved on first use from their home modules, so
+``import lipfree`` loads no submodule.
 """
 
-from .free import (
-    FreeElement,
-    FreeNormResult,
-    Molecule,
-    all_molecules,
-    free_dist,
-    free_norm,
-    molecule_distance_formula,
-    molecules_in_slice,
-)
-from .functions import (
-    LipFunction,
-    annulus_case_extension,
-    daugavet_recursive_construction,
-    delta_hat_family,
-    mcshane_extend,
-    nearest_point_function,
-    tail_plateau,
-)
-from .metric import (
-    FiniteMetricSpace,
-    build_example1_space,
-    build_example2_space,
-    build_half_line_space,
-    build_hat_space,
-    build_recursion_space,
-    build_two_anchor_space,
-    extract_separated_pairs,
-    seg,
-    validate,
-)
-from .reports import CertificateReport, CheckRecord
-from .scalars import as_float, rat, rat_str
+import importlib
+
+# home module of each exported name; looked up on every access and never
+# cached here, so a name rebound in its home module shows through lipfree.<name>
+_HOME = {
+    name: module
+    for module, names in {
+        "free": "FreeElement FreeNormResult Molecule all_molecules free_dist free_norm "
+        "molecule_distance_formula molecules_in_slice",
+        "functions": "LipFunction annulus_case_extension daugavet_recursive_construction "
+        "delta_hat_family mcshane_extend nearest_point_function tail_plateau",
+        "metric": "FiniteMetricSpace build_example1_space build_example2_space "
+        "build_half_line_space build_hat_space build_recursion_space build_two_anchor_space "
+        "extract_separated_pairs seg validate",
+        "reports": "CertificateReport CheckRecord",
+        "scalars": "as_float rat rat_str",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"
 

@@ -8,7 +8,8 @@ everything else is the JSON envelope ``{"mode", "seed", "result"}``, or a
 CSV table for the dichotomy profile, on stdout or in the ``--out`` file.
 Exit codes: 0 when everything requested verified, 1 when a certificate or
 validation fails, 2 for unusable input. Output is byte-identical for
-identical inputs, parameters and seed.
+identical inputs, parameters and seed. Each handler imports the modules it
+runs when it is called, so start-up loads only this module and ``scalars``.
 """
 
 from __future__ import annotations
@@ -21,24 +22,6 @@ import json
 import sys
 from typing import Optional
 
-from . import diametral, reproduce
-from .free import FreeElement, free_dist, free_norm, molecules_in_slice
-from .functions import (
-    LipFunction,
-    daugavet_recursive_construction,
-    delta_hat_family,
-    mcshane_extend,
-    nearest_point_function,
-)
-from .metric import (
-    FiniteMetricSpace,
-    build_annuli_space,
-    build_hat_space,
-    build_recursion_space,
-    metric_violations,
-    validate,
-)
-from .reports import render
 from .scalars import parse_rat, rat
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -61,6 +44,7 @@ def _load_json(path: str) -> dict:
 
 def _metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """The space, or a CliError naming its first violation of a metric axiom."""
+    from .metric import metric_violations
     bad = next(metric_violations(space), None)
     if bad is None:
         return space
@@ -73,6 +57,7 @@ def _metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
 
 
 def _space_from_args(args) -> FiniteMetricSpace:
+    from .metric import FiniteMetricSpace
     if getattr(args, "space", None) is None:
         raise CliError("--space is required for this command")
     return _metric(FiniteMetricSpace.from_json(_load_json(args.space)))
@@ -81,6 +66,7 @@ def _space_from_args(args) -> FiniteMetricSpace:
 def _function_from_args(args) -> LipFunction:
     """The function file's values on its own space or on --space; a space given
     both ways must be the same space."""
+    from .functions import LipFunction
     obj = _load_json(args.function)
     if "space" not in obj:
         return LipFunction.from_json(obj, space=_space_from_args(args))
@@ -92,6 +78,7 @@ def _function_from_args(args) -> LipFunction:
 
 
 def _element_from_path(path: str, space: FiniteMetricSpace) -> FreeElement:
+    from .free import FreeElement
     return FreeElement.from_json(_load_json(path), space)
 
 
@@ -104,6 +91,7 @@ def _scalar_list(text: str) -> list:
 
 
 def cmd_validate(args) -> tuple:
+    from .metric import FiniteMetricSpace, validate
     rep = validate(FiniteMetricSpace.from_json(_load_json(args.space)))
     return (PASS if rep.ok else FAIL), rep.to_json()
 
@@ -113,6 +101,7 @@ def cmd_lipnorm(args) -> tuple:
 
 
 def cmd_freenorm(args) -> tuple:
+    from .free import free_norm
     space = _space_from_args(args)
     res = free_norm(_element_from_path(args.element, space))
     plan = [[space.labels[p], space.labels[q], m] for p, q, m in res.plan.flows]
@@ -120,6 +109,7 @@ def cmd_freenorm(args) -> tuple:
 
 
 def cmd_dist(args) -> tuple:
+    from .free import free_dist
     space = _space_from_args(args)
     mu = _element_from_path(args.first, space)
     nu = _element_from_path(args.second, space)
@@ -127,6 +117,7 @@ def cmd_dist(args) -> tuple:
 
 
 def cmd_extend(args) -> tuple:
+    from .functions import mcshane_extend
     space = _space_from_args(args)
     values = {
         space.index(lbl): parse_rat(v, "values") for lbl, v in _load_json(args.values).items()
@@ -143,6 +134,7 @@ def cmd_extend(args) -> tuple:
 
 
 def cmd_slice(args) -> tuple:
+    from .free import molecules_in_slice
     f = _function_from_args(args)
     labels = f.space.labels
     alpha = rat(args.alpha)
@@ -154,6 +146,8 @@ def cmd_slice(args) -> tuple:
 
 
 def cmd_construct(args) -> tuple:
+    from .functions import daugavet_recursive_construction, delta_hat_family, nearest_point_function
+    from .metric import build_hat_space, build_recursion_space
     if args.construction == "daugavet":
         rs = build_recursion_space(args.stages)
         f, log = daugavet_recursive_construction(rs.space, rs.pairs, rs.annuli)
@@ -188,6 +182,8 @@ def _given(args, **params) -> dict:
 
 
 def cmd_certify(args) -> tuple:
+    from . import diametral, reproduce
+    from .metric import build_annuli_space
     name = args.certificate
     if getattr(args, "samples", 0) < 0:
         raise CliError("--samples must be non-negative")
@@ -216,10 +212,9 @@ def cmd_certify(args) -> tuple:
 
 
 def cmd_scan_dichotomy(args) -> tuple:
+    from .reproduce import scan_theorem4_condition6
     f = _function_from_args(args)
-    report = reproduce.scan_theorem4_condition6(
-        f.space, f, _scalar_list(args.eps_grid), args.radius
-    )
+    report = scan_theorem4_condition6(f.space, f, _scalar_list(args.eps_grid), args.radius)
     if args.format == "json":
         return PASS, report
     rows = [["eps", "molecules", "min_pair_distance", "max_support_radius",
@@ -333,6 +328,7 @@ def _parser() -> argparse.ArgumentParser:
 def _text(args, result) -> str:
     """The result rendered under --mode: a bare value, the CSV table or the
     JSON envelope."""
+    from .reports import render
     if args.command in BARE and not args.out:
         return render(result[BARE[args.command]], args.mode) + "\n"
     if getattr(args, "format", "json") == "csv":

@@ -1,7 +1,10 @@
 """The comparison rule of tools/bench_pairs.py, on made-up runs."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -25,6 +28,25 @@ def test_pair_wins_follow_the_metric_direction_and_ties_count_for_neither():
     assert (out["wall_s"]["base"]["q1"], out["wall_s"]["base"]["median"], out["wall_s"]["base"]["q3"]) == (2, 3, 4)
     assert out["wall_s"]["base_iqr"] == 2
     assert out["wall_s"]["median_change"] == (2.0 - 3.0) / 3.0
+
+
+def test_order_balanced_ratio_cancels_a_second_run_penalty():
+    """A true change of x0.9 and a x1.14 penalty on whichever side runs
+    second: pair i runs the base first when i is even."""
+    base = [1.0, 2.0, 1.5, 1.0, 3.0, 2.5]
+    head = [b * 0.9 * (1.14 if i % 2 == 0 else 1 / 1.14) for i, b in enumerate(base)]
+    ratio = bench_pairs.log_ratios(base, head)
+    assert ratio["base_first"] == pytest.approx(math.log(0.9 * 1.14))
+    assert ratio["head_first"] == pytest.approx(math.log(0.9 / 1.14))
+    assert ratio["balanced"] == pytest.approx(math.log(0.9))
+    spec = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    assert bench_pairs.compare({"base": _runs(base), "head": _runs(head)}, spec)["wall_s"]["log_ratio"] == ratio
+
+
+def test_order_balanced_ratio_is_null_on_a_zero_or_a_single_pair():
+    empty = {"base_first": None, "head_first": None, "balanced": None}
+    assert bench_pairs.log_ratios([1.0, 0.0], [1.0, 1.0]) == empty
+    assert bench_pairs.log_ratios([1.0], [0.5]) == empty
 
 
 def test_tier1_parser_reads_counts_wall_time_and_acceptance_calls():

@@ -23,7 +23,30 @@ from lipfree.metric import (
     example2_point,
 )
 from lipfree.sampling import random_free_element, random_space
-from lipfree.scalars import ONE, ZERO, rat
+from lipfree.scalars import ONE, ZERO, over_common_denominator, rat
+
+
+def _network_simplex_cost(space, mu) -> Fraction:
+    """The transport cost of mu by networkx's network simplex, which shares no
+    code with lipfree: the complete digraph weighted by the int_view
+    distances, each non-base point supplying its weight over the weights'
+    common denominator and the base taking the balance. Its arithmetic is on
+    ints, so the cost is exact."""
+    import networkx as nx
+
+    D, scale = space.int_view
+    weights = {p: w for p, w in mu.weight_dict().items() if p != space.base}
+    nums, den = over_common_denominator(weights.values())
+    graph = nx.DiGraph()
+    graph.add_nodes_from(space.points(), demand=0)
+    for p, num in zip(weights, nums):
+        graph.nodes[p]["demand"] = -num
+    graph.nodes[space.base]["demand"] = sum(nums)
+    graph.add_weighted_edges_from(
+        (p, q, D[p][q]) for p in space.points() for q in space.points() if p != q
+    )
+    cost, _ = nx.network_simplex(graph)
+    return Fraction(cost, den * scale)
 
 
 class TestFreeElement:
@@ -64,6 +87,15 @@ class TestFreeNorm:
     def test_delta_norm_is_distance_to_base(self, line4):
         for p in line4.points():
             assert free_norm(FreeElement.delta(line4, p)).value == line4.d[0][p]
+
+    def test_ball_value_equals_network_simplex_on_acceptance_01_draws(self):
+        """The 200 draws of acceptance 01, solved by an oracle outside lipfree."""
+        rng = random.Random(20240801)
+        for _ in range(200):
+            space = random_space(rng, rng.randint(2, 20))
+            mu = random_free_element(rng, space, support_size=rng.randint(1, space.n), norm_one=False)
+            sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=mu))
+            assert sol.value == _network_simplex_cost(space, mu)
 
     def test_zero_norm(self, triangle):
         res = free_norm(FreeElement.zero(triangle))

@@ -228,6 +228,29 @@ class TestBuilders:
         assert not ok
         assert any(kind == "annuli-overlap" for kind, _ in failures)
 
+    def test_pair_outside_its_annulus_detected(self):
+        rs = build_recursion_space(3)
+        bad = (rs.annuli[0], rs.annuli[1] - {rs.pairs[1][1]}, rs.annuli[2])
+        assert check_annuli_hypothesis(rs.space, rs.pairs, bad, rs.eps) == (
+            False, [("pair-outside-annulus", (2, 2, 3))]
+        )
+
+    def test_broken_quadruple_inequality_detected(self):
+        """No single distance of build_recursion_space(3) can break the
+        inequality and leave a metric: each check is linear in that distance,
+        and both ends of its triangle range pass. So the far point 6 moves to
+        d(u_3, v_3) right of v_3 (point 5) and stays outside A_3's set. For
+        x < u_3 < v_3 < y on a line, d(u,x) + d(v,y) = d(x,y) - d(u,v), which
+        falls short of (15/16)(d(u,v) + d(x,y)) for y = 6 and every x in
+        0..3; every other quadruple of every pair holds."""
+        rs = build_recursion_space(3)
+        coords = [rs.space.d[0][p] for p in rs.space.points()]
+        moved = build_half_line_space(coords[:-1] + [coords[5] + coords[5] - coords[4]])
+        assert validate(moved).ok
+        assert check_annuli_hypothesis(moved, rs.pairs, rs.annuli, rs.eps) == (
+            False, [("quadruple", (3, 4, 5, x, 6)) for x in range(4)]
+        )
+
 
 class TestAnnulusInequality:
     def test_half_line_sweep_clean(self):

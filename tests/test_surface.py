@@ -1,9 +1,20 @@
 """The public surface of lipfree is exactly what its own modules and the
 acceptance tests use: every public module-level function or class must be
-referenced by name outside its own body (imports do not count)."""
+referenced by name outside its own body (imports do not count). The package
+resolves its exported names from their home modules on first use, and the
+CLI starts without importing the modules its commands run."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import lipfree
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = sorted((TESTS.parent / "src" / "lipfree").glob("*.py"))
@@ -40,3 +51,38 @@ def test_all_matches_package_imports():
     }
     assert [name for name in lipfree.__all__ if not hasattr(lipfree, name)] == []
     assert sorted(imported - set(lipfree.__all__)) == []
+
+
+def test_exported_names_resolve_through_the_home_table():
+    assert set(lipfree._HOME) == set(lipfree.__all__)
+    for name, module in lipfree._HOME.items():
+        home = importlib.import_module(f"lipfree.{module}")
+        assert getattr(lipfree, name) is getattr(home, name), name
+    assert set(lipfree.__all__) <= set(dir(lipfree))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lipfree.no_such_name
+
+
+STARTUP = """
+import json, sys
+import lipfree
+loaded = [sorted(m for m in sys.modules if m.startswith("lipfree"))]
+import lipfree.cli
+loaded.append(sorted(m for m in sys.modules if m.startswith("lipfree")))
+lipfree.cli.main(["certify", "two-anchor", "--N", "5", "--out", sys.argv[1]])
+loaded.append(sorted(m for m in sys.modules if m.startswith("lipfree")))
+print(json.dumps(loaded))
+"""
+
+
+def test_start_up_loads_only_what_a_command_needs(tmp_path):
+    """import lipfree loads no submodule and import lipfree.cli two; the
+    first certify loads all ten, as the benchmark's warm-up op relies on."""
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP, str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    package, cli, certified = json.loads(proc.stdout)
+    assert package == ["lipfree"]
+    assert cli == ["lipfree", "lipfree.cli", "lipfree.scalars"]
+    assert certified == ["lipfree"] + [f"lipfree.{m.stem}" for m in SOURCES
+                                       if m.stem not in ("__init__", "__main__")]

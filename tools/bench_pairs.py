@@ -10,9 +10,12 @@ and the run length are those ``BENCHMARK.json`` fixes. On every workload,
 pair i of ten runs both sides on seed ``first_seed + i`` with ``--trace 0``,
 the base first when i is even and the head first when i is odd; then each
 side makes one ``--trace 1`` run on ``first_seed``. Per workload and metric the file holds
-each side's runs, median and quartiles and the number of pairs the head wins
+each side's runs, median and quartiles, the number of pairs the head wins
 (strictly better in the direction ``BENCHMARK.json`` gives; ties count for
-neither side), and per side the traced per-layer figures. Before the
+neither side) and the order-balanced change: the mean log ratio head/base
+over the base-first pairs, the same over the head-first pairs, and their
+average, which cancels a constant penalty for running second. Per side it
+holds the traced per-layer figures. Before the
 workloads, each side runs its tier-1 suite once; the file holds its passed
 and failed counts, its wall time and the call times of acceptance 03 and 04,
 and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -135,9 +139,21 @@ def head_wins(base: list, head: list, better: str) -> int:
     return sum(h > b for b, h in zip(base, head))
 
 
+def log_ratios(base: list, head: list) -> dict:
+    """Mean log(head/base) over the base-first pairs (even i), over the
+    head-first pairs (odd i), and their average; all None with fewer than two
+    pairs or a value that is not positive."""
+    if len(base) < 2 or min(base + head) <= 0:
+        return dict.fromkeys(("base_first", "head_first", "balanced"))
+    ratios = [math.log(h / b) for b, h in zip(base, head)]
+    base_first, head_first = statistics.fmean(ratios[0::2]), statistics.fmean(ratios[1::2])
+    return {"base_first": base_first, "head_first": head_first, "balanced": (base_first + head_first) / 2}
+
+
 def compare(results: dict, spec: dict) -> dict:
-    """Per end-to-end metric: each side's summary, the head's pair wins and
-    the parent's quartile spread against the distance between medians."""
+    """Per end-to-end metric: each side's summary, the head's pair wins, the
+    order-balanced log ratios and the parent's quartile spread against the
+    distance between medians."""
     out = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -149,6 +165,7 @@ def compare(results: dict, spec: dict) -> dict:
             "base": b, "head": h,
             "head_wins": head_wins(base, head, metric["better"]), "pairs": len(base),
             "median_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
+            "log_ratio": log_ratios(base, head),
             "base_iqr": b["q3"] - b["q1"],
         }
     return out
@@ -207,9 +224,11 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["end_to_end"].items():
+            balanced = m["log_ratio"]["balanced"]
             print(f"{workload:13} {name:13} base {m['base']['median']:.6g} [{m['base']['q1']:.6g}, "
                   f"{m['base']['q3']:.6g}]  head {m['head']['median']:.6g} [{m['head']['q1']:.6g}, "
-                  f"{m['head']['q3']:.6g}]  head wins {m['head_wins']}/{m['pairs']}")
+                  f"{m['head']['q3']:.6g}]  head wins {m['head_wins']}/{m['pairs']}  balanced "
+                  + (f"{math.expm1(balanced):+.1%}" if balanced is not None else "n/a"))
     return 0
 
 
