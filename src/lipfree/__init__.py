@@ -4,11 +4,28 @@ Norms are Kantorovich-Rubinstein transport values computed by exact
 rational linear programming, with a dual norming function and a primal
 transport plan certifying every result.
 
-The exported names are resolved on first use from their home modules, so
-``import lipfree`` loads no submodule.
+Every submodule is bound here at import but runs its body only when one of
+its attributes is first used (``importlib.util.LazyLoader``), and the
+exported names are looked up in their home modules on each access, so
+``import lipfree`` runs no submodule and a command runs only those it uses.
+On Python 3.11 a first use is not thread-safe; the package runs in one thread.
 """
 
-import importlib
+import importlib.util
+import sys
+
+_MODULES = ("cli", "diametral", "free", "functions", "lp", "metric", "reports", "reproduce", "sampling", "scalars")
+
+
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update((name, _lazy(name)) for name in _MODULES)
 
 # home module of each exported name; looked up on every access and never
 # cached here, so a name rebound in its home module shows through lipfree.<name>
@@ -32,7 +49,7 @@ _HOME = {
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__() -> list:
@@ -41,35 +58,4 @@ def __dir__() -> list:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateReport",
-    "CheckRecord",
-    "FiniteMetricSpace",
-    "FreeElement",
-    "FreeNormResult",
-    "LipFunction",
-    "Molecule",
-    "all_molecules",
-    "annulus_case_extension",
-    "as_float",
-    "build_example1_space",
-    "build_example2_space",
-    "build_half_line_space",
-    "build_hat_space",
-    "build_recursion_space",
-    "build_two_anchor_space",
-    "daugavet_recursive_construction",
-    "delta_hat_family",
-    "extract_separated_pairs",
-    "free_dist",
-    "free_norm",
-    "mcshane_extend",
-    "molecule_distance_formula",
-    "molecules_in_slice",
-    "nearest_point_function",
-    "rat",
-    "rat_str",
-    "seg",
-    "tail_plateau",
-    "validate",
-]
+__all__ = sorted(_HOME)

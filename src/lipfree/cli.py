@@ -8,8 +8,8 @@ everything else is the JSON envelope ``{"mode", "seed", "result"}``, or a
 CSV table for the dichotomy profile, on stdout or in the ``--out`` file.
 Exit codes: 0 when everything requested verified, 1 when a certificate or
 validation fails, 2 for unusable input. Output is byte-identical for
-identical inputs, parameters and seed. Each handler imports the modules it
-runs when it is called, so start-up loads only this module and ``scalars``.
+identical inputs, parameters and seed. The package binds its modules
+lazily, so a command runs only the modules its handler calls into.
 """
 
 from __future__ import annotations
@@ -22,9 +22,32 @@ import json
 import sys
 from typing import Optional
 
+from . import diametral, free, functions, metric, reports, reproduce
 from .scalars import parse_rat, rat
 
 PASS, FAIL, ERROR = 0, 1, 2
+
+# names the handlers call in other modules, also readable as attributes of
+# this one; looked up in the home module on each access, so a name rebound
+# there (by a test or the benchmark's tracer) shows through here too
+_HOME = {
+    name: module
+    for module, names in {
+        "free": "FreeElement free_dist free_norm molecules_in_slice",
+        "functions": "LipFunction daugavet_recursive_construction delta_hat_family mcshane_extend "
+        "nearest_point_function",
+        "metric": "FiniteMetricSpace build_annuli_space build_hat_space build_recursion_space "
+        "metric_violations validate",
+        "reports": "render",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
 
 
 class CliError(Exception):
@@ -42,10 +65,9 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
+def _metric(space: metric.FiniteMetricSpace) -> metric.FiniteMetricSpace:
     """The space, or a CliError naming its first violation of a metric axiom."""
-    from .metric import metric_violations
-    bad = next(metric_violations(space), None)
+    bad = next(metric.metric_violations(space), None)
     if bad is None:
         return space
     points = ", ".join(repr(space.labels[p]) for p in bad.indices)
@@ -56,30 +78,27 @@ def _metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     raise CliError(f"the space is not a metric: {text}")
 
 
-def _space_from_args(args) -> FiniteMetricSpace:
-    from .metric import FiniteMetricSpace
+def _space_from_args(args) -> metric.FiniteMetricSpace:
     if getattr(args, "space", None) is None:
         raise CliError("--space is required for this command")
-    return _metric(FiniteMetricSpace.from_json(_load_json(args.space)))
+    return _metric(metric.FiniteMetricSpace.from_json(_load_json(args.space)))
 
 
-def _function_from_args(args) -> LipFunction:
+def _function_from_args(args) -> functions.LipFunction:
     """The function file's values on its own space or on --space; a space given
     both ways must be the same space."""
-    from .functions import LipFunction
     obj = _load_json(args.function)
     if "space" not in obj:
-        return LipFunction.from_json(obj, space=_space_from_args(args))
-    f = LipFunction.from_json(obj)
+        return functions.LipFunction.from_json(obj, space=_space_from_args(args))
+    f = functions.LipFunction.from_json(obj)
     _metric(f.space)
     if args.space is not None and _space_from_args(args) != f.space:
         raise CliError("the function file carries a space that differs from --space")
     return f
 
 
-def _element_from_path(path: str, space: FiniteMetricSpace) -> FreeElement:
-    from .free import FreeElement
-    return FreeElement.from_json(_load_json(path), space)
+def _element_from_path(path: str, space: metric.FiniteMetricSpace) -> free.FreeElement:
+    return free.FreeElement.from_json(_load_json(path), space)
 
 
 def _scalar_list(text: str) -> list:
@@ -91,8 +110,7 @@ def _scalar_list(text: str) -> list:
 
 
 def cmd_validate(args) -> tuple:
-    from .metric import FiniteMetricSpace, validate
-    rep = validate(FiniteMetricSpace.from_json(_load_json(args.space)))
+    rep = metric.validate(metric.FiniteMetricSpace.from_json(_load_json(args.space)))
     return (PASS if rep.ok else FAIL), rep.to_json()
 
 
@@ -101,28 +119,25 @@ def cmd_lipnorm(args) -> tuple:
 
 
 def cmd_freenorm(args) -> tuple:
-    from .free import free_norm
     space = _space_from_args(args)
-    res = free_norm(_element_from_path(args.element, space))
+    res = free.free_norm(_element_from_path(args.element, space))
     plan = [[space.labels[p], space.labels[q], m] for p, q, m in res.plan.flows]
     return PASS, {"norm": res.value, "witness": res.witness.values, "plan": plan}
 
 
 def cmd_dist(args) -> tuple:
-    from .free import free_dist
     space = _space_from_args(args)
     mu = _element_from_path(args.first, space)
     nu = _element_from_path(args.second, space)
-    return PASS, {"dist": free_dist(mu, nu)}
+    return PASS, {"dist": free.free_dist(mu, nu)}
 
 
 def cmd_extend(args) -> tuple:
-    from .functions import mcshane_extend
     space = _space_from_args(args)
     values = {
         space.index(lbl): parse_rat(v, "values") for lbl, v in _load_json(args.values).items()
     }
-    f = mcshane_extend(
+    f = functions.mcshane_extend(
         space,
         values.keys(),
         values,
@@ -134,23 +149,20 @@ def cmd_extend(args) -> tuple:
 
 
 def cmd_slice(args) -> tuple:
-    from .free import molecules_in_slice
     f = _function_from_args(args)
     labels = f.space.labels
     alpha = rat(args.alpha)
     molecules = [
         {"u": labels[m.u], "v": labels[m.v], "value": f.molecule_value(m.u, m.v)}
-        for m in molecules_in_slice(f.space, f, alpha)
+        for m in free.molecules_in_slice(f.space, f, alpha)
     ]
     return PASS, {"alpha": alpha, "molecules": molecules}
 
 
 def cmd_construct(args) -> tuple:
-    from .functions import daugavet_recursive_construction, delta_hat_family, nearest_point_function
-    from .metric import build_hat_space, build_recursion_space
     if args.construction == "daugavet":
-        rs = build_recursion_space(args.stages)
-        f, log = daugavet_recursive_construction(rs.space, rs.pairs, rs.annuli)
+        rs = metric.build_recursion_space(args.stages)
+        f, log = functions.daugavet_recursive_construction(rs.space, rs.pairs, rs.annuli)
         return PASS, {
             "space": rs.space.to_json(),
             "function": f.values,
@@ -165,14 +177,14 @@ def cmd_construct(args) -> tuple:
             ],
         }
     if args.construction == "delta-hat":
-        hs = build_hat_space(args.pairs, args.scale)
-        fam = delta_hat_family(hs.space, hs.pairs, hs.scale, hs.tolerance)
+        hs = metric.build_hat_space(args.pairs, args.scale)
+        fam = functions.delta_hat_family(hs.space, hs.pairs, hs.scale, hs.tolerance)
         g = {i: g.values for i, g in fam.g.items()}
         return PASS, {"space": hs.space.to_json(), "f": fam.f.values, "g": g}
     # nearest
     space = _space_from_args(args)
     sites = [space.index(lbl) for lbl in _scalar_list(args.sites)]
-    f = nearest_point_function(space, sites)
+    f = functions.nearest_point_function(space, sites)
     return PASS, {"function": f.values, "norm": f.norm}
 
 
@@ -182,8 +194,6 @@ def _given(args, **params) -> dict:
 
 
 def cmd_certify(args) -> tuple:
-    from . import diametral, reproduce
-    from .metric import build_annuli_space
     name = args.certificate
     if getattr(args, "samples", 0) < 0:
         raise CliError("--samples must be non-negative")
@@ -204,7 +214,7 @@ def cmd_certify(args) -> tuple:
         eps = getattr(args, "eps", ["1/5"])
         if len(eps) != 1:
             raise CliError("certify annuli takes a single --eps value")
-        asp = build_annuli_space(**_given(args, k="pairs"), eps=eps[0])
+        asp = metric.build_annuli_space(**_given(args, k="pairs"), eps=eps[0])
         report = diametral.verify_separated_annuli(
             asp.space, asp.pairs, asp.annuli, asp.eps, **seeded
         )
@@ -212,9 +222,10 @@ def cmd_certify(args) -> tuple:
 
 
 def cmd_scan_dichotomy(args) -> tuple:
-    from .reproduce import scan_theorem4_condition6
     f = _function_from_args(args)
-    report = scan_theorem4_condition6(f.space, f, _scalar_list(args.eps_grid), args.radius)
+    report = reproduce.scan_theorem4_condition6(
+        f.space, f, _scalar_list(args.eps_grid), args.radius
+    )
     if args.format == "json":
         return PASS, report
     rows = [["eps", "molecules", "min_pair_distance", "max_support_radius",
@@ -328,14 +339,13 @@ def _parser() -> argparse.ArgumentParser:
 def _text(args, result) -> str:
     """The result rendered under --mode: a bare value, the CSV table or the
     JSON envelope."""
-    from .reports import render
     if args.command in BARE and not args.out:
-        return render(result[BARE[args.command]], args.mode) + "\n"
+        return reports.render(result[BARE[args.command]], args.mode) + "\n"
     if getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(render(result, args.mode))
+        csv.writer(buf, lineterminator="\n").writerows(reports.render(result, args.mode))
         return buf.getvalue()
-    envelope = {"mode": args.mode, "seed": args.seed, "result": render(result, args.mode)}
+    envelope = {"mode": args.mode, "seed": args.seed, "result": reports.render(result, args.mode)}
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
