@@ -14,7 +14,10 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
-from . import diametral, lp
+# names from diametral and lp, not only the modules, which the package binds
+# lazily: both then run with this module, before a certificate's first verifier
+from . import lp
+from .diametral import verify_separated_annuli, wstar_delta_radius
 from .free import FreeElement, Molecule, free_dist, free_norm, molecule_distance_formula
 from .functions import (
     LipFunction,
@@ -24,6 +27,7 @@ from .functions import (
     nearest_point_function,
     tail_plateau,
 )
+from .lp import INFEASIBLE, molecule_weights
 from .metric import (
     FiniteMetricSpace,
     build_example1_space,
@@ -76,7 +80,7 @@ def verify_example1(
     alpha = rat(f"1/{3 * n}") - rat(f"1/{3 * (n + 1)}")
     mu_weights: dict = {}
     for i in range(1, n):
-        for p, w in lp.molecule_weights(space, i - 1, n - 1).items():
+        for p, w in molecule_weights(space, i - 1, n - 1).items():
             mu_weights[p] = mu_weights.get(p, ZERO) + w / (n - 1)
     mu = FreeElement.make(space, mu_weights)
     report = CertificateReport(
@@ -121,7 +125,7 @@ def verify_example1(
     bound = ONE - alpha / n
     for idx, fn in enumerate(fns):
         res = lp.max_over_pairs(space, fn, TWO - alpha, mu)
-        passed = res.status == lp.INFEASIBLE or res.value < bound
+        passed = res.status == INFEASIBLE or res.value < bound
         report.add(
             f"sample[{idx}]: far functions avoid the slice",
             "max mu(g) over g with ||f-g|| >= 2-alpha is < 1 - alpha/n",
@@ -224,7 +228,7 @@ def verify_example2(
     target = Molecule(space, un1, vn1)
     for e in eps_list:
         closed_max = lp.max_over_pairs(space, f, TWO - 2 * e, target, pairs=core_pairs).value
-        strict_max = diametral.wstar_delta_radius(
+        strict_max = wstar_delta_radius(
             space, f, target.element(), ONE - 2 * e, require_membership=False, pairs=core_pairs
         ).value
         passed = closed_max is not None and closed_max <= 2 * e and strict_max <= TWO - 2 * e
@@ -353,7 +357,7 @@ def verify_daugavet_recursion(
         name="daugavet-recursion",
         parameters={"stages": stages, "samples": samples, "seed": seed},
     )
-    annuli_report = diametral.verify_separated_annuli(
+    annuli_report = verify_separated_annuli(
         space, pairs, annuli, rs.eps, samples=samples, seed=seed
     )
     if not annuli_report.checks[0].passed:

@@ -99,13 +99,16 @@ import lipfree.cli
 stages["cli"] = ran()
 lipfree.cli.main(["freenorm", *sys.argv[1:]])
 stages["freenorm"] = ran()
+lipfree.cli.main(["certify", "two-anchor", "--N", "5", "--out", sys.argv[-1]])
+stages["certify"] = ran()
 print(json.dumps(stages))
 """
 
 
 def test_start_up_runs_only_the_modules_a_command_uses(tmp_path):
     """The package binds every module and runs none, import lipfree.cli runs
-    two, and freenorm runs what a norm needs but no certificate module."""
+    two, freenorm runs what a norm needs but no certificate module, and a
+    certify runs all ten, as the benchmark's warm-up op relies on."""
     space, element = tmp_path / "space.json", tmp_path / "mu.json"
     space.write_text(json.dumps({"labels": ["a", "b", "c"], "base": 0,
                                  "d": [["0", "1", "2"], ["1", "0", "2"], ["2", "2", "0"]]}))
@@ -119,3 +122,4 @@ def test_start_up_runs_only_the_modules_a_command_uses(tmp_path):
     assert stages["cli"] == ["lipfree", "lipfree.cli", "lipfree.scalars"]
     norm = ("cli", "free", "functions", "lp", "metric", "reports", "scalars")
     assert stages["freenorm"] == ["lipfree"] + [f"lipfree.{m}" for m in norm]
+    assert stages["certify"] == ["lipfree"] + [f"lipfree.{m}" for m in MODULES]
