@@ -8,13 +8,13 @@ Every submodule is bound here at import but runs its body only when one of
 its attributes is first used (``importlib.util.LazyLoader``), and the
 exported names are looked up in their home modules on each access, so
 ``import lipfree`` runs no submodule and a command runs only those it uses.
-On Python 3.11 a first use is not thread-safe; the package runs in one thread.
+Under Python 3.11 a first use from two threads at once is not safe.
 """
 
 import importlib.util
 import sys
 
-_MODULES = ("cli", "diametral", "free", "functions", "lp", "metric", "reports", "reproduce", "sampling", "scalars")
+_MODULES = "cli diametral free functions lp metric reports reproduce sampling scalars".split()
 
 
 def _lazy(name: str):

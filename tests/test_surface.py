@@ -73,7 +73,8 @@ def test_cli_names_resolve_through_their_home_modules(monkeypatch):
     called = {
         (n.value.id, n.attr)
         for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in cli._HOME.values()
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in cli._HOME.values()
     }
     assert called == {(module, name) for name, module in cli._HOME.items()}
     for name, module in cli._HOME.items():
@@ -115,7 +116,8 @@ def test_start_up_runs_only_the_modules_a_command_uses(tmp_path):
     element.write_text(json.dumps({"weights": {"b": "1", "c": "-1/2"}}))
     argv = [str(element), "--space", str(space), "--out", str(tmp_path / "out.json")]
     env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
+                          capture_output=True, text=True, check=True)
     stages = json.loads(proc.stdout)
     assert stages["bound"] == MODULES
     assert stages["package"] == ["lipfree"]
