@@ -538,13 +538,19 @@ class ExtractionResult:
 
 
 def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
-    """Largest distance b such that some closed ball of radius b holds < m points."""
-    values = sorted({space.d[i][j] for i, j in space.pairs()})
-    best = None
-    for b in values:
-        if any(len(space.ball(c, b)) < m for c in space.points()):
-            best = b
-    return best
+    """Largest distance b such that some closed ball of radius b holds < m points.
+
+    B(c, b) holds fewer than m >= 1 points exactly when b is below the m-th
+    smallest entry of row c, so b qualifies when it is below the largest such
+    order statistic over the rows (every distance qualifies when m > n). The
+    rows are sorted on the int view, O(n^2 log n) in all.
+    """
+    D, view_scale = space.int_view
+    distances = {D[i][j] for i, j in space.pairs()}
+    if m <= space.n:
+        cut = max(sorted(row)[m - 1] for row in D)
+        distances = [b for b in distances if b < cut]
+    return Fraction(max(distances), view_scale) if distances else None
 
 
 def _pair_bounds(space, scale, tolerance, k: int) -> list:
@@ -552,21 +558,24 @@ def _pair_bounds(space, scale, tolerance, k: int) -> list:
 
     Pair j needs scale (j-1)/j - tol <= d(u_j, v_j) <= scale (j+1)/j + tol,
     and other points at least scale (j-1)/(2j) - tol from u_j and v_j. Each
-    bound b becomes (b.den, b.num * view scale), so that a view distance D is
-    below b exactly when D * b.den < b.num * view scale.
+    bound b becomes (den, num) with den > 0 and b * view scale = num / den,
+    so that a view distance D is below b exactly when D * den < num. With
+    scale = s / sd and tol = t / td the three are, in ints,
+    ((s td (j-1) - t sd j) vs, (s td (j+1) + t sd j) vs, (s td (j-1) - 2 t sd j) vs)
+    over sd td j, sd td j and 2 sd td j, vs the view scale.
     """
     view_scale = space.int_view[1]
-    return [
-        tuple(
-            (b.denominator, b.numerator * view_scale)
-            for b in (
-                scale * (j - 1) / j - tolerance,
-                scale * (j + 1) / j + tolerance,
-                scale * (j - 1) / (2 * j) - tolerance,
-            )
-        )
-        for j in range(1, k + 1)
-    ]
+    s, sd = scale.numerator, scale.denominator
+    t, td = tolerance.numerator, tolerance.denominator
+    out = []
+    for j in range(1, k + 1):
+        den, base, slack = sd * td * j, s * td * view_scale, t * sd * j * view_scale
+        out.append((
+            (den, base * (j - 1) - slack),
+            (den, base * (j + 1) + slack),
+            (2 * den, base * (j - 1) - 2 * slack),
+        ))
+    return out
 
 
 def _pair_failures(space, pairs, bounds, j: int):
@@ -645,15 +654,18 @@ def extract_separated_pairs(space: FiniteMetricSpace, tolerance) -> ExtractionRe
     if space.n < 2:
         return ExtractionResult(scale=None, pairs=())
 
+    D, view_scale = space.int_view
     anchor = _population_scale(space, math.ceil(space.n / 4))
-    candidates = sorted({space.d[i][j] for i, j in space.pairs()})
+    candidates = sorted({D[i][j] for i, j in space.pairs()})
     if anchor is not None:
-        candidates.sort(key=lambda b: (abs(b - anchor), b))
+        at = int(anchor * view_scale)
+        candidates.sort(key=lambda b: (abs(b - at), b))
 
     all_pairs = list(space.ordered_pairs())
     best = ()
     best_scale = None
-    for a in candidates:
+    for b in candidates:
+        a = Fraction(b, view_scale)
         bounds = _pair_bounds(space, a, tolerance, space.n // 2)
         chosen = []
         used = set()

@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import spaces_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipfree.metric import (
     FiniteMetricSpace,
+    _pair_failures,
+    _population_scale,
     annulus_sweep,
     build_annuli_space,
     build_example1_space,
@@ -93,6 +97,56 @@ def ref_pair_sequence_failures(space, scale, pairs, tolerance):
                 if min(d[ui][p], d[vi][p]) < scale * (i - 1) / i - tolerance:
                     out.append(("later-separation", (i, ui, vi, p)))
     return out
+
+
+def ref_population_scale(space, m):
+    values = sorted({space.d[i][j] for i, j in space.pairs()})
+    best = None
+    for b in values:
+        if any(len(space.ball(c, b)) < m for c in space.points()):
+            best = b
+    return best
+
+
+def ref_pair_bounds(space, scale, tolerance, k):
+    view_scale = space.int_view[1]
+    return [
+        tuple(
+            (b.denominator, b.numerator * view_scale)
+            for b in (
+                scale * (j - 1) / j - tolerance,
+                scale * (j + 1) / j + tolerance,
+                scale * (j - 1) / (2 * j) - tolerance,
+            )
+        )
+        for j in range(1, k + 1)
+    ]
+
+
+def ref_extract_separated_pairs(space, tolerance):
+    """The greedy search with Fraction candidates and bounds."""
+    tolerance = rat(tolerance)
+    if space.n < 2:
+        return None, ()
+    anchor = ref_population_scale(space, math.ceil(space.n / 4))
+    candidates = sorted({space.d[i][j] for i, j in space.pairs()})
+    if anchor is not None:
+        candidates.sort(key=lambda b: (abs(b - anchor), b))
+    all_pairs = list(space.ordered_pairs())
+    best, best_scale = (), None
+    for a in candidates:
+        bounds = ref_pair_bounds(space, a, tolerance, space.n // 2)
+        chosen, used = [], set()
+        for u, v in all_pairs:
+            if u in used or v in used:
+                continue
+            trial = chosen + [(u, v)]
+            if next(_pair_failures(space, trial, bounds, len(trial)), None) is None:
+                chosen = trial
+                used.update((u, v))
+        if len(chosen) > len(best) and not pair_sequence_failures(space, a, chosen, tolerance):
+            best, best_scale = tuple(chosen), a
+    return best_scale, best
 
 
 class TestValidate:
@@ -410,6 +464,25 @@ class TestExtraction:
     def test_invalid_arguments(self, line4):
         with pytest.raises(ValueError):
             extract_separated_pairs(line4, 0)
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_hat_space_matches_fraction_reference(self, k):
+        hs = build_hat_space(k)
+        res = extract_separated_pairs(hs.space, hs.tolerance)
+        assert (res.scale, res.pairs) == ref_extract_separated_pairs(hs.space, hs.tolerance)
+        m = math.ceil(hs.space.n / 4)
+        assert _population_scale(hs.space, m) == ref_population_scale(hs.space, m)
+
+    def test_random_closures_match_fraction_reference(self):
+        rng = random.Random(36)
+        spaces = [*spaces_for(36, 12, n_range=(2, 9)),
+                  *(rational_metric_space(rng, rng.randint(2, 9)) for _ in range(12))]
+        for space in spaces:
+            for m in range(1, space.n + 2):
+                assert _population_scale(space, m) == ref_population_scale(space, m)
+            tolerance = random_fraction(rng, 1, 20)
+            res = extract_separated_pairs(space, tolerance)
+            assert (res.scale, res.pairs) == ref_extract_separated_pairs(space, tolerance)
 
 
 class TestJsonRoundTrip:

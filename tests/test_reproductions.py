@@ -1,12 +1,20 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from conftest import spaces_for
 
 from lipfree import lp, reproduce
+from lipfree.free import Molecule, free_dist
 from lipfree.functions import nearest_point_function
-from lipfree.metric import build_example1_space, build_two_anchor_space, metric_violations
+from lipfree.metric import (
+    FiniteMetricSpace,
+    build_example1_space,
+    build_two_anchor_space,
+    metric_violations,
+)
 from lipfree.reproduce import (
     scan_theorem4_condition6,
     verify_daugavet_recursion,
@@ -133,6 +141,58 @@ class TestDeltaExistence:
         # the pairwise separation reads only the value of each free_dist
         assert verify_delta_existence(k=12).overall
         assert lifts == []
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_separation_makes_no_solve(self, k):
+        before = lp.COUNTS.solves
+        assert verify_delta_existence(k=k).overall
+        assert lp.COUNTS.solves == before
+
+    def test_unwitnessed_pairs_fall_back_to_free_dist(self, monkeypatch):
+        # with no witness the 28 pairs of k = 12 are each one LP, and the
+        # report is the same bytes
+        witnessed = verify_delta_existence(k=12).dumps("exact")
+        monkeypatch.setattr(reproduce, "_separation_witnessed", lambda space, uv, pq: False)
+        before = lp.COUNTS.solves
+        assert verify_delta_existence(k=12).dumps("exact") == witnessed
+        assert lp.COUNTS.solves - before == 28
+
+
+class TestSeparationWitness:
+    """reproduce._separation_witnessed: a True is a proof of
+    free_dist(m_uv, m_pq) >= 1, a False proves nothing."""
+
+    def test_every_witnessed_pair_is_separated(self):
+        proved = unproved = 0
+        for space in spaces_for(36, 6, n_range=(4, 6)):
+            for (u, v), (p, q) in permutations(permutations(space.points(), 2), 2):
+                if len({u, v, p, q}) < 4:
+                    continue
+                if reproduce._separation_witnessed(space, (u, v), (p, q)):
+                    proved += 1
+                    assert free_dist(Molecule(space, u, v), Molecule(space, p, q)) >= 1
+                else:
+                    unproved += 1
+        assert proved and unproved
+
+    def test_parallel_pair_is_left_to_free_dist(self):
+        # u, v, p, q = (0, 0), (10, 0), (0, 1), (10, 1) in the l1 plane: each
+        # witness reads 0 on m_uv - m_pq, whose exact distance is 1/5
+        d = [[0, 10, 1, 11], [10, 0, 11, 1], [1, 11, 0, 10], [11, 1, 10, 0]]
+        space = FiniteMetricSpace.from_matrix(d)
+        assert next(metric_violations(space), None) is None
+        assert not reproduce._separation_witnessed(space, (0, 1), (2, 3))
+        assert free_dist(Molecule(space, 0, 1), Molecule(space, 2, 3)) == Fraction(1, 5)
+
+    def test_witness_that_is_not_1_lipschitz_proves_nothing(self):
+        # d(u, v) = d(p, q) = 10 breaks the triangle inequality through the
+        # other pair: both witnesses read 1 on m_uv - m_pq, but each changes
+        # by 5 over a distance of 1, and the exact distance is 1/5
+        d = [[0, 10, 1, 1], [10, 0, 1, 1], [1, 1, 0, 10], [1, 1, 10, 0]]
+        space = FiniteMetricSpace.from_matrix(d)
+        assert next(metric_violations(space)).kind == "triangle"
+        assert not reproduce._separation_witnessed(space, (0, 1), (2, 3))
+        assert free_dist(Molecule(space, 0, 1), Molecule(space, 2, 3)) == Fraction(1, 5)
 
 
 class TestDaugavetRecursion:

@@ -20,7 +20,7 @@ workloads, each side runs its tier-1 suite once; the file holds its passed
 and failed counts, its wall time and the call times of acceptance 03 and 04,
 and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
 pivots, Bland fallbacks) of one in-process run at the parameters of
-acceptance 03 and 04; a side whose ``lp`` has no counts records null.
+acceptance 03, 04 and 05; a side whose ``lp`` has no counts records null.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -49,13 +49,13 @@ ACCEPTANCE = {
     "acceptance_04_s": "tests/test_acceptance.py::test_04_example2_certificates",
 }
 
-# the runs of tests/test_acceptance.py's acceptance 03 and 04; prints one
-# JSON object of the simplex counts each run adds, or null per run
+# the runs of tests/test_acceptance.py's acceptance 03, 04 and 05; prints
+# one JSON object of the simplex counts each run adds, or null per run
 COUNTS_SCRIPT = """
 import json
 from lipfree import lp
 counts = getattr(lp, "COUNTS", None)
-out = {"acceptance_03": None, "acceptance_04": None}
+out = {"acceptance_03": None, "acceptance_04": None, "acceptance_05": None}
 if counts is not None:
     from lipfree import reproduce
     runs = {
@@ -63,6 +63,7 @@ if counts is not None:
         "acceptance_04": lambda: reproduce.verify_example2(
             N=7, n=6, alpha=["1/4", "1/2"], eps=["1/10", "1/5", "2/5"], samples=20, seed=0
         ),
+        "acceptance_05": lambda: reproduce.verify_delta_existence(k=16),
     }
     for name, run in runs.items():
         before = counts.as_dict()
@@ -121,7 +122,7 @@ def run_tier1(tree: Path) -> dict:
 
 
 def run_counts(tree: Path) -> dict:
-    """The simplex counts of acceptance 03 and 04 on the sources of tree."""
+    """The simplex counts of acceptance 03, 04 and 05 on the sources of tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COUNTS_SCRIPT], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
