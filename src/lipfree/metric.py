@@ -540,10 +540,8 @@ class ExtractionResult:
 def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
     """Largest distance b such that some closed ball of radius b holds < m points.
 
-    B(c, b) holds fewer than m >= 1 points exactly when b is below the m-th
-    smallest entry of row c, so b qualifies when it is below the largest such
-    order statistic over the rows (every distance qualifies when m > n). The
-    rows are sorted on the int view, O(n^2 log n) in all.
+    B(c, b) holds < m >= 1 points exactly when b is below the m-th smallest
+    entry of row c, so one sort of each int-view row decides every b.
     """
     D, view_scale = space.int_view
     distances = {D[i][j] for i, j in space.pairs()}
@@ -558,24 +556,21 @@ def _pair_bounds(space, scale, tolerance, k: int) -> list:
 
     Pair j needs scale (j-1)/j - tol <= d(u_j, v_j) <= scale (j+1)/j + tol,
     and other points at least scale (j-1)/(2j) - tol from u_j and v_j. Each
-    bound b becomes (den, num) with den > 0 and b * view scale = num / den,
-    so that a view distance D is below b exactly when D * den < num. With
-    scale = s / sd and tol = t / td the three are, in ints,
-    ((s td (j-1) - t sd j) vs, (s td (j+1) + t sd j) vs, (s td (j-1) - 2 t sd j) vs)
-    over sd td j, sd td j and 2 sd td j, vs the view scale.
+    bound b becomes ints (den, num), den > 0, with b * view scale = num / den,
+    so that a view distance D is below b exactly when D * den < num: with
+    scale = s/sd and tol = t/td, den is sd td j (2 sd td j for the third).
     """
     view_scale = space.int_view[1]
-    s, sd = scale.numerator, scale.denominator
-    t, td = tolerance.numerator, tolerance.denominator
-    out = []
-    for j in range(1, k + 1):
-        den, base, slack = sd * td * j, s * td * view_scale, t * sd * j * view_scale
-        out.append((
-            (den, base * (j - 1) - slack),
-            (den, base * (j + 1) + slack),
-            (2 * den, base * (j - 1) - 2 * slack),
-        ))
-    return out
+    s, t = scale.numerator * tolerance.denominator, tolerance.numerator * scale.denominator
+    den = scale.denominator * tolerance.denominator
+    return [
+        (
+            (den * j, (s * (j - 1) - t * j) * view_scale),
+            (den * j, (s * (j + 1) + t * j) * view_scale),
+            (2 * den * j, (s * (j - 1) - 2 * t * j) * view_scale),
+        )
+        for j in range(1, k + 1)
+    ]
 
 
 def _pair_failures(space, pairs, bounds, j: int):

@@ -278,7 +278,7 @@ def _separation_witnessed(space: FiniteMetricSpace, uv: tuple, pq: tuple) -> boo
     that neither witness proves the bound.
     """
     D, scale = space.int_view
-    points = sorted({*uv, *pq})
+    points = {*uv, *pq}
     for (u, v), (p, q) in ((uv, pq), (pq, uv)):
         # 2 scale h_uv(x) = H[x]; the witness's value is
         # (H[u] - H[v]) / (2 D[u][v]) - (H[p] - H[q]) / (2 D[p][q])
