@@ -540,8 +540,8 @@ class ExtractionResult:
 def _population_scale(space: FiniteMetricSpace, m: int) -> Optional[Scalar]:
     """Largest distance b such that some closed ball of radius b holds < m points.
 
-    B(c, b) holds < m >= 1 points exactly when b is below the m-th smallest
-    entry of row c, so one sort of each int-view row decides every b.
+    For m >= 1, B(c, b) holds fewer than m points exactly when b is below the
+    m-th smallest entry of row c: one sort of each int-view row decides all b.
     """
     D, view_scale = space.int_view
     distances = {D[i][j] for i, j in space.pairs()}
