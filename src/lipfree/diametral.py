@@ -78,6 +78,31 @@ def _support(F: FreeElement) -> set:
     return support
 
 
+def _sampled_battery(space: FiniteMetricSpace, annuli: Sequence, samples: int, rng) -> list:
+    """samples norm-one elements, each with its norm result; element s has
+    support avoiding annuli[s % len(annuli)].
+
+    Each draw F is solved once: F / ||F|| has the witness of that solve and
+    its plan scaled by 1/||F|| (FreeNormResult.scaled), so it is not solved
+    again.
+    """
+    battery = []
+    for s in range(samples):
+        avoid = set(annuli[s % len(annuli)])
+        allowed = [p for p in space.points() if p not in avoid]
+        # the support can meet the avoided annulus only through the base:
+        # redraw until the weights sum to zero, which takes two points
+        redraw = space.base in avoid and len(set(allowed) - {space.base}) > 1
+        while True:
+            F = random_free_element(rng, space, support_size=3, norm_one=False, allowed=allowed)
+            if not (redraw and _support(F) & avoid):
+                break
+        norm = free_norm(F)
+        c = ONE / norm.value
+        battery.append((F * c, norm.scaled(c)))
+    return battery
+
+
 def verify_separated_annuli(
     space: FiniteMetricSpace,
     pairs: Sequence,
@@ -117,23 +142,11 @@ def verify_separated_annuli(
     if not ok:
         return report
 
-    rng = random.Random(seed)
     if battery is None:
-        battery = []
-        for s in range(samples):
-            avoid = set(annuli[s % len(annuli)])
-            allowed = [p for p in space.points() if p not in avoid]
-            # the support can meet the avoided annulus only through the base:
-            # redraw until the weights sum to zero, which takes two points
-            redraw = space.base in avoid and len(set(allowed) - {space.base}) > 1
-            while True:
-                F = random_free_element(rng, space, support_size=3, norm_one=False, allowed=allowed)
-                if not (redraw and _support(F) & avoid):
-                    break
-            battery.append(F * (ONE / free_norm(F).value))
-
-    for idx, F in enumerate(battery):
-        norm_f = free_norm(F)
+        sampled = _sampled_battery(space, annuli, samples, random.Random(seed))
+    else:
+        sampled = ((F, free_norm(F)) for F in battery)
+    for idx, (F, norm_f) in enumerate(sampled):
         if norm_f.value != 1:
             report.add(
                 f"battery[{idx}] norm one",

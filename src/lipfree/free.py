@@ -136,6 +136,16 @@ class FreeNormResult:
         """Norming function in the Lipschitz unit ball, built on first read."""
         return self.lift()
 
+    def scaled(self, c: Scalar) -> "FreeNormResult":
+        """The result of free_norm(c * mu) for this result's mu and c > 0:
+        the same witness, the value and the flows times c. Scaling the
+        objective by c > 0 leaves every pivot of the solve as it was: the
+        checked witness stays optimal and the checked multipliers scale by c."""
+        plan = lp.TransportPlan(
+            tuple((p, q, c * mass) for p, q, mass in self.plan.flows), c * self.plan.cost
+        )
+        return FreeNormResult(c * self.value, plan, lambda: self.witness)
+
 
 def free_norm(mu: FreeElement) -> FreeNormResult:
     """Exact norm with both certificates, a norming function and a plan.

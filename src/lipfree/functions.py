@@ -227,7 +227,13 @@ def daugavet_recursive_construction(
     ok, failures = check_annuli_hypothesis(space, pairs, annuli, eps_list)
     if not ok:
         raise ValueError(f"separated-annuli hypothesis fails: {failures[0]}")
+    return _recursive_stages(space, pairs)
 
+
+def _recursive_stages(space: FiniteMetricSpace, pairs: Sequence):
+    """The stages and the final extension of daugavet_recursive_construction,
+    for pairs (tuples, u_1 the base) whose annuli hypothesis the caller has
+    checked at eps_i = 1/2^(i+1)."""
     f = {pairs[0][0]: ZERO, pairs[0][1]: ZERO}
     log = []
     half = rat("1/2")

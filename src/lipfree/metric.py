@@ -595,12 +595,15 @@ def _pair_failures(space, pairs, bounds, j: int):
 
 def pair_sequence_failures(space, scale, pairs, tolerance) -> list:
     """Every separated-pair inequality violation, as (kind, data) records."""
-    scale = rat(scale)
-    tolerance = rat(tolerance)
+    return _sequence_failures(space, pairs, _pair_bounds(space, rat(scale), rat(tolerance), len(pairs)))
+
+
+def _sequence_failures(space, pairs, bounds) -> list:
+    """pair_sequence_failures with bounds, _pair_bounds for at least
+    len(pairs) pairs."""
     flat = [p for uv in pairs for p in uv]
     if len(set(flat)) != len(flat):
         return [("overlap", tuple(flat))]
-    bounds = _pair_bounds(space, scale, tolerance, len(pairs))
     return [
         bad
         for j in range(1, len(pairs) + 1)
@@ -671,8 +674,9 @@ def extract_separated_pairs(space: FiniteMetricSpace, tolerance) -> ExtractionRe
             if next(_pair_failures(space, trial, bounds, len(trial)), None) is None:
                 chosen = trial
                 used.update((u, v))
-        if len(chosen) > len(best):
-            if not pair_sequence_failures(space, a, chosen, tolerance):
-                best = tuple(chosen)
-                best_scale = a
+        if len(chosen) > len(best) and not _sequence_failures(space, chosen, bounds):
+            best = tuple(chosen)
+            best_scale = a
+            if len(best) == space.n // 2:
+                break  # the pairs are disjoint, so no later scale finds more
     return ExtractionResult(scale=best_scale, pairs=best)

@@ -21,7 +21,7 @@ from .diametral import verify_separated_annuli, wstar_delta_radius
 from .free import FreeElement, Molecule, free_dist, free_norm, molecule_distance_formula
 from .functions import (
     LipFunction,
-    daugavet_recursive_construction,
+    _recursive_stages,
     delta_hat_family,
     example2_function,
     nearest_point_function,
@@ -385,6 +385,8 @@ def verify_daugavet_recursion(
     annuli_report = verify_separated_annuli(
         space, pairs, annuli, rs.eps, samples=samples, seed=seed
     )
+    # that hypothesis check, at the construction's eps_i = 1/2^(i+1), is the
+    # one daugavet_recursive_construction would repeat
     if not annuli_report.checks[0].passed:
         raise ValueError("separated-annuli hypothesis fails on this input")
     report.add(
@@ -394,7 +396,7 @@ def verify_daugavet_recursion(
         annuli_report.overall,
     )
 
-    f, log = daugavet_recursive_construction(space, pairs, annuli)
+    f, log = _recursive_stages(space, pairs)
     for rec in log:
         report.add(
             f"stage {rec.stage} invariants",
@@ -444,21 +446,23 @@ def _nearest_site_hypothesis(space, f, sites, deltas) -> list:
     return bad
 
 
-def _annuli_family_feasible(space, k: int, factors) -> Optional[dict]:
+def _annuli_family_feasible(space, k: int, factors, memo: dict) -> Optional[dict]:
     """Exhaustive search for k disjoint sets with admissible pairs.
 
     Returns a witness configuration or None. Exponential in the space size;
-    intended for small instances.
+    intended for small instances. memo maps (A, factor) to A's admissible
+    pair or None; searches on the same space may share one.
     """
     pts = list(space.points())
 
     def admissible_pair(A, factor):
-        out = [p for p in pts if p not in A]
-        for u in sorted(A):
-            for v in pts:
-                if v != u and next(quadruple_failures(space, u, v, out, factor), None) is None:
-                    return (u, v)
-        return None
+        if (A, factor) not in memo:
+            out = [p for p in pts if p not in A]
+            candidates = ((u, v) for u in sorted(A) for v in pts if v != u)
+            memo[A, factor] = next(
+                (uv for uv in candidates if next(quadruple_failures(space, *uv, out, factor), None) is None), None
+            )
+        return memo[A, factor]
 
     def rec(i, used, chosen):
         if i == k:
@@ -528,8 +532,9 @@ def verify_two_anchor_daugavet(
 
     small = build_two_anchor_space(min(N, search_size))
     factors = [ONE - rat(f"1/{2 ** (i + 2)}") for i in range(search_stages)]
-    witness2 = _annuli_family_feasible(small, min(2, search_stages), factors)
-    infeasible = _annuli_family_feasible(small, search_stages, factors)
+    memo = {}
+    witness2 = _annuli_family_feasible(small, min(2, search_stages), factors, memo)
+    infeasible = _annuli_family_feasible(small, search_stages, factors, memo)
     report.add(
         f"no {search_stages}-stage separated-annuli family exists",
         "exhaustive search over disjoint set families finds no admissible pairs",

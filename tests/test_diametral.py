@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from lipfree import lp
+from lipfree import diametral, lp
 from lipfree.cli import main
 from lipfree.diametral import verify_separated_annuli, wstar_delta_radius
 from lipfree.free import Molecule, free_norm
-from lipfree.metric import build_recursion_space
+from lipfree.metric import build_annuli_space, build_recursion_space, subspace
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, rat
 
@@ -186,3 +186,50 @@ class TestVerifySeparatedAnnuli:
             rs.space, rs.pairs, rs.annuli, rs.eps, battery=[m]
         )
         assert report.overall
+
+
+def _check_against_own_program(F, res):
+    """lp's exact check of res's witness and plan, read as the solution of
+    the ball program free_norm(F) solves: on the subspace of F's support and
+    the base, unless that is the whole space."""
+    space = F.space
+    pts = sorted(set(F.support) | {space.base})
+    prog = space if len(pts) == space.n else subspace(space, pts)
+    pos = {p: i for i, p in enumerate(pts)}
+    ball = prog.ball_rows
+    c = [ZERO] * (prog.n - 1)
+    for p, w in F.weights:
+        c[ball.var[pos[p]]] = w
+    witness = [ZERO] * (prog.n - 1)
+    for p in pts:
+        if ball.var[pos[p]] is not None:
+            witness[ball.var[pos[p]]] = res.witness.values[p]
+    row = {arc: r for r, arc in enumerate(ball.arcs)}
+    multipliers = {row[pos[p], pos[q]]: mass for p, q, mass in res.plan.flows}
+    lp._verify_lip_solution(ball.rows, c, witness, multipliers, res.value, prog)
+
+
+class TestSampledBattery:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_the_sampling_solve_serves_the_norm_one_check(self, seed):
+        asp = build_annuli_space(3)
+        args = (asp.space, asp.pairs, asp.annuli, list(asp.eps))
+        before = lp.COUNTS.solves
+        sampled = verify_separated_annuli(*args, samples=20, seed=seed)
+        assert lp.COUNTS.solves - before == 2 * 20  # ||F|| and ||F + m_uv||, not ||F / ||F|| || again
+
+        drawn = diametral._sampled_battery(asp.space, asp.annuli, 20, random.Random(seed))
+        supplied = verify_separated_annuli(*args, battery=[F for F, _ in drawn], samples=20, seed=seed)
+        assert sampled.overall
+        for mode in ("exact", "float"):
+            assert sampled.dumps(mode) == supplied.dumps(mode)
+        for F, res in drawn:
+            assert res.value == 1
+            _check_against_own_program(F, res)
+
+    def test_scaled_result_is_the_solve_of_the_scaled_element(self):
+        asp = build_annuli_space(2)
+        rng = random.Random(5)
+        for F, res in diametral._sampled_battery(asp.space, asp.annuli, 10, rng):
+            again = free_norm(F)
+            assert (res.value, res.plan, res.witness) == (again.value, again.plan, again.witness)

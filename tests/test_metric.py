@@ -8,6 +8,7 @@ from conftest import spaces_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipfree import metric
 from lipfree.metric import (
     FiniteMetricSpace,
     _pair_failures,
@@ -472,6 +473,22 @@ class TestExtraction:
         assert (res.scale, res.pairs) == ref_extract_separated_pairs(hs.space, hs.tolerance)
         m = math.ceil(hs.space.n / 4)
         assert _population_scale(hs.space, m) == ref_population_scale(hs.space, m)
+
+    @pytest.mark.parametrize("k", [12, 16, 20])
+    def test_full_family_ends_the_search(self, k, monkeypatch):
+        # the first scale finds k = n // 2 disjoint pairs, which no later scale can beat
+        hs = build_hat_space(k)
+        calls = []
+        real = metric._pair_bounds
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metric, "_pair_bounds", counting)
+        res = extract_separated_pairs(hs.space, hs.tolerance)
+        assert len(calls) == 1
+        assert len(res.pairs) == hs.space.n // 2 == k
 
     def test_random_closures_match_fraction_reference(self):
         rng = random.Random(36)

@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from conftest import spaces_for
 
-from lipfree import lp, reproduce
+from lipfree import diametral, functions, lp, metric, reproduce
 from lipfree.free import Molecule, free_dist
 from lipfree.functions import nearest_point_function
 from lipfree.metric import (
@@ -24,7 +25,7 @@ from lipfree.reproduce import (
     verify_two_anchor_daugavet,
 )
 from lipfree.sampling import random_lip_function
-from lipfree.scalars import rat
+from lipfree.scalars import ONE, rat
 
 
 def _reference_sign_normalize(f):
@@ -208,6 +209,19 @@ class TestDaugavetRecursion:
         # it meets the annulus holding the base point
         assert verify_daugavet_recursion(stages=9, samples=5, seed=seed).overall
 
+    def test_hypothesis_is_checked_once(self, monkeypatch):
+        calls = []
+        real = metric.check_annuli_hypothesis
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (metric, diametral, functions):
+            monkeypatch.setattr(module, "check_annuli_hypothesis", counting)
+        assert verify_daugavet_recursion(stages=6, samples=2).overall
+        assert len(calls) == 1
+
 
 class TestTwoAnchor:
     def test_small_run_passes(self):
@@ -217,6 +231,43 @@ class TestTwoAnchor:
         last = report.checks[-1]
         assert last.values["two_stage_witness"] is not None
         assert last.values["witness"] is None
+
+    @staticmethod
+    def _factors():
+        return [ONE - rat(f"1/{2 ** (i + 2)}") for i in range(3)]
+
+    @pytest.mark.parametrize("N", [5, 6, 7])
+    def test_shared_memo_gives_the_fresh_configurations(self, N):
+        space, factors, memo = build_two_anchor_space(N), self._factors(), {}
+        for k in (1, 2, 3):
+            shared = reproduce._annuli_family_feasible(space, k, factors, memo)
+            assert shared == reproduce._annuli_family_feasible(space, k, factors, {})
+
+    def test_three_stage_search_evaluates_no_key_twice(self, monkeypatch):
+        space, factors = build_two_anchor_space(6), self._factors()
+        evaluated = Counter()  # (points outside A, factor, u, v) per quadruple scan
+        real = reproduce.quadruple_failures
+
+        def counting(space_, u, v, points, factor):
+            evaluated[frozenset(points), factor, u, v] += 1
+            return real(space_, u, v, points, factor)
+
+        monkeypatch.setattr(reproduce, "quadruple_failures", counting)
+        reproduce._annuli_family_feasible(space, 2, factors, {})
+        reproduce._annuli_family_feasible(space, 3, factors, {})
+        assert max(evaluated.values()) > 1  # fresh searches repeat keys
+
+        evaluated.clear()
+        memo = {}
+        reproduce._annuli_family_feasible(space, 2, factors, memo)
+        after_two = sum(evaluated.values())
+        reproduce._annuli_family_feasible(space, 3, factors, memo)
+        assert sum(evaluated.values()) > after_two
+        assert max(evaluated.values()) == 1
+
+        evaluated.clear()  # the certificate shares one memo between its two searches
+        assert verify_two_anchor_daugavet(N=6, search_size=6, search_stages=3).overall
+        assert max(evaluated.values()) == 1
 
 
 class TestScan:

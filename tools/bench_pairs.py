@@ -20,7 +20,7 @@ workloads, each side runs its tier-1 suite once; the file holds its passed
 and failed counts, its wall time and the call times of acceptance 03 and 04,
 and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
 pivots, Bland fallbacks) of one in-process run at the parameters of
-acceptance 03, 04 and 05; a side whose ``lp`` has no counts records null.
+acceptance 03, 04, 05, 06 and 09; a side whose ``lp`` has no counts records null.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -49,21 +49,27 @@ ACCEPTANCE = {
     "acceptance_04_s": "tests/test_acceptance.py::test_04_example2_certificates",
 }
 
-# the runs of tests/test_acceptance.py's acceptance 03, 04 and 05; prints
+# the runs of tests/test_acceptance.py's acceptance 03, 04, 05, 06 and 09
+# (its separated-annuli battery); prints
 # one JSON object of the simplex counts each run adds, or null per run
 COUNTS_SCRIPT = """
 import json
 from lipfree import lp
 counts = getattr(lp, "COUNTS", None)
-out = {"acceptance_03": None, "acceptance_04": None, "acceptance_05": None}
+out = dict.fromkeys(("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09"))
 if counts is not None:
-    from lipfree import reproduce
+    from lipfree import diametral, metric, reproduce
+    asp = metric.build_annuli_space(3)
     runs = {
         "acceptance_03": lambda: [reproduce.verify_example1(N=24, n=n, samples=50, seed=0) for n in range(2, 7)],
         "acceptance_04": lambda: reproduce.verify_example2(
             N=7, n=6, alpha=["1/4", "1/2"], eps=["1/10", "1/5", "2/5"], samples=20, seed=0
         ),
         "acceptance_05": lambda: reproduce.verify_delta_existence(k=16),
+        "acceptance_06": lambda: reproduce.verify_daugavet_recursion(stages=10, samples=5, seed=0),
+        "acceptance_09": lambda: diametral.verify_separated_annuli(
+            asp.space, asp.pairs, asp.annuli, list(asp.eps), samples=50, seed=0
+        ),
     }
     for name, run in runs.items():
         before = counts.as_dict()
@@ -122,7 +128,7 @@ def run_tier1(tree: Path) -> dict:
 
 
 def run_counts(tree: Path) -> dict:
-    """The simplex counts of acceptance 03, 04 and 05 on the sources of tree."""
+    """The simplex counts of acceptance 03, 04, 05, 06 and 09 on the sources of tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COUNTS_SCRIPT], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
