@@ -40,7 +40,14 @@ class FreeElement:
             w = rat(w)
             if w != 0:
                 acc[p] = acc.get(p, ZERO) + w
-        return cls(space=space, weights=tuple(sorted((p, w) for p, w in acc.items() if w != 0)))
+        return cls._exact(space, acc)
+
+    @classmethod
+    def _exact(cls, space: FiniteMetricSpace, weights: dict) -> "FreeElement":
+        """The element of weights, exact values on points of space other than
+        the base: only drops the zeros and sorts, with no conversion or check
+        (make is for outside input)."""
+        return cls(space=space, weights=tuple(sorted((p, w) for p, w in weights.items() if w)))
 
     @classmethod
     def zero(cls, space: FiniteMetricSpace) -> "FreeElement":
@@ -70,14 +77,14 @@ class FreeElement:
         acc = self.weight_dict()
         for p, w in other.weights:
             acc[p] = acc.get(p, ZERO) + w
-        return FreeElement.make(self.space, acc)
+        return FreeElement._exact(self.space, acc)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-ONE) * other
 
     def __mul__(self, scalar) -> "FreeElement":
         s = rat(scalar)
-        return FreeElement.make(self.space, {p: s * w for p, w in self.weights})
+        return FreeElement._exact(self.space, {p: s * w for p, w in self.weights})
 
     __rmul__ = __mul__
 
@@ -164,7 +171,7 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
         return _free_norm_direct(mu)
     sub = subspace(space, pts)
     pos = {p: i for i, p in enumerate(pts)}
-    sub_mu = FreeElement.make(sub, {pos[p]: w for p, w in mu.weights})
+    sub_mu = FreeElement._exact(sub, {pos[p]: w for p, w in mu.weights})
     res = _free_norm_direct(sub_mu)
 
     def lift():

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -92,8 +92,8 @@ class FiniteMetricSpace:
     @cached_property
     def int_view(self) -> tuple:
         """(D, scale): D[i][j] = d[i][j] * scale as ints, scale a common
-        denominator of the matrix (the least for a space built from its
-        matrix; see :func:`subspace`)."""
+        denominator of the matrix (the least, but for a :func:`subspace`).
+        :meth:`from_ints` and :func:`subspace` set it at build."""
         n = self.n
         nums, scale = over_common_denominator(x for row in self.d for x in row)
         return tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), scale
@@ -147,6 +147,22 @@ class FiniteMetricSpace:
             return parsed[x]
 
         return cls(labels=tuple(labels), base=base, d=tuple(tuple(map(parse, row)) for row in d))
+
+    @classmethod
+    def from_ints(cls, D, scale: int, labels, base: int = 0) -> "FiniteMetricSpace":
+        """The space with d[i][j] = D[i][j] / scale (D a square matrix of ints,
+        scale > 0) and its int_view set at build: D and scale are first
+        divided by their gcd, so the scale is the least, as int_view would
+        compute it. The Fraction of each distinct value is made once."""
+        values = set(chain.from_iterable(D))
+        g = math.gcd(scale, *values)
+        if g > 1:
+            D = [[x // g for x in row] for row in D]
+            values, scale = {x // g for x in values}, scale // g
+        frac = {x: Fraction(x, scale) for x in values}
+        space = cls(labels=tuple(labels), base=base, d=tuple(tuple(map(frac.__getitem__, row)) for row in D))
+        space.__dict__["int_view"] = tuple(map(tuple, D)), scale
+        return space
 
     @classmethod
     def from_matrix(cls, d, labels=None, base: int = 0) -> "FiniteMetricSpace":
@@ -244,22 +260,32 @@ def seg(space: FiniteMetricSpace, u: int, v: int, delta: Scalar) -> frozenset:
     return frozenset(p for p in space.points() if (Du[p] + Dv[p]) * dden < cut)
 
 
-def lip_constant(space: FiniteMetricSpace, values, points) -> tuple:
+def lip_constant(space: FiniteMetricSpace, values, points, touching=None) -> tuple:
     """Largest |values[p] - values[q]| / d(p, q) over pairs of the given points,
-    with the first pair attaining it (0 and None below two points).
+    with the first pair attaining it (0 and None below two points). Given a
+    set touching, only the pairs with an endpoint in it are scanned.
 
     The values are put over one common denominator den, and each pair's
     ratio |dV| / D[p][q] is compared cross-multiplied on the ints of the
-    space's int_view. A distance between the points that is not positive is
-    a ValueError.
+    space's int_view. A scanned distance that is not positive is a
+    ValueError; a pair that touching skips is not checked, so a caller that
+    needs every distance checked makes one full scan (verify_delta_existence
+    reads ||f|| in full before its touching scans).
     """
     D, scale = space.int_view
     points = list(points)
     nums, den = over_common_denominator(values[p] for p in points)
+    entries = list(zip(points, nums))
+    if touching is not None:
+        hits = [(j, e) for j, e in enumerate(entries) if e[0] in touching]
     best_gap, best_D, pair = 0, 1, None
-    for i, (p, vp) in enumerate(zip(points, nums)):
+    for i, (p, vp) in enumerate(entries):
         Dp = D[p]
-        for q, vq in zip(points[i + 1 :], nums[i + 1 :]):
+        if touching is None or p in touching:
+            later = entries[i + 1 :]
+        else:
+            later = [e for j, e in hits if j > i]
+        for q, vq in later:
             Dpq = Dp[q]
             if Dpq <= 0:
                 lbl_p, lbl_q = space.labels[p], space.labels[q]
@@ -382,14 +408,8 @@ def build_two_anchor_space(N: int) -> FiniteMetricSpace:
     if N < 3:
         raise ValueError("N must be >= 3")
     labels = ["x", "y"] + [f"p{i}" for i in range(1, N - 1)]
-    d = [[ZERO] * N for _ in range(N)]
-    two = rat(2)
-    for a in range(N):
-        for b in range(a + 1, N):
-            anchors = (a < 2) + (b < 2)
-            val = ONE if anchors == 1 else two
-            d[a][b] = d[b][a] = val
-    return FiniteMetricSpace.from_matrix(d, labels=labels, base=2)
+    D = [[0 if a == b else 1 if (a < 2) != (b < 2) else 2 for b in range(N)] for a in range(N)]
+    return FiniteMetricSpace.from_ints(D, 1, labels=labels, base=2)
 
 
 def build_half_line_space(coords: Sequence) -> FiniteMetricSpace:
@@ -397,11 +417,9 @@ def build_half_line_space(coords: Sequence) -> FiniteMetricSpace:
     cs = sorted(rat(c) for c in coords)
     if len(set(cs)) != len(cs):
         raise ValueError("coordinates must be distinct")
-    n = len(cs)
-    d = [[abs(cs[i] - cs[j]) for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace.from_matrix(
-        d, labels=[rat_str(c) for c in cs], base=0
-    )
+    nums, den = over_common_denominator(cs)
+    D = [[abs(s - t) for t in nums] for s in nums]
+    return FiniteMetricSpace.from_ints(D, den, labels=[str(c) for c in cs], base=0)
 
 
 def build_simplex_space(n: int, a=1) -> FiniteMetricSpace:
@@ -435,18 +453,13 @@ def build_hat_space(k: int, a=2) -> HatSpace:
         raise ValueError("scale a must be positive")
     labels = [f"u{i}" for i in range(1, k + 1)] + [f"v{i}" for i in range(1, k + 1)]
     n = 2 * k
-    d = [[ZERO if i == j else a for j in range(n)] for i in range(n)]
-    for i in range(1, k + 1):
-        ui, vi = i - 1, k + i - 1
-        if i == 1:
-            duv = a
-        elif i == 2:
-            duv = a / 2
-        else:
-            duv = a * (i - 2) / i
-        d[ui][vi] = d[vi][ui] = duv
-    space = FiniteMetricSpace.from_matrix(d, labels=labels, base=0)
-    pairs = tuple((i - 1, k + i - 1) for i in range(1, k + 1))
+    # a, then d(u_i, v_i) for i = 1..k, over one denominator
+    (A, *duv), scale = over_common_denominator([a, a, a / 2, *(a * (i - 2) / i for i in range(3, k + 1))])
+    D = [[0 if i == j else A for j in range(n)] for i in range(n)]
+    pairs = tuple((i, k + i) for i in range(k))
+    for (u, v), x in zip(pairs, duv):
+        D[u][v] = D[v][u] = x
+    space = FiniteMetricSpace.from_ints(D, scale, labels=labels, base=0)
     return HatSpace(space=space, pairs=pairs, scale=a, tolerance=a / 3)
 
 
@@ -465,29 +478,30 @@ class AnnuliSpace:
 
 
 def _annuli_from_scales(coords, scales, eps_list, first_full_ball):
-    """Shared assembly for the synthetic annuli builders."""
-    space = build_half_line_space(coords)
-    pos = {rat_str(rat(c)): i for i, c in enumerate(coords)}
+    """Shared assembly for the synthetic annuli builders: a point is found by
+    its position in the sorted coordinates, and annulus membership is
+    compared cross-multiplied on the base row of the int_view."""
+    cs = sorted(coords)
+    space = build_half_line_space(cs)
+    at = {c: i for i, c in enumerate(cs)}.__getitem__
+    D, view_scale = space.int_view
+    D0 = D[space.base]
 
-    def at(c):
-        return pos[rat_str(rat(c))]
+    def ball(r):
+        """The points p with d(base, p) <= r."""
+        num, den = r.numerator * view_scale, r.denominator
+        return frozenset(p for p, x in enumerate(D0) if x * den <= num)
 
     pairs = []
     annuli = []
     for i, (a_i, eps_i) in enumerate(zip(scales, eps_list), start=1):
-        inner = a_i * eps_i
         outer = 32 * a_i / eps_i
         if i == 1 and first_full_ball:
-            members = frozenset(p for p in space.points() if space.d[space.base][p] <= outer)
+            annuli.append(ball(outer))
             pairs.append((space.base, at(8 * a_i)))
         else:
-            members = frozenset(
-                p
-                for p in space.points()
-                if inner < space.d[space.base][p] <= outer
-            )
+            annuli.append(ball(outer) - ball(a_i * eps_i))
             pairs.append((at(5 * a_i), at(8 * a_i)))
-        annuli.append(members)
     return AnnuliSpace(space=space, pairs=tuple(pairs), annuli=tuple(annuli), eps=tuple(eps_list))
 
 
@@ -514,11 +528,11 @@ def build_recursion_space(k: int) -> AnnuliSpace:
     if k < 1:
         raise ValueError("k must be >= 1")
     eps_list = [rat(1) / (2 ** (i + 1)) for i in range(1, k + 1)]
-    scales = [ONE]
+    scales = [1]
     for i in range(1, k):
         # inner radius of A_{i+1} must clear the outer radius of A_i
         scales.append(scales[-1] * (2 ** (2 * i + 9)))
-    coords = [ZERO]
+    coords = [0]
     for i, a_i in enumerate(scales, start=1):
         if i > 1:
             coords.append(5 * a_i)

@@ -322,26 +322,44 @@ def verify_delta_existence(k: int = 16) -> CertificateReport:
 
     fam = delta_hat_family(space, pairs, scale, tolerance)
     f = fam.f
+    # ||f|| scans every pair, so every distance is checked positive before
+    # the scans below, which read only the pairs a companion changes
     report.add("hat function norm", "||f|| = 1", {"norm": f.norm}, f.norm == 1)
+    points = space.points()
+    changed = {
+        j: {p for p, (gp, fp) in enumerate(zip(g.values, f.values)) if gp != fp} for j, g in fam.g.items()
+    }
+
+    def dist_to_f(values, S):
+        """||f - h|| for h with these values, equal to f off S."""
+        diff = [ZERO] * space.n
+        for p in S:
+            diff[p] = f.values[p] - values[p]
+        return lip_constant(space, diff, points, touching=S)[0]
+
     for i in range(3, k + 1):
-        g = fam.g[i]
-        dist = (f - g).norm
+        g, S = fam.g[i], changed[i]
+        dist = dist_to_f(g.values, S)
+        # a pair away from S has f's ratio, at most ||f||
+        g_norm = lip_constant(space, g.values, points, touching=S)[0]
+        if g_norm < f.norm:
+            g_norm = g.norm
         bound = 2 * rat(i - 2) / (i + 1)
         report.add(
             f"companion distance i={i}",
             "||f - g_i|| >= 2(i-2)/(i+1)",
-            {"dist": dist, "bound": bound, "g_norm": g.norm},
-            g.norm == 1 and dist >= bound,
+            {"dist": dist, "bound": bound, "g_norm": g_norm},
+            g_norm == 1 and dist >= bound,
             slack=dist - bound,
         )
     for i in (4, 8, 12):
         if i + 1 > k:
             continue
         inv = rat(f"1/{i}")
-        acc = None
-        for j in range(2, i + 2):
-            acc = fam.g[j] if acc is None else acc + fam.g[j]
-        dist = (f - inv * acc).norm
+        window = range(2, i + 2)
+        S = set().union(*(changed[j] for j in window))
+        # off S every g_j equals f, and so does their average
+        dist = dist_to_f({p: inv * sum(fam.g[j].values[p] for j in window) for p in S}, S)
         bound = rat(f"4/{i}")
         report.add(
             f"window average i={i}",
@@ -428,21 +446,18 @@ def verify_daugavet_recursion(
 
 def _nearest_site_hypothesis(space, f, sites, deltas) -> list:
     """Violations of: for each site u, delta, v != u there is p in the
-    approximate segment with f(p) - f(u) > (1 - delta) d(u, p)."""
+    approximate segment with f(p) - f(u) > (1 - delta) d(u, p).
+
+    The points p with that increase do not depend on v: they are found once
+    per (u, delta), and each v asks only whether its segment meets them."""
     bad = []
-    site_set = set(sites)
     for u in sites:
+        fu, du = f.values[u], space.d[u]
         for delta in deltas:
-            for v in space.points():
-                if v == u:
-                    continue
-                found = any(
-                    p != u
-                    and f.values[p] - f.values[u] > (ONE - delta) * space.d[u][p]
-                    for p in seg(space, u, v, delta)
-                )
-                if not found:
-                    bad.append((u, delta, v))
+            rises = {p for p in space.points() if p != u and f.values[p] - fu > (ONE - delta) * du[p]}
+            bad.extend(
+                (u, delta, v) for v in space.points() if v != u and rises.isdisjoint(seg(space, u, v, delta))
+            )
     return bad
 
 
@@ -450,19 +465,22 @@ def _annuli_family_feasible(space, k: int, factors, memo: dict) -> Optional[dict
     """Exhaustive search for k disjoint sets with admissible pairs.
 
     Returns a witness configuration or None. Exponential in the space size;
-    intended for small instances. memo maps (A, factor) to A's admissible
-    pair or None; searches on the same space may share one.
+    intended for small instances. memo maps (A, numerator, denominator) of a
+    factor to A's admissible pair or None (ints, so that a lookup hashes no
+    Fraction); searches on the same space may share one.
     """
     pts = list(space.points())
+    factors = [(factor, factor.numerator, factor.denominator) for factor in factors]
 
-    def admissible_pair(A, factor):
-        if (A, factor) not in memo:
+    def admissible_pair(A, factor, num, den):
+        key = A, num, den
+        if key not in memo:
             out = [p for p in pts if p not in A]
             candidates = ((u, v) for u in sorted(A) for v in pts if v != u)
-            memo[A, factor] = next(
+            memo[key] = next(
                 (uv for uv in candidates if next(quadruple_failures(space, *uv, out, factor), None) is None), None
             )
-        return memo[A, factor]
+        return memo[key]
 
     def rec(i, used, chosen):
         if i == k:
@@ -470,7 +488,7 @@ def _annuli_family_feasible(space, k: int, factors, memo: dict) -> Optional[dict
         rest = [p for p in pts if p not in used]
         for bits in range(1, 1 << len(rest)):
             A = frozenset(rest[j] for j in range(len(rest)) if bits >> j & 1)
-            pair = admissible_pair(A, factors[i])
+            pair = admissible_pair(A, *factors[i])
             if pair is None:
                 continue
             result = rec(i + 1, used | A, chosen + [(f"A{i + 1}", (sorted(A), pair))])

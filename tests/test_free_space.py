@@ -74,6 +74,18 @@ class TestFreeElement:
         assert (a * rat(3)).weight_dict() == {1: rat(3)}
         assert (-a).weight_dict() == {1: -ONE}
 
+    def test_arithmetic_equals_make_on_the_summed_weights(self):
+        # the arithmetic builds its result without make's conversion and
+        # checks; the elements must be the ones make gives
+        rng = random.Random(11)
+        for space in (random_space(rng, rng.randint(2, 7)) for _ in range(40)):
+            mu, nu = (random_free_element(rng, space, rng.randint(1, 4), norm_one=False) for _ in range(2))
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            summed = {p: mu.weight_dict().get(p, ZERO) + nu.weight_dict().get(p, ZERO) for p in space.points()}
+            assert mu + nu == FreeElement.make(space, summed)
+            assert mu - mu == FreeElement.zero(space)
+            assert c * mu == FreeElement.make(space, {p: c * w for p, w in mu.weights})
+
     def test_json_round_trip(self, triangle):
         mu = FreeElement.make(triangle, {1: rat("1/3"), 2: rat("-5/7")})
         assert FreeElement.from_json(mu.to_json(), triangle) == mu

@@ -449,6 +449,108 @@ class TestIntegerKernels:
         assert triangle.int_view == (((0, 2, 3), (2, 0, 4), (3, 4, 0)), 1)
 
 
+class TestTouchingScan:
+    """lip_constant(..., touching=S) scans only the pairs that meet S."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_over_the_pairs_that_meet_the_set(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(2, 9))
+        values = [random_fraction(rng, -60, 60) for _ in space.points()]
+        if rng.random() < 0.3:
+            values[rng.randrange(space.n)] = values[0]  # ties between pairs
+        points = rng.sample(range(space.n), rng.randint(0, space.n))
+        touching = set(rng.sample(range(space.n), rng.randint(0, space.n)))
+        meets = [(p, q) for p, q in combinations(points, 2) if p in touching or q in touching]
+        best, pair = Fraction(0), None
+        for p, q in meets:
+            ratio = abs(values[p] - values[q]) / space.d[p][q]
+            if ratio > best:
+                best, pair = ratio, (p, q)
+        assert lip_constant(space, values, points, touching=touching) == (best, pair)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_values_that_vanish_off_the_set_give_the_full_constant(self, seed):
+        rng = random.Random(seed)
+        space = rational_metric_space(rng, rng.randint(2, 9))
+        touching = set(rng.sample(range(space.n), rng.randint(0, space.n)))
+        values = [random_fraction(rng, -60, 60) if p in touching else Fraction(0) for p in space.points()]
+        got = lip_constant(space, values, space.points(), touching=touching)
+        assert got[0] == lip_constant(space, values, space.points())[0]
+
+    def test_a_zero_distance_between_points_off_the_set_is_not_checked(self):
+        space = FiniteMetricSpace.from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert lip_constant(space, [rat(v) for v in (0, 1, 3)], space.points(), touching={2}) == (3, (0, 2))
+        with pytest.raises(ValueError, match="is not positive"):
+            lip_constant(space, [rat(v) for v in (0, 1, 3)], space.points(), touching={1})
+
+
+class TestBuilderIntView:
+    """Each builder sets the int_view at build: it must be the one the space
+    computes from its matrix, and every distance stays a Fraction."""
+
+    @staticmethod
+    def assert_preset_view(space):
+        assert "int_view" in space.__dict__
+        assert space.int_view == FiniteMetricSpace(space.labels, space.base, space.d).int_view
+        assert all(type(x) is Fraction for row in space.d for x in row)
+
+    def test_half_line(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            coords = {random_fraction(rng, -90, 90) for _ in range(rng.randint(1, 8))}
+            coords = rng.sample(sorted(coords), len(coords))  # unsorted, too
+            self.assert_preset_view(build_half_line_space(coords))
+        space = build_half_line_space(["3/2", "1/2"])
+        self.assert_preset_view(space)
+        assert space.int_view == (((0, 1), (1, 0)), 1)
+        assert space.labels == ("1/2", "3/2")
+
+    @pytest.mark.parametrize("a", ["2", "3/2", "5/7"])
+    def test_hat(self, a):
+        for k in range(3, 25):
+            self.assert_preset_view(build_hat_space(k, a).space)
+
+    def test_recursion(self):
+        for k in range(1, 15):
+            self.assert_preset_view(build_recursion_space(k).space)
+
+    @pytest.mark.parametrize("eps", ["1/4", "1/5", "2/7"])
+    def test_annuli(self, eps):
+        for k in range(1, 5):
+            self.assert_preset_view(build_annuli_space(k, eps).space)
+
+    def test_two_anchor(self):
+        for N in range(3, 13):
+            self.assert_preset_view(build_two_anchor_space(N))
+
+    def test_annulus_bounds_on_the_base_row(self):
+        # coordinates on the inner radius a eps (outside the annulus) and on
+        # the outer radius 32 a / eps (inside)
+        for full, annulus in ((False, {2, 3, 4}), (True, {0, 1, 2, 3, 4})):
+            asp = metric._annuli_from_scales([0, rat("1/4"), 5, 8, 128, 129], [1], [rat("1/4")], full)
+            assert asp.annuli == (frozenset(annulus),)
+            assert asp.pairs == ((0 if full else 2, 3),)
+
+    def test_shuffled_coordinates_give_the_same_annuli_space(self, monkeypatch):
+        """The annuli builders find their pairs by position in the sorted
+        coordinates, not in the order the coordinates are listed."""
+        expected = [(build_recursion_space(k), build_annuli_space(k, "2/7")) for k in range(1, 5)]
+        real = metric._annuli_from_scales
+        for shuffle in (list.reverse, random.Random(3).shuffle, random.Random(4).shuffle):
+
+            def shuffled(coords, *rest, **kwargs):
+                coords = list(coords)
+                shuffle(coords)
+                return real(coords, *rest, **kwargs)
+
+            monkeypatch.setattr(metric, "_annuli_from_scales", shuffled)
+            got = [(build_recursion_space(k), build_annuli_space(k, "2/7")) for k in range(1, 5)]
+            assert got == expected
+
+
 class TestExtraction:
     def test_pairs_on_hat_space(self):
         hs = build_hat_space(6)

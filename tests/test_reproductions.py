@@ -9,12 +9,14 @@ from conftest import spaces_for
 
 from lipfree import diametral, functions, lp, metric, reproduce
 from lipfree.free import Molecule, free_dist
-from lipfree.functions import nearest_point_function
+from lipfree.functions import delta_hat_family, nearest_point_function
 from lipfree.metric import (
     FiniteMetricSpace,
     build_example1_space,
+    build_hat_space,
     build_two_anchor_space,
     metric_violations,
+    seg,
 )
 from lipfree.reproduce import (
     scan_theorem4_condition6,
@@ -159,6 +161,24 @@ class TestDeltaExistence:
         assert lp.COUNTS.solves - before == 28
 
 
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_touching_scans_equal_the_full_norms(self, k):
+        # every g_norm, dist and window dist of the report against the full
+        # LipFunction.norm of the function it names
+        hs = build_hat_space(k)
+        fam = delta_hat_family(hs.space, hs.pairs, hs.scale, hs.tolerance)
+        f = fam.f
+        values = {c.description: c.values for c in verify_delta_existence(k=k).checks}
+        for i in range(3, k + 1):
+            got = values[f"companion distance i={i}"]
+            assert got["g_norm"] == fam.g[i].norm
+            assert got["dist"] == (f - fam.g[i]).norm
+        for i in (4, 8, 12):
+            if i + 1 <= k:
+                average = (1 / rat(i)) * sum((fam.g[j] for j in range(3, i + 2)), fam.g[2])
+                assert values[f"window average i={i}"]["dist"] == (f - average).norm
+
+
 class TestSeparationWitness:
     """reproduce._separation_witnessed: a True is a proof of
     free_dist(m_uv, m_pq) >= 1, a False proves nothing."""
@@ -223,7 +243,39 @@ class TestDaugavetRecursion:
         assert len(calls) == 1
 
 
+def ref_nearest_site_hypothesis(space, f, sites, deltas) -> list:
+    """reproduce._nearest_site_hypothesis as it was first written: the
+    Fraction test of every point of every segment."""
+    bad = []
+    for u in sites:
+        for delta in deltas:
+            for v in space.points():
+                if v == u:
+                    continue
+                found = any(
+                    p != u
+                    and f.values[p] - f.values[u] > (ONE - delta) * space.d[u][p]
+                    for p in seg(space, u, v, delta)
+                )
+                if not found:
+                    bad.append((u, delta, v))
+    return bad
+
+
 class TestTwoAnchor:
+    @pytest.mark.parametrize("N", range(5, 13))
+    def test_nearest_site_hypothesis_matches_the_reference(self, N):
+        space = build_two_anchor_space(N)
+        sites = [space.base] + [p for p in space.points() if p >= 2 and p != space.base]
+        for grid in (("1/2", "1/4", "1/8"), ("1/3", "1/5")):
+            deltas = [rat(x) for x in grid]
+            f = nearest_point_function(space, sites)
+            got = reproduce._nearest_site_hypothesis(space, f, sites, deltas)
+            assert got == ref_nearest_site_hypothesis(space, f, sites, deltas)
+            f = nearest_point_function(space, sites + [0])
+            got = reproduce._nearest_site_hypothesis(space, f, [0], deltas)
+            assert got and got == ref_nearest_site_hypothesis(space, f, [0], deltas)
+
     def test_small_run_passes(self):
         report = verify_two_anchor_daugavet(N=6, search_size=5, search_stages=3)
         assert report.overall

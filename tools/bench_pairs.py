@@ -20,7 +20,11 @@ workloads, each side runs its tier-1 suite once; the file holds its passed
 and failed counts, its wall time and the call times of acceptance 03 and 04,
 and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
 pivots, Bland fallbacks) of one in-process run at the parameters of
-acceptance 03, 04, 05, 06 and 09; a side whose ``lp`` has no counts records null.
+acceptance 03, 04, 05, 06 and 09 and of ``certify two-anchor --N 12``; a side
+whose ``lp`` has no counts records null. Each of these runs but 03 and 04
+also records ``calls`` (Python and builtin calls under ``sys.setprofile``)
+and ``fractions`` (``Fraction`` constructions), counts that, unlike times,
+do not depend on the machine.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -50,13 +54,43 @@ ACCEPTANCE = {
 }
 
 # the runs of tests/test_acceptance.py's acceptance 03, 04, 05, 06 and 09
-# (its separated-annuli battery); prints
-# one JSON object of the simplex counts each run adds, or null per run
+# (its separated-annuli battery) and of certify two-anchor --N 12; prints
+# one JSON object of the simplex counts each run adds, or null per run. Every
+# run but 03 and 04, which the hook would slow too much, also counts under
+# sys.setprofile its Python and builtin calls ("call" and "c_call" events)
+# and its Fraction constructions ("call" events of Fraction.__new__)
 COUNTS_SCRIPT = """
 import json
+import sys
+from fractions import Fraction
 from lipfree import lp
 counts = getattr(lp, "COUNTS", None)
-out = dict.fromkeys(("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09"))
+out = dict.fromkeys(
+    ("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12")
+)
+PROFILED = {"acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12"}
+FRACTION_NEW = Fraction.__new__.__code__
+
+
+def profiled(run):
+    seen = {"calls": 0, "fractions": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen["calls"] += 1
+            if frame.f_code is FRACTION_NEW:
+                seen["fractions"] += 1
+        elif event == "c_call":
+            seen["calls"] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
 if counts is not None:
     from lipfree import diametral, metric, reproduce
     asp = metric.build_annuli_space(3)
@@ -70,11 +104,17 @@ if counts is not None:
         "acceptance_09": lambda: diametral.verify_separated_annuli(
             asp.space, asp.pairs, asp.annuli, list(asp.eps), samples=50, seed=0
         ),
+        "two_anchor_12": lambda: reproduce.verify_two_anchor_daugavet(N=12),
     }
     for name, run in runs.items():
         before = counts.as_dict()
-        run()
+        seen = {}
+        if name in PROFILED:
+            seen = profiled(run)
+        else:
+            run()
         out[name] = {key: value - before[key] for key, value in counts.as_dict().items()}
+        out[name].update(seen)
 print(json.dumps(out))
 """
 
@@ -128,7 +168,7 @@ def run_tier1(tree: Path) -> dict:
 
 
 def run_counts(tree: Path) -> dict:
-    """The simplex counts of acceptance 03, 04, 05, 06 and 09 on the sources of tree."""
+    """The counts of COUNTS_SCRIPT's runs on the sources of tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COUNTS_SCRIPT], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
