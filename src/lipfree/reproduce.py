@@ -470,7 +470,7 @@ def _annuli_family_feasible(space, k: int, factors, memo: dict) -> Optional[dict
     Fraction); searches on the same space may share one.
     """
     pts = list(space.points())
-    factors = [(factor, factor.numerator, factor.denominator) for factor in factors]
+    keyed = [(factor, factor.numerator, factor.denominator) for factor in factors]
 
     def admissible_pair(A, factor, num, den):
         key = A, num, den
@@ -488,7 +488,7 @@ def _annuli_family_feasible(space, k: int, factors, memo: dict) -> Optional[dict
         rest = [p for p in pts if p not in used]
         for bits in range(1, 1 << len(rest)):
             A = frozenset(rest[j] for j in range(len(rest)) if bits >> j & 1)
-            pair = admissible_pair(A, *factors[i])
+            pair = admissible_pair(A, *keyed[i])
             if pair is None:
                 continue
             result = rec(i + 1, used | A, chosen + [(f"A{i + 1}", (sorted(A), pair))])
