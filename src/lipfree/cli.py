@@ -121,6 +121,8 @@ def cmd_lipnorm(args) -> tuple:
 def cmd_freenorm(args) -> tuple:
     space = _space_from_args(args)
     res = free.free_norm(_element_from_path(args.element, space))
+    if not args.out:  # the bare output is the norm alone: no witness or plan is built
+        return PASS, {"norm": res.value}
     plan = [[space.labels[p], space.labels[q], m] for p, q, m in res.plan.flows]
     return PASS, {"norm": res.value, "witness": res.witness.values, "plan": plan}
 

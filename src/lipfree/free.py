@@ -15,7 +15,7 @@ from typing import Callable
 from . import lp
 from .functions import LipFunction, mcshane_extend
 from .metric import FiniteMetricSpace, subspace
-from .scalars import ONE, Scalar, ZERO, parse_rat, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, json_field, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class FreeElement:
 
     @classmethod
     def from_json(cls, obj: dict, space: FiniteMetricSpace) -> "FreeElement":
-        weights = obj["weights"]
+        weights = json_field(obj, "weights", "element")
         if not isinstance(weights, dict):
             raise ValueError("element field 'weights' must be an object: label -> weight")
         return cls.make(
@@ -132,11 +132,27 @@ def all_molecules(space: FiniteMetricSpace):
     return tuple(Molecule(space, u, v) for u, v in space.ordered_pairs())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeNormResult:
+    """A norm with its plan and witness, each built on first read; results
+    compare by value and plan."""
+
     value: Scalar
-    plan: lp.TransportPlan
-    lift: Callable[[], LipFunction] = field(compare=False, repr=False)
+    make_plan: Callable[[], lp.TransportPlan] = field(repr=False)
+    lift: Callable[[], LipFunction] = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, FreeNormResult):
+            return NotImplemented
+        return (self.value, self.plan) == (other.value, other.plan)
+
+    def __hash__(self):
+        return hash((self.value, self.plan))
+
+    @cached_property
+    def plan(self) -> lp.TransportPlan:
+        """Optimal transport plan of the norm, built on first read."""
+        return self.make_plan()
 
     @cached_property
     def witness(self) -> LipFunction:
@@ -148,9 +164,11 @@ class FreeNormResult:
         the same witness, the value and the flows times c. Scaling the
         objective by c > 0 leaves every pivot of the solve as it was: the
         checked witness stays optimal and the checked multipliers scale by c."""
-        plan = lp.TransportPlan(
-            tuple((p, q, c * mass) for p, q, mass in self.plan.flows), c * self.plan.cost
-        )
+
+        def plan():
+            flows = tuple((p, q, c * mass) for p, q, mass in self.plan.flows)
+            return lp.TransportPlan(flows, c * self.plan.cost)
+
         return FreeNormResult(c * self.value, plan, lambda: self.witness)
 
 
@@ -158,14 +176,15 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
     """Exact norm with both certificates, a norming function and a plan.
 
     The program runs on the subspace spanned by the support and the base
-    (the norm is unchanged there); the witness is lifted back by a
-    1-Lipschitz extension on first read of .witness, so both certificates
-    are valid on the full space.
+    (the norm is unchanged there). The plan is mapped back to the points of
+    the full space, and the witness lifted back by a 1-Lipschitz extension,
+    on first read of .plan and .witness, so both certificates are valid on
+    the full space.
     """
     space = mu.space
     if mu.is_zero():
         zero_fn = LipFunction(space, (ZERO,) * space.n)
-        return FreeNormResult(ZERO, lp.TransportPlan((), ZERO), lambda: zero_fn)
+        return FreeNormResult(ZERO, lambda: lp.TransportPlan((), ZERO), lambda: zero_fn)
     pts = sorted(set(mu.support) | {space.base})
     if len(pts) == space.n:
         return _free_norm_direct(mu)
@@ -174,18 +193,21 @@ def free_norm(mu: FreeElement) -> FreeNormResult:
     sub_mu = FreeElement._exact(sub, {pos[p]: w for p, w in mu.weights})
     res = _free_norm_direct(sub_mu)
 
+    def plan():
+        flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in res.plan.flows))
+        return lp.TransportPlan(flows, res.plan.cost)
+
     def lift():
         values = res.witness.values
         return mcshane_extend(space, pts, {p: values[pos[p]] for p in pts}, ONE, "lower")
 
-    flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in res.plan.flows))
-    return FreeNormResult(res.value, lp.TransportPlan(flows, res.plan.cost), lift)
+    return FreeNormResult(res.value, plan, lift)
 
 
 def _free_norm_direct(mu: FreeElement) -> FreeNormResult:
     sol = lp.solve_lip_ball(lp.LipBallProgram(space=mu.space, objective=mu))
     witness = sol.argument
-    return FreeNormResult(sol.value, lp.ball_plan(mu.space, sol), lambda: witness)
+    return FreeNormResult(sol.value, lambda: lp.ball_plan(mu.space, sol), lambda: witness)
 
 
 def free_dist(mu: FreeElement, nu) -> Scalar:

@@ -14,7 +14,7 @@ from .metric import (
     pair_sequence_failures,
     quadruple_failures,
 )
-from .scalars import ONE, Scalar, ZERO, over_common_denominator, parse_rat, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, json_field, over_common_denominator, parse_rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class LipFunction:
     @classmethod
     def from_json(cls, obj: dict, space: Optional[FiniteMetricSpace] = None):
         if space is None:
-            space = FiniteMetricSpace.from_json(obj["space"])
-        values = obj["values"]
+            space = FiniteMetricSpace.from_json(json_field(obj, "space", "function"))
+        values = json_field(obj, "values", "function")
         if not isinstance(values, list):
             raise ValueError("function field 'values' must be a list")
         return cls(space=space, values=tuple(parse_rat(v, "values") for v in values))

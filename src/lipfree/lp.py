@@ -17,7 +17,9 @@ the witness meets every row and attains the value, and the multipliers are
 nonnegative, combine the rows into the objective and attain the same value.
 By weak duality this pair is a proof of optimality. The check runs on
 Python ints: with the witness over its common denominator, each pair's two
-ball rows are one comparison against the space's ``int_view``. The checker
+ball rows are one comparison against the space's ``int_view``, and with the
+multipliers over theirs, their sums against the objective and the value
+are cross-multiplied integer sums. The checker
 reads only the returned rationals, the rows and the space, never the
 solver's basis, and names exact rationals when a check fails.
 
@@ -503,14 +505,18 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
     Then c . g = sum_r y_r (coefs_r . g) <= value for every feasible g (weak
     duality), so the witness is a maximizer and the multipliers a minimizer.
 
-    The witness is put over its common denominator wden, so a row with int
-    coefficients is checked in ints as lhs * bound.den <= bound.num * wden;
-    a row with Fraction coefficients gives a Fraction lhs and the same
-    comparison stays exact. The multiplier checks touch only the nonzero
-    multipliers, at most one per variable. Only the returned rationals, the
-    rows and space are read, never the solver's basis, and a failure names
-    the exact values. Given space, rows begin with its ball rows, which are
-    checked on its int_view instead (_check_ball_rows).
+    The checks run on Python ints. The witness, c and the multipliers are
+    each put over their common denominator (wden, cden, yden), and every
+    comparison is cross-multiplied: a row with int coefficients is checked
+    as lhs * bound.den <= bound.num * wden, the attainment as
+    sum cnum wnum against value * cden * wden, and the multiplier sums
+    against c * yden and value * yden. A row with Fraction coefficients
+    gives Fraction sums and the same comparisons stay exact. The multiplier
+    checks touch only the nonzero multipliers, at most one per variable.
+    Only the returned rationals, the rows and space are read, never the
+    solver's basis, and a failure names the exact rationals. Given space,
+    rows begin with its ball rows, which are checked on its int_view
+    instead (_check_ball_rows), and their bounds are read from it.
     """
     wnum, wden = over_common_denominator(witness)
     first = 0 if space is None else _check_ball_rows(space, wnum, wden)
@@ -521,23 +527,40 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
             lhs += coef * wnum[v]
         if lhs * bound.denominator > bound.numerator * wden:
             raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {bound}")
-    attained = sum((ci * fi for ci, fi in zip(c, witness) if ci), ZERO)
-    if attained != value:
-        raise SimplexError(f"witness attains {attained}, not the LP value {value}")
-    combined = [ZERO] * len(c)
-    bound_sum = ZERO
-    for r, y in multipliers.items():
-        if y < 0:
+    cnum, cden = over_common_denominator(c)
+    vnum, vden = value.numerator, value.denominator
+    attained = 0
+    for ci, wi in zip(cnum, wnum):
+        if ci:
+            attained += ci * wi
+    if attained * vden != vnum * cden * wden:
+        raise SimplexError(f"witness attains {Fraction(attained, cden * wden)}, not the LP value {value}")
+    ynum, yden = over_common_denominator(multipliers.values())
+    combined = [0] * len(c)
+    ball_sum, other, scale = 0, [], 1
+    if space is not None:
+        D, scale = space.int_view
+        arcs = space.ball_rows.arcs
+    for (r, y), yr in zip(multipliers.items(), ynum):
+        if yr < 0:
             raise SimplexError(f"multiplier of row {r} is negative: {y}")
         coefs, bound = rows[r]
         for v, coef in coefs:
-            combined[v] += y * coef
-        bound_sum += y * bound
-    for v, (got, want) in enumerate(zip(combined, c)):
-        if got != want:
-            raise SimplexError(f"multipliers give {got}, not {want}, on variable {v}")
-    if bound_sum != value:
-        raise SimplexError(f"multipliers attain {bound_sum}, not the LP value {value}")
+            combined[v] += yr * coef
+        if r < first:
+            p, q = arcs[r & ~1]  # rows 2k and 2k + 1 both have bound d(p, q), p < q
+            ball_sum += yr * D[p][q]
+        else:
+            other.append((yr, bound))
+    for v, (got, want) in enumerate(zip(combined, cnum)):
+        if got * cden != want * yden:
+            raise SimplexError(f"multipliers give {Fraction(got, yden)}, not {c[v]}, on variable {v}")
+    # sum_r y_r bound_r = (ball_sum / scale + sum of the other yr bound_r) / yden
+    bnum, bden = over_common_denominator(bound for _, bound in other)
+    total = ball_sum * bden + scale * sum(yr * b for (yr, _), b in zip(other, bnum))
+    total_den = yden * bden * scale
+    if total * vden != vnum * total_den:
+        raise SimplexError(f"multipliers attain {Fraction(total, total_den)}, not the LP value {value}")
 
 
 def _check_ball_rows(space, wnum, wden) -> int:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, permutations
-from operator import sub
+from operator import lshift
 from typing import NamedTuple, Optional, Sequence
 
-from .scalars import ONE, Scalar, ZERO, over_common_denominator, parse_rat, rat, rat_str
+from .scalars import ONE, Scalar, ZERO, json_field, over_common_denominator, parse_rat, rat, rat_str
 
 
 class BallRows(NamedTuple):
@@ -93,7 +93,8 @@ class FiniteMetricSpace:
     def int_view(self) -> tuple:
         """(D, scale): D[i][j] = d[i][j] * scale as ints, scale a common
         denominator of the matrix (the least, but for a :func:`subspace`).
-        :meth:`from_ints` and :func:`subspace` set it at build."""
+        :meth:`from_json`, :meth:`from_ints` and :func:`subspace` set it
+        at build."""
         n = self.n
         nums, scale = over_common_denominator(x for row in self.d for x in row)
         return tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), scale
@@ -128,25 +129,29 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteMetricSpace":
+        """The space of a JSON object. A matrix of strings is parsed one
+        distinct string at a time, in first-seen order (so the first bad entry
+        in row-major order is the one named), and its int_view is set from
+        the distinct values; any other entry sends the whole matrix through
+        parse_rat entry by entry."""
         if not isinstance(obj, dict):
             raise ValueError("a space must be an object with 'labels', 'base' and 'd'")
-        labels, base, d = obj["labels"], obj["base"], obj["d"]
+        labels, base, d = (json_field(obj, name, "space") for name in ("labels", "base", "d"))
         if not isinstance(labels, list):
             raise ValueError("space field 'labels' must be a list")
         if type(base) is not int:
             raise ValueError("space field 'base' must be an integer point index")
         if not isinstance(d, list) or not all(isinstance(row, list) for row in d):
             raise ValueError("space field 'd' must be a list of rows, each a list")
-        parsed = {}  # a matrix repeats its distances: parse each string once
-
-        def parse(x):
-            if type(x) is not str:
-                return parse_rat(x, "d")
-            if x not in parsed:
-                parsed[x] = parse_rat(x, "d")
-            return parsed[x]
-
-        return cls(labels=tuple(labels), base=base, d=tuple(tuple(map(parse, row)) for row in d))
+        labels = tuple(labels)
+        if set(map(type, chain.from_iterable(d))) - {str}:
+            return cls(labels=labels, base=base, d=tuple(tuple(parse_rat(x, "d") for x in row) for row in d))
+        parsed = {x: parse_rat(x, "d") for x in dict.fromkeys(chain.from_iterable(d))}
+        space = cls(labels=labels, base=base, d=tuple(tuple(map(parsed.__getitem__, row)) for row in d))
+        nums, scale = over_common_denominator(parsed.values())
+        ints = dict(zip(parsed, nums)).__getitem__
+        space.__dict__["int_view"] = tuple(tuple(map(ints, row)) for row in d), scale
+        return space
 
     @classmethod
     def from_ints(cls, D, scale: int, labels, base: int = 0) -> "FiniteMetricSpace":
@@ -214,12 +219,27 @@ class ValidationReport:
 def metric_violations(space: FiniteMetricSpace):
     """Lazily yield each diagonal, then symmetry and positivity (per pair),
     then triangle violation (i, j, k): d(i, k) > d(i, j) + d(j, k), with its
-    exact slack. The comparisons run on the ints of the space's int_view;
-    rows i, j are scanned only if some d(i, k) - d(j, k) exceeds d(i, j)."""
+    exact slack. The comparisons run on the ints of the space's int_view.
+
+    Rows i, j are scanned only if the packed screen flags (i, j). Row i is
+    packed as P[i] = sum_k D[i][k] 2^(w k); with ones and guard the sums of
+    2^(w k) and 2^(w k + w - 1), P[j] - P[i] + D[i][j] ones + guard is
+    sum_k (D[j][k] - D[i][k] + D[i][j] + 2^(w - 1)) 2^(w k). The width w,
+    from the least and greatest entries lo and hi, puts every coefficient in
+    [1, 2^w), so they are the digits of that int in base 2^w, and the guard
+    bit of digit k is clear exactly when d(i, k) > d(i, j) + d(j, k): the
+    pair is flagged iff some guard bit is.
+    """
     D, scale = space.int_view
     for i, Di in enumerate(D):
         if Di[i]:
             yield Violation("diagonal", (i,), Fraction(Di[i], scale))
+    lo, hi = min(map(min, D)), max(map(max, D))
+    w = (hi - lo + max(hi, -lo)).bit_length() + 2
+    shifts = range(0, w * space.n, w)
+    ones = sum(1 << s for s in shifts)
+    guard = ones << (w - 1)
+    packed = [sum(map(lshift, Di, shifts)) for Di in D]
     suspects = []
     for i, j in space.pairs():
         Di, Dj = D[i], D[j]
@@ -227,10 +247,10 @@ def metric_violations(space: FiniteMetricSpace):
             yield Violation("symmetry", (i, j), Fraction(Di[j] - Dj[i], scale))
         if Di[j] <= 0:
             yield Violation("positivity", (i, j), Fraction(-Di[j], scale))
-        diffs = list(map(sub, Di, Dj))
-        if max(diffs) > Di[j]:
+        gap = packed[j] - packed[i]
+        if (gap + Di[j] * ones + guard) & guard != guard:
             suspects.append((i, j))
-        if -min(diffs) > Dj[i]:
+        if (Dj[i] * ones + guard - gap) & guard != guard:
             suspects.append((j, i))
     for i, j in sorted(suspects):
         dij = D[i][j]

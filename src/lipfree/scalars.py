@@ -43,6 +43,15 @@ def parse_rat(value, field: str) -> Fraction:
     raise ValueError(f"field {field!r} holds {value!r}, not a number")
 
 
+def json_field(obj: dict, name: str, kind: str):
+    """obj[name] of an input object of the given kind ("space", "element",
+    "function"); a missing field is a ValueError that names it."""
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"{kind} field {name!r} is missing") from None
+
+
 def over_common_denominator(values) -> tuple:
     """(nums, den): the exact values as int numerators over den, the least
     common denominator, so values[i] == Fraction(nums[i], den)."""

@@ -81,5 +81,5 @@ def test_counts_are_null_without_the_counter(tmp_path):
     (package / "lp.py").write_text("")
     assert bench_pairs.run_counts(tmp_path) == {
         "acceptance_03": None, "acceptance_04": None, "acceptance_05": None,
-        "acceptance_06": None, "acceptance_09": None, "two_anchor_12": None,
+        "acceptance_06": None, "acceptance_09": None, "two_anchor_12": None, "norms_20": None,
     }

@@ -116,6 +116,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, field",
+        [("space", "labels"), ("space", "base"), ("space", "d"), ("element", "weights"),
+         ("function", "values")],
+    )
+    def test_missing_field_is_named(self, line4, tmp_path, capsys, kind, field):
+        # a missing field once printed the bare KeyError, error: 'd'
+        space, element = line4.to_json(), Molecule(line4, 1, 2).element().to_json()
+        function = {"space": line4.to_json(), "values": ["0", "1", "3", "7"]}
+        del {"space": space, "element": element, "function": function}[kind][field]
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "mol.json").write_text(json.dumps(element))
+        (tmp_path / "f.json").write_text(json.dumps(function))
+        if kind == "function":
+            argv = ["lipnorm", str(tmp_path / "f.json")]
+        else:
+            argv = ["freenorm", str(tmp_path / "mol.json"), "--space", str(tmp_path / "space.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {kind} field '{field}' is missing"]
+
+    @pytest.mark.parametrize(
         "value, shown", [(float("-inf"), "-inf"), (True, "True"), ("1/0", "'1/0'")],
         ids=["minus-infinity", "boolean", "zero-denominator"],
     )
@@ -251,6 +273,14 @@ class TestScalarCommands:
         obj = json.loads(out.read_text())
         assert obj["mode"] == "exact" and obj["result"]["norm"] == "1"
         assert obj["result"]["plan"]  # transport certificate included
+
+    def test_bare_freenorm_builds_no_witness(self, space_file, molecule_file, tmp_path, capsys, lifts):
+        # the molecule's support and the base miss a point of line4, so its
+        # witness is a McShane extension: built for --out, never for the bare value
+        assert main(["freenorm", molecule_file, "--space", space_file]) == 0
+        assert capsys.readouterr().out == "1\n" and lifts == []
+        assert main(["freenorm", molecule_file, "--space", space_file, "--out", str(tmp_path / "o.json")]) == 0
+        assert len(lifts) == 1
 
 
 def _envelope(mode, result, seed=0):

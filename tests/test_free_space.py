@@ -21,6 +21,7 @@ from lipfree.metric import (
     build_example2_space,
     build_half_line_space,
     example2_point,
+    subspace,
 )
 from lipfree.sampling import random_free_element, random_space
 from lipfree.scalars import ONE, ZERO, over_common_denominator, rat
@@ -214,6 +215,43 @@ class TestLazyLift:
         assert first == second
         assert hash(first) == hash(second)
         assert len(lifts) == 1
+
+
+class TestLazyPlan:
+    """free_norm builds its transport plan when .plan is read, and it is the
+    plan of a fresh solve: ball_plan of the support's sub-space, mapped back
+    to the full space; scaled(c) gives the plan of free_norm(c * mu)."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_plan_equals_a_fresh_ball_plan(self, seed):
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(3, 8))
+        support = rng.sample(range(space.n), rng.randint(1, space.n))
+        mu = FreeElement.make(space, {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in support})
+        pts = sorted(set(mu.support) | {space.base})
+        sub = subspace(space, pts)
+        sub_mu = FreeElement.make(sub, {pts.index(p): w for p, w in mu.weights})
+        fresh = lp.ball_plan(sub, lp.solve_lip_ball(lp.LipBallProgram(space=sub, objective=sub_mu)))
+        flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in fresh.flows))
+        assert free_norm(mu).plan == lp.TransportPlan(flows, fresh.cost)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = lp.TransportPlan(tuple((p, q, c * m) for p, q, m in flows), c * fresh.cost)
+        assert free_norm(mu).scaled(c).plan == scaled == free_norm(mu * c).plan
+
+    def test_plan_is_built_on_first_read_and_kept(self, monkeypatch):
+        built = []
+        ball_plan = lp.ball_plan
+        monkeypatch.setattr(lp, "ball_plan", lambda *args: built.append(args) or ball_plan(*args))
+        space = build_half_line_space([0, 1, 3, 7, 8])
+        for weights in ({1: ONE, 2: rat(-3), 3: rat("1/2"), 4: rat(2)}, {1: ONE, 3: rat(-2)}):
+            built.clear()
+            res = free_norm(FreeElement.make(space, weights))
+            scaled = res.scaled(rat(2))
+            assert res.value > 0 and built == []
+            plan = res.plan
+            assert len(built) == 1 and res.plan is plan
+            assert scaled.plan.cost == 2 * plan.cost and len(built) == 1
 
 
 class TestFreeDist:

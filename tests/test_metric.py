@@ -150,6 +150,56 @@ def ref_extract_separated_pairs(space, tolerance):
     return best_scale, best
 
 
+def ref_metric_violations(space):
+    """metric_violations before the packed screen: rows i, j are scanned only
+    if some d(i, k) - d(j, k) exceeds d(i, j), found by a list of differences."""
+    D, scale = space.int_view
+    for i, Di in enumerate(D):
+        if Di[i]:
+            yield metric.Violation("diagonal", (i,), Fraction(Di[i], scale))
+    suspects = []
+    for i, j in space.pairs():
+        Di, Dj = D[i], D[j]
+        if Di[j] != Dj[i]:
+            yield metric.Violation("symmetry", (i, j), Fraction(Di[j] - Dj[i], scale))
+        if Di[j] <= 0:
+            yield metric.Violation("positivity", (i, j), Fraction(-Di[j], scale))
+        diffs = [a - b for a, b in zip(Di, Dj)]
+        if max(diffs) > Di[j]:
+            suspects.append((i, j))
+        if -min(diffs) > Dj[i]:
+            suspects.append((j, i))
+    for i, j in sorted(suspects):
+        dij = D[i][j]
+        for k, (dik, djk) in enumerate(zip(D[i], D[j])):
+            slack = dik - dij - djk
+            if slack > 0 and k != i and k != j:
+                yield metric.Violation("triangle", (i, j, k), Fraction(slack, scale))
+
+
+@st.composite
+def near_metric_matrices(draw):
+    """n = 1..9: a shortest-path closure or a random matrix, with up to three
+    entries overwritten (negative, asymmetric or on the diagonal), times
+    1 or 2^200 and over a common denominator."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    d = [[draw(st.integers(min_value=0, max_value=30)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            d[i][i] = 0
+            for j in range(i):
+                d[i][j] = d[j][i]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i][j] = draw(st.integers(min_value=-40, max_value=40))
+    big, den = draw(st.sampled_from([1, 2**200])), draw(st.integers(min_value=1, max_value=12))
+    return [[Fraction(x * big, den) for x in row] for row in d]
+
+
 class TestValidate:
     def test_good_space(self, triangle):
         assert validate(triangle).ok
@@ -183,6 +233,59 @@ class TestValidate:
         rng = random.Random(seed)
         space = random_space(rng, rng.randint(2, 7))
         assert validate(space).ok
+
+
+    @given(near_metric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_screen_matches_the_list_screen(self, d):
+        space = FiniteMetricSpace.from_matrix(d)
+        assert list(metric.metric_violations(space)) == list(ref_metric_violations(space))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_packed_screen_on_wide_negative_entries(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            d = [[rng.randint(-(2**200), 2**200) for _ in range(n)] for _ in range(n)]
+            space = FiniteMetricSpace.from_matrix(d)
+            assert list(metric.metric_violations(space)) == list(ref_metric_violations(space))
+
+
+class TestLoad:
+    """from_json sets int_view at load for a matrix of strings, parsing each
+    distinct string once; any other entry takes the per-entry path."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_int_view_at_load_equals_the_computed_one(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        spellings = ["0", "1/2", "2/4", "0.5"]
+        d = [[rng.choice([*spellings, str(rng.randint(1, 40)), f"{rng.randint(1, 40)}/{rng.randint(1, 9)}"])
+              for _ in range(n)] for _ in range(n)]
+        space = FiniteMetricSpace.from_json({"labels": [f"p{i}" for i in range(n)], "base": 0, "d": d})
+        assert "int_view" in space.__dict__
+        fresh = FiniteMetricSpace(space.labels, space.base, tuple(tuple(map(Fraction, row)) for row in d))
+        assert space == fresh
+        assert space.int_view == fresh.int_view
+
+    def test_one_value_spelled_three_ways_has_one_int(self):
+        d = [["0", "1/2", "2/4"], ["0.5", "0", "1/3"], ["1/2", "1/3", "0"]]
+        D, scale = FiniteMetricSpace.from_json({"labels": ["a", "b", "c"], "base": 0, "d": d}).int_view
+        assert scale == 6 and D == ((0, 3, 3), (3, 0, 2), (3, 2, 0))
+
+    def test_first_bad_string_in_row_major_order_is_named(self):
+        d = [["0", "1", "y"], ["x", "0", "1"], ["x", "1", "0"]]
+        with pytest.raises(ValueError, match="field 'd' holds 'y', not a number"):
+            FiniteMetricSpace.from_json({"labels": ["a", "b", "c"], "base": 0, "d": d})
+
+    def test_non_string_entry_loads_entry_by_entry(self):
+        d = [["0", 1, "5/2"], ["1", "0", 1.5], ["5/2", "3/2", 0]]
+        space = FiniteMetricSpace.from_json({"labels": ["a", "b", "c"], "base": 0, "d": d})
+        assert "int_view" not in space.__dict__
+        assert space.d[1][2] == Fraction(3, 2) and space.d[0][1] == 1
+        assert space.int_view == (((0, 2, 5), (2, 0, 3), (5, 3, 0)), 2)
+        d[0][1] = True
+        with pytest.raises(ValueError, match="field 'd' holds True, not a number"):
+            FiniteMetricSpace.from_json({"labels": ["a", "b", "c"], "base": 0, "d": d})
 
 
 class TestSeg:

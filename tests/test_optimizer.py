@@ -701,6 +701,71 @@ class TestIntegerChecker:
             lp.solve_lip_ball(program)
 
 
+class TestIntegerSums:
+    """The attainment and multiplier sums of the checker, cross-multiplied in
+    ints: a tampered answer is named in exact rationals, with and without
+    the space's int_view, and Fraction side rows still pass."""
+
+    @staticmethod
+    def solved(space, objective, sides=()):
+        rows, var = _reference_ball_rows(space)
+        sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=objective, side_constraints=sides))
+        c = [ZERO] * len(var)
+        for p, w in objective.items():
+            c[var[p]] = w
+        return rows, var, c, [sol.argument.values[p] for p in var], sol
+
+    def outcomes(self, space, rows, c, witness, multipliers, value):
+        out = []
+        for space_arg in ((space,), ()):
+            with pytest.raises(lp.SimplexError) as exc:
+                lp._verify_lip_solution(rows, c, witness, multipliers, value, *space_arg)
+            out.append(str(exc.value))
+        return out
+
+    def test_tampered_value_names_the_attained_value(self, triangle):
+        rows, _, c, witness, sol = self.solved(triangle, {1: ONE, 2: rat("-2/3")})
+        wrong = sol.value + rat("1/7")
+        assert self.outcomes(triangle, rows, c, witness, sol.row_duals, wrong) == [
+            f"witness attains {sol.value}, not the LP value {wrong}"
+        ] * 2
+
+    def test_tampered_multiplier_sum_names_the_sum(self, triangle):
+        rows, _, c, witness, sol = self.solved(triangle, {1: ONE, 2: rat("-2/3")})
+        # rows 2k and 2k + 1 cancel in the coefficient sums: only the bound sum moves
+        y = rat("1/7")
+        for k, (p, q) in enumerate(triangle.pairs()):
+            multipliers = dict(sol.row_duals)
+            for r in (2 * k, 2 * k + 1):
+                multipliers[r] = multipliers.get(r, ZERO) + y
+            wrong = sol.value + 2 * y * triangle.d[p][q]
+            assert self.outcomes(triangle, rows, c, witness, multipliers, sol.value) == [
+                f"multipliers attain {wrong}, not the LP value {sol.value}"
+            ] * 2
+
+    def test_tampered_multiplier_names_the_combined_coefficient(self, triangle):
+        rows, _, c, witness, sol = self.solved(triangle, {1: ONE, 2: rat("-2/3")})
+        r = min(sol.row_duals)
+        multipliers = {**sol.row_duals, r: sol.row_duals[r] + rat("1/7")}
+        v, a = rows[r][0][0]
+        assert self.outcomes(triangle, rows, c, witness, multipliers, sol.value) == [
+            f"multipliers give {c[v] + a / 7}, not {c[v]}, on variable {v}"
+        ] * 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fraction_side_row_passes_with_the_int_view(self, seed):
+        rng = random.Random(seed)
+        space = _rational_metric(rng, rng.randint(3, 7))
+        p, q = rng.sample(range(space.n), 2)
+        t = Fraction(rng.randint(-7, 7), 7)
+        weights = lp.molecule_weights(space, p, q)
+        objective = {x: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for x in space.points() if x != space.base}
+        rows, var, c, witness, sol = self.solved(space, objective, (lp.SideConstraint(weights, "<=", t),))
+        side_row = (tuple(sorted((var[x], w) for x, w in weights.items())), t)
+        assert any(isinstance(a, Fraction) for _, a in side_row[0])
+        lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value, space)
+
+
 class TestMaxOverPairs:
     def test_threshold_two_forces_reversal(self):
         space = build_simplex_space(3, 1)

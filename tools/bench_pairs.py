@@ -20,7 +20,8 @@ workloads, each side runs its tier-1 suite once; the file holds its passed
 and failed counts, its wall time and the call times of acceptance 03 and 04,
 and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
 pivots, Bland fallbacks) of one in-process run at the parameters of
-acceptance 03, 04, 05, 06 and 09 and of ``certify two-anchor --N 12``; a side
+acceptance 03, 04, 05, 06 and 09, of ``certify two-anchor --N 12`` and of
+two norms on a seeded 20-point closure loaded from JSON; a side
 whose ``lp`` has no counts records null. Each of these runs but 03 and 04
 also records ``calls`` (Python and builtin calls under ``sys.setprofile``)
 and ``fractions`` (``Fraction`` constructions), counts that, unlike times,
@@ -54,21 +55,26 @@ ACCEPTANCE = {
 }
 
 # the runs of tests/test_acceptance.py's acceptance 03, 04, 05, 06 and 09
-# (its separated-annuli battery) and of certify two-anchor --N 12; prints
-# one JSON object of the simplex counts each run adds, or null per run. Every
-# run but 03 and 04, which the hook would slow too much, also counts under
-# sys.setprofile its Python and builtin calls ("call" and "c_call" events)
-# and its Fraction constructions ("call" events of Fraction.__new__)
+# (its separated-annuli battery), of certify two-anchor --N 12 and of a norms
+# query pair (norms_20: load and validate the JSON of a seeded 20-point
+# shortest-path closure, then read the norms of a full-support element and
+# of a 3-point one, as a bare freenorm does); prints one JSON object of the
+# simplex counts each run adds, or null per run. Every run but 03 and 04,
+# which the hook would slow too much, also counts under sys.setprofile its
+# Python and builtin calls ("call" and "c_call" events) and its Fraction
+# constructions ("call" events of Fraction.__new__)
 COUNTS_SCRIPT = """
 import json
+import random
 import sys
 from fractions import Fraction
 from lipfree import lp
 counts = getattr(lp, "COUNTS", None)
 out = dict.fromkeys(
-    ("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12")
+    ("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12",
+     "norms_20")
 )
-PROFILED = {"acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12"}
+PROFILED = {"acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12", "norms_20"}
 FRACTION_NEW = Fraction.__new__.__code__
 
 
@@ -91,9 +97,39 @@ def profiled(run):
     return seen
 
 
+def closure_json(n, seed):
+    # the JSON texts of a shortest-path closure of random weights on n points,
+    # of an element on every non-base point and of one on three
+    rng = random.Random(seed)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, 20)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    labels = [f"p{i}" for i in range(n)]
+    space = {"labels": labels, "base": 0, "d": [[str(x) for x in row] for row in d]}
+    elements = [
+        {"weights": {lbl: f"{rng.randint(-5, 5) or 1}/{rng.randint(1, 4)}" for lbl in support}}
+        for support in (labels[1:], rng.sample(labels[1:], 3))
+    ]
+    return json.dumps(space), [json.dumps(e) for e in elements]
+
+
+def norms(text, elements):
+    from lipfree import free, metric
+    space = metric.FiniteMetricSpace.from_json(json.loads(text))
+    if not metric.validate(space).ok:
+        raise RuntimeError("the norms_20 space is not a metric")
+    return [free.free_norm(free.FreeElement.from_json(json.loads(e), space)).value for e in elements]
+
+
 if counts is not None:
     from lipfree import diametral, metric, reproduce
     asp = metric.build_annuli_space(3)
+    norms_input = closure_json(20, 20)
     runs = {
         "acceptance_03": lambda: [reproduce.verify_example1(N=24, n=n, samples=50, seed=0) for n in range(2, 7)],
         "acceptance_04": lambda: reproduce.verify_example2(
@@ -105,6 +141,7 @@ if counts is not None:
             asp.space, asp.pairs, asp.annuli, list(asp.eps), samples=50, seed=0
         ),
         "two_anchor_12": lambda: reproduce.verify_two_anchor_daugavet(N=12),
+        "norms_20": lambda: norms(*norms_input),
     }
     for name, run in runs.items():
         before = counts.as_dict()
