@@ -529,10 +529,7 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
             raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {bound}")
     cnum, cden = over_common_denominator(c)
     vnum, vden = value.numerator, value.denominator
-    attained = 0
-    for ci, wi in zip(cnum, wnum):
-        if ci:
-            attained += ci * wi
+    attained = sum(ci * wi for ci, wi in zip(cnum, wnum) if ci)
     if attained * vden != vnum * cden * wden:
         raise SimplexError(f"witness attains {Fraction(attained, cden * wden)}, not the LP value {value}")
     ynum, yden = over_common_denominator(multipliers.values())
