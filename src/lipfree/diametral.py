@@ -40,8 +40,10 @@ def wstar_delta_radius(
     ||f - g|| is the maximum of (f - g)(m_pq) over ordered pairs, so the sup
     decomposes into one LP per pair: minimize g(m_pq) subject to the ball and
     the slice constraint. Given pairs, the sup of max (f - g)(m_pq) over
-    just those pairs. The programs differ only in their objective and share
-    one lp.RhsSweep.
+    just those pairs. When mu is w (delta_u - delta_v) with w > 0, the slice
+    row w (g(u) - g(v)) >= 1 - alpha is the arc u -> v of length
+    -(1 - alpha) / w, and each pair is an lp.solve_pair_program; any other
+    mu makes each pair one lp.solve_lip_ball.
     """
     alpha = rat(alpha)
     if not (0 < alpha <= 2):
@@ -50,15 +52,22 @@ def wstar_delta_radius(
         raise ValueError("f must have norm exactly one")
     if require_membership and mu.pairing(f) <= ONE - alpha:
         raise ValueError("f does not lie in the slice")
-    slice_row = lp.SideConstraint(weights=mu.weight_dict(), relation=">=", bound=ONE - alpha)
-    sweep = lp.RhsSweep()
+    weights = mu.weight_dict()
+    slice_row = lp.SideConstraint(weights=weights, relation=">=", bound=ONE - alpha)
+    # the measure of mu, its base weight restored
+    signed = sorted((w, p) for p, w in (*weights.items(), (space.base, -sum(weights.values()))) if w)
+    arc = None
+    if len(signed) == 2 and signed[0][0] == -signed[1][0]:
+        (_, v), (w, u) = signed
+        arc = (u, v, (alpha - ONE) / w)
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:
         objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
-        sol = lp.solve_lip_ball(
-            lp.LipBallProgram(space=space, objective=objective, side_constraints=(slice_row,)),
-            sweep,
-        )
+        if arc is None:
+            program = lp.LipBallProgram(space=space, objective=objective, side_constraints=(slice_row,))
+            sol = lp.solve_lip_ball(program)
+        else:
+            sol = lp.solve_pair_program(space, objective, arc)
         if sol.status != lp.OPTIMAL:
             break  # the slice misses the ball, whatever the objective
         value = f.molecule_value(p, q) + sol.value

@@ -34,27 +34,23 @@ after an iteration cap, so runs are deterministic and cycle-free.
 
 Columns 2k and 2k + 1 of a ball program, the rows of its k-th pair, are
 negatives of each other with one cost, so at most one prices negative:
-det*c - |y_a - y_b|, (a, b) from ``BallRows.pairs``. Pricing and the dual
-ratio test take each pair once and make the column-by-column choices.
+det*c - |y_a - y_b|, (a, b) from ``BallRows.pairs``. Pricing takes each
+pair once and makes the column-by-column choices.
 
-The per-pair sweeps share one stored tableau. ``max_over_pairs``
-multiplies its side row by d(p, q), so the row has coefficients +-1 and
-differs from pair to pair only in its column and cost: a ColumnSweep
-solves the plain ball program once, keeps that optimal tableau, and each
-pair copies it, appends its column and pivots on. In
-``diametral.wstar_delta_radius`` only b (the pair's objective) changes:
-an RhsSweep solves its first pair cold and re-solves each later pair from
-the last optimal tableau by the dual simplex, whose basis stays dual
-feasible because the costs do not change. Either way every answer still
-passes the checker against the rows of its own program, and COUNTS
-totals the solves, the primal and dual pivots and the Bland fallbacks.
+The per-pair programs of ``max_over_pairs`` and
+``diametral.wstar_delta_radius`` have one side row g(b) - g(a) <= c. With
+an objective sum_x m_x (g(x) - g(t)), every m_x >= 0, such a program is a
+shortest-path program: ``solve_pair_program`` answers it in closed form,
+and the answer passes the same checker as every simplex solve. COUNTS
+totals the simplex solves, their pivots and Bland fallbacks, and these
+path programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Optional
 
 from .functions import LipFunction
@@ -73,14 +69,14 @@ class SimplexError(RuntimeError):
 
 
 class SimplexCounts:
-    """Running totals of the simplex core, added to once per solve: solves,
-    pivots of the primal and of the dual loop, and the solves whose loop
-    reached the Dantzig cap and chose by Bland's rule."""
+    """Running totals of the exact solves: simplex solves, their pivots, the
+    solves whose loop reached the Dantzig cap and chose by Bland's rule, and
+    the pair programs answered by shortest paths (solve_pair_program)."""
 
-    __slots__ = ("solves", "primal_pivots", "dual_pivots", "bland_fallbacks")
+    __slots__ = ("solves", "primal_pivots", "bland_fallbacks", "path_programs")
 
     def __init__(self):
-        self.solves = self.primal_pivots = self.dual_pivots = self.bland_fallbacks = 0
+        self.solves = self.primal_pivots = self.bland_fallbacks = self.path_programs = 0
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -96,8 +92,6 @@ class _Tableau:
     b_den the denominator of b; basis[r] is the column basic in row r. rows
     is the (m+1) x (m+1) tableau over det, the absolute basis determinant:
     rows 0..m-1 hold [adj B | x_B], row m holds [y = c_B adj B | c_B x_B].
-    Pivots replace rows and never change one in place, so copy() is cheap
-    and later pivots on either tableau leave the other as it was.
     """
 
     __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "det", "rows", "pairs")
@@ -105,32 +99,6 @@ class _Tableau:
     def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, det, rows, pairs):
         self.icols, self.c_num, self.c_den, self.b_den = icols, c_num, c_den, b_den
         self.basis, self.in_basis, self.det, self.rows, self.pairs = basis, in_basis, det, rows, pairs
-
-    def copy(self) -> "_Tableau":
-        return _Tableau(
-            list(self.icols), list(self.c_num), self.c_den, self.b_den,
-            list(self.basis), list(self.in_basis), self.det, list(self.rows), self.pairs,
-        )
-
-    def append_column(self, col, cost) -> None:
-        """Add a nonbasic integer column with its cost. Costs with a new
-        denominator rescale the costs and the cost row, which leaves every
-        pivot choice as it was."""
-        grow = cost.denominator // gcd(self.c_den, cost.denominator)
-        if grow > 1:
-            self.c_num = [grow * c for c in self.c_num]
-            self.rows[-1] = [grow * a for a in self.rows[-1]]
-            self.c_den *= grow
-        self.icols.append(col)
-        self.c_num.append(cost.numerator * (self.c_den // cost.denominator))
-        self.in_basis.append(False)
-
-    def set_rhs(self, b) -> None:
-        """Replace b, keeping the basis: x_B = adj B . b and c_B x_B = y . b."""
-        b_num, self.b_den = over_common_denominator(b)
-        nonzero = [(r, num) for r, num in enumerate(b_num) if num]
-        m = len(self.basis)
-        self.rows = [row[:m] + [sum(row[r] * v for r, v in nonzero)] for row in self.rows]
 
 
 def _start(cols, b, costs, pairs) -> _Tableau:
@@ -159,24 +127,21 @@ def _start(cols, b, costs, pairs) -> _Tableau:
     in_basis = [False] * len(cols)
     for j in basis:
         in_basis[j] = True
-    return _Tableau(list(cols), c_num, c_den, b_den, basis, in_basis, det, rows, pairs)
+    return _Tableau(cols, c_num, c_den, b_den, basis, in_basis, det, rows, pairs)
 
 
 def _pivot(t: _Tableau, leaving: int, entering: int, dvec: list) -> None:
     """Bring column entering into row leaving; dvec is that column in the
     current basis times det, followed by minus its reduced cost times det.
-    Every other row i becomes (piv * row - dvec[i] * pivot row) // det, an
-    exact division of integer minors (Bareiss); a negative pivot negates
-    the tableau so that det stays positive."""
+    The pivot entry is positive. Every other row i becomes
+    (piv * row - dvec[i] * pivot row) // det, an exact division of integer
+    minors (Bareiss), and piv is the new det."""
     rows, det = t.rows, t.det
     piv = dvec[leaving]
     prow = rows[leaving]
     for i, (row, di) in enumerate(zip(rows, dvec)):
         if i != leaving and (di or piv != det):
             rows[i] = [(piv * a - di * p) // det for a, p in zip(row, prow)]
-    if piv < 0:
-        rows[:] = [[-a for a in row] for row in rows]
-        piv = -piv
     t.det = piv
     t.in_basis[t.basis[leaving]] = False
     t.in_basis[entering] = True
@@ -192,41 +157,55 @@ def _column(t: _Tableau, j: int) -> list:
     return dvec
 
 
+def _entering(t: _Tableau, bland: bool) -> tuple:
+    """(entering column, its reduced cost times det), or (-1, 0) at the
+    optimum. Dantzig with smallest-index ties, or Bland's first improving
+    column; each pair of t.pairs is priced once, and a later column must
+    price lower."""
+    icols, c_num, in_basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.rows, t.pairs
+    m, paired = len(t.basis), 2 * len(pairs)
+    det, y = t.det, rows[m]
+    entering = -1
+    best_rc = 0
+    if pairs:
+        yz = y[:m] + [0]
+        rcs = [det * c - abs(yz[a] - yz[b]) for c, (a, b) in zip(c_num[0:paired:2], pairs)]
+        best_rc = next((rc for rc in rcs if rc < 0), 0) if bland else min(0, min(rcs))
+        if best_rc < 0:
+            k = rcs.index(best_rc)
+            a, b = pairs[k]
+            entering = 2 * k + (yz[a] < yz[b])
+            if bland:
+                return entering, best_rc
+    for j in range(paired, len(icols)):
+        if in_basis[j]:
+            continue
+        rc = det * c_num[j]  # reduced cost times det
+        for r, a in icols[j]:
+            rc -= y[r] * a
+        if rc < best_rc:
+            best_rc, entering = rc, j
+            if bland:
+                break
+    return entering, best_rc
+
+
 def _primal(t: _Tableau) -> tuple:
     """Primal simplex from a feasible basis: (status, pivots, whether Bland's
-    rule priced). Dantzig with smallest-index ties, Bland after the cap; each
-    pair of t.pairs is priced once, and a later column must price lower."""
-    icols, c_num, in_basis, basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.basis, t.rows, t.pairs
-    m, n, paired = len(basis), len(icols), 2 * len(t.pairs)
+    rule priced). _entering chooses by Dantzig's rule up to the cap, by
+    Bland's after it. Past the cap, m * n more pivots (m rows, n columns)
+    raise SimplexError, so a pivoting fault fails fast instead of hanging."""
+    basis, rows = t.basis, t.rows
+    m, n = len(basis), len(t.icols)
     cap = _DANTZIG_CAP_FACTOR * (m + n)
     pivots = 0
     while True:
-        if pivots >= cap + 200000:
-            raise SimplexError("pivot limit exceeded")
         bland = pivots >= cap
-        det, y = t.det, rows[m]
-        entering = -1
-        best_rc = 0
-        if pairs:
-            yz = y[:m] + [0]
-            rcs = [det * c - abs(yz[a] - yz[b]) for c, (a, b) in zip(c_num[0:paired:2], pairs)]
-            best_rc = next((rc for rc in rcs if rc < 0), 0) if bland else min(0, min(rcs))
-            if best_rc < 0:
-                k = rcs.index(best_rc)
-                a, b = pairs[k]
-                entering = 2 * k + (yz[a] < yz[b])
-        for j in range(paired, n) if entering < 0 or not bland else ():
-            if in_basis[j]:
-                continue
-            rc = det * c_num[j]  # reduced cost times det
-            for r, a in icols[j]:
-                rc -= y[r] * a
-            if rc < best_rc:
-                best_rc, entering = rc, j
-                if bland:
-                    break
+        entering, best_rc = _entering(t, bland)
         if entering < 0:
             return OPTIMAL, pivots, bland
+        if pivots == cap + m * n:
+            raise SimplexError(f"pivot limit exceeded: {pivots} pivots on {m} rows and {n} columns")
         dvec = _column(t, entering)
         leaving = -1
         for i in range(m):
@@ -246,75 +225,12 @@ def _primal(t: _Tableau) -> tuple:
         pivots += 1
 
 
-def _dual(t: _Tableau) -> tuple:
-    """Dual simplex from a basis whose reduced costs are all nonnegative:
-    (pivots, whether Bland's rule chose). The leaving row has the most
-    negative x_B (Bland: the smallest basic column among the negative ones);
-    the entering column has the least ratio of reduced cost to minus its
-    entry in that row, ties to the smallest column. Every pivot entry is
-    negative, so every pivot negates the tableau. Of each pair of t.pairs
-    only the column with the negative entry is a candidate, taken in column
-    order before the other columns."""
-    icols, c_num, in_basis, basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.basis, t.rows, t.pairs
-    m, n, paired = len(basis), len(icols), 2 * len(t.pairs)
-    cap = _DANTZIG_CAP_FACTOR * (m + n)
-    pivots = 0
-    while True:
-        if pivots >= cap + 200000:
-            raise SimplexError("pivot limit exceeded")
-        bland = pivots >= cap
-        leaving = -1
-        for i in range(m):
-            xi = rows[i][m]
-            if xi < 0:
-                if leaving < 0:
-                    leaving = i
-                    continue
-                xl = rows[leaving][m]
-                if (basis[i] < basis[leaving]) if bland else (xi < xl or (xi == xl and basis[i] < basis[leaving])):
-                    leaving = i
-        if leaving < 0:
-            return pivots, bland
-        det, y, lrow = t.det, rows[m], rows[leaving]
-        entering = -1
-        best_rc = best_alpha = 0
-        yz, lz = y[:m] + [0], lrow[:m] + [0]
-        for k, (c, (a, b)) in enumerate(zip(c_num[0:paired:2], pairs)):
-            g = lz[a] - lz[b]  # entry of column 2k in the leaving row; column 2k + 1 has -g
-            if g:
-                s = 1 if g < 0 else -1  # the column with the negative entry
-                alpha, rc = s * g, det * c - s * (yz[a] - yz[b])
-                if entering < 0 or rc * best_alpha > best_rc * alpha:
-                    entering, best_rc, best_alpha = 2 * k + (s < 0), rc, alpha
-        for j in range(paired, n):
-            if in_basis[j]:
-                continue
-            alpha = 0  # entry of column j in the leaving row, times det
-            for r, a in icols[j]:
-                alpha += lrow[r] * a
-            if alpha < 0:
-                rc = det * c_num[j]
-                for r, a in icols[j]:
-                    rc -= y[r] * a
-                # rc / -alpha < best_rc / -best_alpha, cross-multiplied
-                if entering < 0 or rc * best_alpha > best_rc * alpha:
-                    entering, best_rc, best_alpha = j, rc, alpha
-        if entering < 0:
-            raise SimplexError(f"row {leaving} has no entering column: the program is infeasible")
-        dvec = _column(t, entering)
-        dvec.append(-best_rc)
-        _pivot(t, leaving, entering, dvec)
-        pivots += 1
-
-
-def _read_out(t: _Tableau, status: str, primal: int, dual: int, bland: bool) -> tuple:
+def _read_out(t: _Tableau, status: str, pivots: int, bland: bool) -> tuple:
     """(status, x, value, duals) of the solve, back in rationals; adds the
     solve to COUNTS."""
     counts = COUNTS
     counts.solves += 1
-    counts.primal_pivots += primal
-    if dual:
-        counts.dual_pivots += dual
+    counts.primal_pivots += pivots
     if bland:
         counts.bland_fallbacks += 1
     if status == UNBOUNDED:
@@ -328,17 +244,16 @@ def _read_out(t: _Tableau, status: str, primal: int, dual: int, bland: bool) -> 
     return OPTIMAL, x, value, duals
 
 
-def simplex_standard(cols, b, costs, sweep=None, pairs=()):
+def simplex_standard(cols, b, costs, pairs=()):
     """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
 
     cols: sparse columns as [(row, coef), ...] with integer entries; b and
     costs are rational. Returns (status, x: dict, value, duals: list per
     row). One-phase simplex over Python ints in three parts: _start builds
     the tableau of the start basis, _primal pivots it to the optimum and
-    _read_out turns the result back into rationals. Given sweep, a
-    ColumnSweep or RhsSweep, the solve starts from the tableau that sweep
-    stored instead. Given pairs, a BallRows.pairs table, columns 2k and
-    2k + 1 must be the k-th pair's two ball rows; they are priced together.
+    _read_out turns the result back into rationals. Given pairs, a
+    BallRows.pairs table, columns 2k and 2k + 1 must be the k-th pair's two
+    ball rows; they are priced together.
 
     The start is a diagonal basis: for each row the first column whose only
     entry sits on that row and has the sign of its b (positive where b is
@@ -348,63 +263,9 @@ def simplex_standard(cols, b, costs, sweep=None, pairs=()):
     _pivot; reduced costs are integer numerators over det and the ratio test
     cross-multiplies, so the pivots are those of the rational simplex.
     """
-    if sweep is not None:
-        return sweep.solve(cols, b, costs, pairs)
     t = _start(cols, b, costs, pairs)
     status, pivots, bland = _primal(t)
-    return _read_out(t, status, pivots, 0, bland)
-
-
-class ColumnSweep:
-    """Stored state of a sweep of programs that differ only in their last
-    column and its cost, the side row of a ball program.
-
-    The first solve runs the program without the last column to its optimum
-    and keeps that tableau; every solve copies it, appends its last column
-    and pivots on. The other columns and b must be those of the first call.
-    """
-
-    def __init__(self):
-        self.plain = None
-
-    def solve(self, cols, b, costs, pairs):
-        plain_pivots = plain_bland = 0
-        if self.plain is None:
-            plain = _start(cols[:-1], b, costs[:-1], pairs)
-            status, plain_pivots, plain_bland = _primal(plain)
-            if status == UNBOUNDED:
-                return _read_out(plain, status, plain_pivots, 0, plain_bland)
-            self.plain = plain
-        t = self.plain.copy()
-        t.append_column(cols[-1], costs[-1])
-        status, pivots, bland = _primal(t)
-        return _read_out(t, status, plain_pivots + pivots, 0, plain_bland or bland)
-
-
-class RhsSweep:
-    """Stored state of a sweep of programs that differ only in b, the
-    objective of a ball program.
-
-    The first solve is cold; each later one puts its b into the last
-    optimal tableau, whose reduced costs stay nonnegative, and re-solves
-    with the dual simplex. The columns and costs must be those of the first
-    call.
-    """
-
-    def __init__(self):
-        self.tableau = None
-
-    def solve(self, cols, b, costs, pairs):
-        if self.tableau is None:
-            t = _start(cols, b, costs, pairs)
-            status, pivots, bland = _primal(t)
-            if status == OPTIMAL:
-                self.tableau = t
-            return _read_out(t, status, pivots, 0, bland)
-        t = self.tableau
-        t.set_rhs(b)
-        pivots, bland = _dual(t)
-        return _read_out(t, OPTIMAL, 0, pivots, bland)
+    return _read_out(t, status, pivots, bland)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +306,8 @@ def _check_points(space, weights):
             raise ValueError(f"point index {p} outside space")
 
 
-def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
-    """Exact optimum of the objective over the Lipschitz unit ball.
-
-    Given sweep (see simplex_standard), the dual starts from the tableau
-    the sweep stored; the answer is checked all the same.
-    """
+def solve_lip_ball(program: LipBallProgram) -> LpSolution:
+    """Exact optimum of the objective over the Lipschitz unit ball."""
     space = program.space
     objective = _as_weights(program.objective)
     _check_points(space, objective)
@@ -482,7 +339,7 @@ def solve_lip_ball(program: LipBallProgram, sweep=None) -> LpSolution:
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     # is always feasible: its start basis is the star transport to the base
     cols, bounds = [coefs for coefs, _ in rows], [bound for _, bound in rows]
-    status, x, value, duals = simplex_standard(cols, c, bounds, sweep, ball.pairs)
+    status, x, value, duals = simplex_standard(cols, c, bounds, ball.pairs)
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
@@ -632,6 +489,78 @@ def molecule_weights(space: FiniteMetricSpace, u: int, v: int) -> dict:
     return w
 
 
+def _arc_row(n: int, p: int, q: int) -> int:
+    """The index of the ball row g(p) - g(q) <= d(p, q) of an n-point space
+    (see BallRows)."""
+    i, j = min(p, q), max(p, q)
+    return 2 * (i * n - i * (i + 1) // 2 + j - i - 1) + (p > q)
+
+
+def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
+    """Exact optimum of the objective over the ball with one side arc
+    (a, b, c), the row g(b) - g(a) <= c, numbered after the ball rows.
+
+    With its base weight restored, the objective is a measure of total
+    zero. When at most one point t has negative weight, it is
+    sum_x m_x (g(x) - g(t)) with every m_x >= 0, and the rows are difference
+    constraints: arcs x -> y of length d(x, y) and the arc a -> b of length
+    c. The shortest-path potential from t,
+    h(x) = min(d(t, x), d(t, a) + c + d(b, x)), is then the largest
+    g(x) - g(t) for every x at once, so it is optimal (Cormen, Leiserson,
+    Rivest and Stein, Introduction to Algorithms, 3rd ed., 24.4); the
+    program is infeasible exactly when c + d(a, b) < 0. The multipliers are
+    the flow of the shortest-path tree: m_x on each row of the path of x.
+    The witness h - h(base), these multipliers and the value pass
+    _verify_lip_solution like any solve, so a matrix that breaks the
+    triangle inequality is caught there. Any other objective is one
+    solve_lip_ball.
+    """
+    a, b, c = arc
+    c = rat(c)
+    objective = _as_weights(objective)
+    _check_points(space, objective)
+    base, n = space.base, space.n
+    w = [ZERO] * n
+    for p, wp in objective.items():
+        if p != base:
+            w[p] += rat(wp)
+    w[base] = -sum(w)
+    sinks = [p for p, wp in enumerate(w) if wp < 0]
+    if len(sinks) > 1:
+        side = SideConstraint(weights={b: ONE, a: -ONE}, relation="<=", bound=c)
+        return solve_lip_ball(LipBallProgram(space=space, objective=objective, side_constraints=(side,)))
+    COUNTS.path_programs += 1
+    if c + space.d[a][b] < 0:
+        return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
+    t = sinks[0] if sinks else base
+    # the path lengths from t as ints over den
+    D, scale = space.int_view
+    cd = c.denominator
+    den = scale * cd
+    direct = [dx * cd for dx in D[t]]
+    via = direct[a] + c.numerator * scale
+    h = [min(dx, via + dbx * cd) for dx, dbx in zip(direct, D[b])]
+    ball = space.ball_rows
+    side_row = len(ball.rows)
+    multipliers, length = {}, ZERO
+    for x, m in enumerate(w):
+        if m > 0:
+            if h[x] == direct[x]:
+                path = (_arc_row(n, x, t),)
+            else:
+                path = (_arc_row(n, a, t),) * (a != t) + (side_row,) + (_arc_row(n, x, b),) * (x != b)
+            for r in path:
+                multipliers[r] = multipliers.get(r, ZERO) + m
+            length += m * h[x]
+    value = length / den
+    g = [Fraction(hx - h[base], den) for hx in h]
+    var = ball.var
+    coefs = tuple(sorted((var[p], s) for p, s in ((b, 1), (a, -1)) if p != base))
+    witness, cvec = [g[p] for p in range(n) if p != base], [w[p] for p in range(n) if p != base]
+    _verify_lip_solution(ball.rows + ((coefs, c),), cvec, witness, multipliers, value, space)
+    return LpSolution(status=OPTIMAL, value=value, argument=LipFunction(space, tuple(g)), row_duals=multipliers)
+
+
 def max_over_pairs(
     space: FiniteMetricSpace,
     base_fn: LipFunction,
@@ -640,15 +569,14 @@ def max_over_pairs(
     pairs=None,
 ) -> PairMaxResult:
     """Best objective value over g in the ball with some pair witnessing
-    (base_fn - g)(m_pq) >= threshold; one LP per pair (p, q) of pairs,
+    (base_fn - g)(m_pq) >= threshold; one program per pair (p, q) of pairs,
     every ordered pair of distinct points by default.
 
     The side row of pair (p, q) is that witness inequality times d(p, q):
-    g(p) - g(q) <= f(p) - f(q) - d(p, q) threshold, with coefficients +-1,
-    so the programs differ only in that row and share one ColumnSweep. A
-    pair with f(p) - f(q) + d(p, q) < d(p, q) threshold is skipped, as
-    g(p) - g(q) >= -d(p, q) on the ball; that test runs on ints over the
-    common denominators of f, the distances and the threshold.
+    g(p) - g(q) <= f(p) - f(q) - d(p, q) threshold, the arc q -> p of
+    solve_pair_program. A pair with f(p) - f(q) + d(p, q) < d(p, q) threshold
+    is skipped, as g(p) - g(q) >= -d(p, q) on the ball; that test runs on
+    ints over the common denominators of f, the distances and the threshold.
     """
     threshold = rat(threshold)
     if threshold > 2:
@@ -660,19 +588,11 @@ def max_over_pairs(
     gap_factor = scale * threshold.denominator
     dist_factor = fden * (threshold.numerator - threshold.denominator)
     values, d = base_fn.values, space.d
-    sweep = ColumnSweep()
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:
         if (fnum[p] - fnum[q]) * gap_factor < D[p][q] * dist_factor:
             continue  # infeasible: g(m_pq) >= -1 always
-        side = SideConstraint(
-            weights={p: ONE, q: -ONE},
-            relation="<=",
-            bound=values[p] - values[q] - d[p][q] * threshold,
-        )
-        sol = solve_lip_ball(
-            LipBallProgram(space=space, objective=objective, side_constraints=(side,)), sweep
-        )
+        sol = solve_pair_program(space, objective, (q, p, values[p] - values[q] - d[p][q] * threshold))
         if sol.status != OPTIMAL:
             continue
         if best is None or sol.value > best[1]:

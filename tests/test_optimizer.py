@@ -74,6 +74,22 @@ def _random_rational(rng):
     return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
 
 
+# Beale's cycling example, row 0 times 4 and row 1 times 2: cols, b, costs
+_BEALE = (
+    [
+        [(0, 4)],
+        [(1, 2)],
+        [(2, 1)],
+        [(0, 1), (1, 1)],
+        [(0, -32), (1, -24)],
+        [(0, -4), (1, -1), (2, 1)],
+        [(0, 36), (1, 6)],
+    ],
+    [ZERO, ZERO, ONE],
+    [ZERO, ZERO, ZERO, rat("-3/4"), rat(20), rat("-1/2"), rat(6)],
+)
+
+
 class TestSimplexCore:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150, deadline=None)
@@ -173,106 +189,23 @@ class TestSimplexCore:
         assert x == {1: rat(2)}
         assert value == -2
         assert duals == [-ONE]
-        # Beale's cycling example, row 0 times 4 and row 1 times 2
-        cols = [
-            [(0, 4)],
-            [(1, 2)],
-            [(2, 1)],
-            [(0, 1), (1, 1)],
-            [(0, -32), (1, -24)],
-            [(0, -4), (1, -1), (2, 1)],
-            [(0, 36), (1, 6)],
-        ]
-        costs = [ZERO, ZERO, ZERO, rat("-3/4"), rat(20), rat("-1/2"), rat(6)]
-        status, x, value, duals = lp.simplex_standard(
-            cols, [ZERO, ZERO, ONE], costs
-        )
+        status, x, value, duals = lp.simplex_standard(*_BEALE)
         assert status == lp.OPTIMAL
         assert x == {0: rat("3/4"), 3: ONE, 5: ONE}
         assert value == rat("-5/4")
         assert duals == [ZERO, rat("-3/4"), rat("-5/4")]
 
-
-def _feasible_for_every_b(rng):
-    """A random program with a positive and a negative unit column on each
-    row, so that every b is feasible, among dense integer columns."""
-    m = rng.randint(1, 4)
-    columns = []
-    for r in range(m):
-        for sign in (1, -1):
-            columns.append(([(r, sign * rng.randint(1, 4))], _random_rational(rng) + 3))
-    for _ in range(rng.randint(0, 6)):
-        col = [(r, a) for r in range(m) if (a := rng.randint(-6, 6))]
-        if col:
-            columns.append((col, _random_rational(rng) + 2))
-    rng.shuffle(columns)
-    return [col for col, _ in columns], [cost for _, cost in columns], m
+    def test_pivot_limit_stops_a_cycling_rule(self, monkeypatch):
+        # Dantzig's rule with no Bland fallback cycles on Beale's example; the
+        # limit, the cap plus rows x columns, 20 (3 + 7) + 3 x 7, stops it
+        dantzig = lp._entering
+        monkeypatch.setattr(lp, "_entering", lambda t, bland: dantzig(t, False))
+        with pytest.raises(lp.SimplexError, match="pivot limit exceeded: 221 pivots on 3 rows and 7 columns"):
+            lp.simplex_standard(*_BEALE)
 
 
 class TestDualResolve:
-    """RhsSweep: a cold first solve, then dual-simplex re-solves in place."""
-
-    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
-    @settings(max_examples=150, deadline=None)
-    def test_resolves_match_cold_solves(self, seed, cap_factor):
-        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
-            self._resolves_match_cold_solves(random.Random(seed))
-
-    def _resolves_match_cold_solves(self, rng):
-        cols, costs, m = _feasible_for_every_b(rng)
-        sweep = lp.RhsSweep()
-        for _ in range(4):
-            b = [_random_rational(rng) for _ in range(m)]
-            status, x, value, duals = lp.simplex_standard(cols, b, costs, sweep)
-            cold = _reference_simplex(cols, b, costs)
-            assert (status, value) == (cold[0], cold[2])
-            if status == lp.OPTIMAL:
-                assert sweep.tableau.det > 0
-                assert all(v > 0 for v in x.values())
-                assert [sum(x.get(j, 0) * a for j, col in enumerate(cols) for r2, a in col if r2 == r)
-                        for r in range(m)] == b
-                assert sum(costs[j] * v for j, v in x.items()) == value
-
-    def test_degenerate_resolve_under_bland_does_not_cycle(self, monkeypatch):
-        # ball programs of a 5-point space are highly degenerate: every
-        # arc column ties with others; Bland runs from the first pivot
-        monkeypatch.setattr(lp, "_DANTZIG_CAP_FACTOR", 0)
-        space = random_space(random.Random(4), 5)
-        rows = space.ball_rows.rows
-        cols, costs = [coefs for coefs, _ in rows], [bound for _, bound in rows]
-        before = lp.COUNTS.as_dict()
-        sweep = lp.RhsSweep()
-        for p, q in space.ordered_pairs():
-            b = [ZERO] * (space.n - 1)
-            for point, w in lp.molecule_weights(space, p, q).items():
-                b[space.ball_rows.var[point]] = -w
-            warm = lp.simplex_standard(cols, b, costs, sweep)
-            cold = lp.simplex_standard(cols, b, costs)
-            assert warm[0] == cold[0] == lp.OPTIMAL
-            assert warm[2] == cold[2] == 1  # every molecule has norm one
-        assert lp.COUNTS.dual_pivots > before["dual_pivots"]
-        assert lp.COUNTS.bland_fallbacks - before["bland_fallbacks"] == 2 * space.n * (space.n - 1)
-
-    def test_negative_pivot_keeps_det_positive(self):
-        # min x0 + 2 x1  s.t.  2 x0 - 3 x1 = b: b = 1 is solved at x0 = 1/2
-        # (det 2); b = -1 makes x0 negative, and x1 enters on the pivot -3
-        cols, costs = [[(0, rat(2))], [(0, rat(-3))]], [ONE, rat(2)]
-        sweep = lp.RhsSweep()
-        assert lp.simplex_standard(cols, [ONE], costs, sweep) == (lp.OPTIMAL, {0: rat("1/2")}, rat("1/2"), [rat("1/2")])
-        assert sweep.tableau.det == 2
-        before = lp.COUNTS.dual_pivots
-        warm = lp.simplex_standard(cols, [-ONE], costs, sweep)
-        assert lp.COUNTS.dual_pivots == before + 1
-        assert sweep.tableau.det == 3
-        assert warm == lp.simplex_standard(cols, [-ONE], costs) == (
-            lp.OPTIMAL, {1: rat("1/3")}, rat("2/3"), [rat("-2/3")]
-        )
-
-    @pytest.mark.parametrize("sweep", [lp.RhsSweep, lp.ColumnSweep])
-    def test_row_without_start_column_is_an_error_on_the_cold_path(self, sweep):
-        cols = [[(0, ONE), (1, ONE)], [(0, ONE)], [(1, -ONE)], [(0, ONE), (1, ONE)]]
-        with pytest.raises(lp.SimplexError, match="row 1 has no positive unit column"):
-            lp.simplex_standard(cols, [ONE, ONE], [ONE] * 4, sweep())
+    """What COUNTS adds per solve and per certificate run."""
 
     def test_counts_are_added_once_per_solve(self, monkeypatch):
         space = build_simplex_space(4, 1)
@@ -286,26 +219,27 @@ class TestDualResolve:
 
         monkeypatch.setattr(lp, "simplex_standard", counting)
         before = lp.COUNTS.as_dict()
-        lp.max_over_pairs(space, f, rat("3/2"), {1: ONE, 2: -ONE})
+        # points 2 and 3 both carry negative weight, so no pair is a path program
+        lp.max_over_pairs(space, f, rat("3/2"), {1: ONE, 2: -ONE, 3: -ONE})
         assert lp.COUNTS.solves - before["solves"] == len(calls) > 0
         assert lp.COUNTS.primal_pivots > before["primal_pivots"]
-        assert lp.COUNTS.dual_pivots == before["dual_pivots"]
-
+        assert lp.COUNTS.path_programs == before["path_programs"]
 
     @pytest.mark.parametrize(
         "run, counts",
         [
-            (lambda: verify_example2(N=4, n=3, samples=2, seed=77), (112, 451, 22, 0)),
-            (lambda: verify_example1(N=12, n=3, samples=5, seed=9), (9, 78, 0, 0)),
+            (lambda: verify_example2(N=4, n=3, samples=2, seed=77), (40, 106, 0, 72)),
+            (lambda: verify_example1(N=12, n=3, samples=5, seed=9), (1, 1, 0, 8)),
         ],
         ids=["example2-both-sweeps", "example1"],
     )
     def test_pivot_counts_are_pinned(self, run, counts):
-        # solves, primal and dual pivots and Bland fallbacks of one run: a
-        # change to the start basis, the pivot rule or a column's scale moves them
+        # solves, pivots, Bland fallbacks and path programs of one run: a change
+        # to the start basis, the pivot rule, a column's scale or the sink test moves them
         before = lp.COUNTS.as_dict()
         run()
         assert tuple(v - before[k] for k, v in lp.COUNTS.as_dict().items()) == counts
+
 
 def _scipy_lip_ball(space, objective, side=()):
     """Float oracle via scipy: maximize objective over the Lipschitz ball."""
@@ -545,8 +479,7 @@ def _pivots_and_counts(solve):
 
 class TestPairPricing:
     """Pricing columns 2k, 2k + 1 once per pair makes every choice of the
-    column-by-column loop, under Dantzig and Bland, in the primal simplex
-    and in the dual simplex's ratio test."""
+    column-by-column loop, under Dantzig and Bland."""
 
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
     @settings(max_examples=100, deadline=None)
@@ -554,40 +487,9 @@ class TestPairPricing:
         rng = random.Random(seed)
         cols, b, costs, pairs = _ball_program(rng, rng.randint(0, 2))
         with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
-            paired = _pivots_and_counts(lambda: lp.simplex_standard(cols, b, costs, None, pairs))
+            paired = _pivots_and_counts(lambda: lp.simplex_standard(cols, b, costs, pairs))
             generic = _pivots_and_counts(lambda: lp.simplex_standard(cols, b, costs))
         assert paired == generic
-
-    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
-    @settings(max_examples=60, deadline=None)
-    def test_rhs_sweep(self, seed, cap_factor):
-        rng = random.Random(seed)
-        cols, b, costs, pairs = _ball_program(rng, rng.randint(0, 2))
-        bs = [b] + [[_random_rational(rng) for _ in b] for _ in range(3)]
-
-        def sweep(*rest):
-            sweep = lp.RhsSweep()
-            return [lp.simplex_standard(cols, b, costs, sweep, *rest) for b in bs]
-
-        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
-            assert _pivots_and_counts(lambda: sweep(pairs)) == _pivots_and_counts(sweep)
-
-    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([20, 0]))
-    @settings(max_examples=60, deadline=None)
-    def test_column_sweep(self, seed, cap_factor):
-        rng = random.Random(seed)
-        cols, b, costs, pairs = _ball_program(rng, rng.randint(1, 2))
-        lasts = [(cols[-1], costs[-1])] + [(_side_column(rng, len(b)), _random_rational(rng)) for _ in range(3)]
-
-        def sweep(*rest):
-            sweep = lp.ColumnSweep()
-            return [
-                lp.simplex_standard(cols[:-1] + [col], b, costs[:-1] + [cost], sweep, *rest)
-                for col, cost in lasts
-            ]
-
-        with patch.object(lp, "_DANTZIG_CAP_FACTOR", cap_factor):
-            assert _pivots_and_counts(lambda: sweep(pairs)) == _pivots_and_counts(sweep)
 
 
 def _reference_ball_rows(space):
@@ -806,8 +708,12 @@ class TestMaxOverPairs:
         direct = lp.solve_lip_ball(
             lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=(side,))
         )
-        assert res.pair == (2, 1)
-        assert (res.value, res.argument) == (direct.value, direct.argument)
+        assert (res.pair, res.value) == ((2, 1), direct.value)
+        # a maximizer, not necessarily the vertex the simplex stops at
+        g = res.argument
+        assert g.norm <= 1
+        assert g.molecule_value(2, 1) <= side.bound
+        assert g.values[1] == res.value
 
     def test_default_is_every_ordered_pair(self):
         space = build_simplex_space(4, 1)
@@ -819,8 +725,8 @@ class TestMaxOverPairs:
         assert every == given
 
     def test_example2_solve_count(self, monkeypatch):
-        # part (b) sweeps the core pairs once per sweep; the seed-77 run
-        # solved 112 programs before the sweeps took their pairs
+        # the seed-77 run makes 112 programs; the 72 of part (b)'s sweeps
+        # over the core pairs are path programs, so 40 reach the simplex
         calls = []
         solve = lp.simplex_standard
 
@@ -831,7 +737,75 @@ class TestMaxOverPairs:
         monkeypatch.setattr(lp, "simplex_standard", counting)
         report = verify_example2(N=4, n=3, samples=2, seed=77)
         assert report.overall
-        assert len(calls) == 112
+        assert len(calls) == 40
+
+
+def _bellman_ford(space, arc, t):
+    """networkx's Bellman-Ford distances from t on a MultiDiGraph of the ball
+    arcs x -> y of length d(x, y) and the side arc (a, b, c) beside them, or
+    None when the graph has a negative cycle."""
+    import networkx as nx
+
+    a, b, c = arc
+    graph = nx.MultiDiGraph()
+    graph.add_weighted_edges_from((x, y, space.d[x][y]) for x, y in space.ordered_pairs())
+    graph.add_edge(a, b, weight=c)
+    if nx.negative_edge_cycle(graph):
+        return None
+    return nx.single_source_bellman_ford_path_length(graph, t)
+
+
+class TestPairProgram:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bellman_ford(self, seed):
+        # a random sink-form objective sum_x m_x (g(x) - g(t)) and side arc
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(2, 7))
+        t = rng.choice(space.points())
+        m = {x: rat(rng.randint(0, 3)) for x in space.points() if x != t}
+        m[rng.choice(list(m))] += 1  # so that t is the sink
+        measure = {**m, t: -sum(m.values(), ZERO)}
+        objective = {x: w for x, w in measure.items() if x != space.base}
+        a, b = rng.sample(space.points(), 2)
+        c = space.d[a][b] * Fraction(rng.randint(-12, 8), 4)
+        before = lp.COUNTS.as_dict()
+        sol = lp.solve_pair_program(space, objective, (a, b, c))
+        after = lp.COUNTS.as_dict()
+        assert after["path_programs"] - before["path_programs"] == 1
+        assert after["solves"] == before["solves"]
+        dist = _bellman_ford(space, (a, b, c), t)
+        side = lp.SideConstraint(weights={b: ONE, a: -ONE}, relation="<=", bound=c)
+        cold = lp.solve_lip_ball(lp.LipBallProgram(space, objective, (side,)))
+        if dist is None:
+            assert sol.status == cold.status == lp.INFEASIBLE
+            return
+        assert sol.status == lp.OPTIMAL
+        assert sol.value == sum(w * dist[x] for x, w in m.items()) == cold.value
+        g = sol.argument.values
+        assert [g[x] - g[t] for x in space.points()] == [dist[x] for x in space.points()]
+        assert g[space.base] == 0
+
+    def test_other_objectives_are_one_simplex_solve(self, triangle):
+        # base weight -1 and point 2 both negative: no single sink
+        objective, arc = {1: rat(2), 2: -ONE}, (1, 2, rat("1/2"))
+        before = lp.COUNTS.as_dict()
+        sol = lp.solve_pair_program(triangle, objective, arc)
+        assert lp.COUNTS.solves - before["solves"] == 1
+        assert lp.COUNTS.path_programs == before["path_programs"]
+        side = lp.SideConstraint(weights={2: ONE, 1: -ONE}, relation="<=", bound=rat("1/2"))
+        assert sol == lp.solve_lip_ball(lp.LipBallProgram(triangle, objective, (side,)))
+
+    def test_a_broken_triangle_inequality_is_caught_by_the_checker(self):
+        # d(0, 2) = 5 > d(0, 1) + d(1, 2): the closed form puts g(2) = 5 and
+        # g(1) = 1, which breaks the ball row g(2) - g(1) <= 1 (row 5); the
+        # program's true optimum is 2
+        space = FiniteMetricSpace.from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        flat = LipFunction(space, (ZERO, ZERO, ZERO))
+        with pytest.raises(lp.SimplexError, match="witness violates row 5: 4 > 1"):
+            lp.max_over_pairs(space, flat, rat("1/2"), {2: ONE})
+        side = lp.SideConstraint(weights={0: ONE, 1: -ONE}, relation="<=", bound=rat("-1/2"))
+        assert lp.solve_lip_ball(lp.LipBallProgram(space, {2: ONE}, (side,))).value == 2
 
 
 def _first_max(values):
@@ -919,8 +893,8 @@ class TestSweepOracle:
         assert f.molecule_value(u, v) - res.witness.molecule_value(u, v) == res.value
 
     def test_empty_slice_skips_every_pair(self, monkeypatch):
-        # ||mu|| = 1/4 < 1 - alpha: the first cold solve is unbounded, which
-        # no objective changes, so the sweep stops there
+        # ||mu|| = 1/4 < 1 - alpha: the slice arc closes a negative cycle, which
+        # no objective changes, so the sweep stops at the first pair, unsolved
         space = random_space(random.Random(8), 5)
         f = random_lip_function(random.Random(9), space)
         mu = Molecule(space, 1, 2).element() * rat("1/4")
@@ -935,4 +909,4 @@ class TestSweepOracle:
         monkeypatch.setattr(lp, "simplex_standard", counting)
         with pytest.raises(ValueError, match="dual slice is empty"):
             wstar_delta_radius(space, f, mu, rat("1/2"), require_membership=False)
-        assert len(calls) == 1
+        assert len(calls) == 0

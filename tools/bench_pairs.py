@@ -9,23 +9,26 @@ base (``--base``, default ``HEAD~1``) and the head (``HEAD``). The workloads
 and the run length are those ``BENCHMARK.json`` fixes. On every workload,
 pair i of ten runs both sides on seed ``first_seed + i`` with ``--trace 0``,
 the base first when i is even and the head first when i is odd; then each
-side makes one ``--trace 1`` run on ``first_seed``. Per workload and metric the file holds
-each side's runs, median and quartiles, the number of pairs the head wins
-(strictly better in the direction ``BENCHMARK.json`` gives; ties count for
-neither side) and the order-balanced change: the mean log ratio head/base
-over the base-first pairs, the same over the head-first pairs, and their
-average, which cancels a constant penalty for running second. Per side it
-holds the traced per-layer figures. Before the
-workloads, each side runs its tier-1 suite once; the file holds its passed
-and failed counts, its wall time and the call times of acceptance 03 and 04,
-and the simplex counts (``lipfree.lp.COUNTS``: solves, primal and dual
-pivots, Bland fallbacks) of one in-process run at the parameters of
-acceptance 03, 04, 05, 06 and 09, of ``certify two-anchor --N 12`` and of
-two norms on a seeded 20-point closure loaded from JSON; a side
-whose ``lp`` has no counts records null. Each of these runs but 03 and 04
-also records ``calls`` (Python and builtin calls under ``sys.setprofile``)
-and ``fractions`` (``Fraction`` constructions), counts that, unlike times,
-do not depend on the machine.
+side makes one ``--trace 1`` run on ``first_seed``. Per workload and
+metric the file holds each side's runs, median and quartiles, the number of
+pairs the head wins (strictly better in the direction ``BENCHMARK.json``
+gives; ties count for neither side) and the order-balanced change: the mean
+log ratio head/base over the base-first pairs, the same over the head-first
+pairs, and their average, which cancels a constant penalty for running
+second. Per side it holds the traced per-layer figures.
+
+Before the workloads, the sides run their tier-1 suites twice in ABBA order
+(base, head, head, base), so that neither side always runs first; the file
+holds both runs of each side, each with its passed and failed counts, its
+wall time and the call times of acceptance 03 and 04. It also holds the
+exact-solve counts (``lipfree.lp.COUNTS``: simplex solves, their pivots and
+Bland fallbacks, and the pair programs answered as shortest paths) of one
+in-process run at the parameters of acceptance 03, 04, 05, 06 and 09, of
+``certify two-anchor --N 12`` and of two norms on a seeded 20-point closure
+loaded from JSON; a side whose ``lp`` has no counts records null. Each of
+these runs but 03 and 04 also records ``calls`` (Python and builtin calls
+under ``sys.setprofile``) and ``fractions`` (``Fraction`` constructions),
+counts that, unlike times, do not depend on the machine.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -59,7 +62,7 @@ ACCEPTANCE = {
 # query pair (norms_20: load and validate the JSON of a seeded 20-point
 # shortest-path closure, then read the norms of a full-support element and
 # of a 3-point one, as a bare freenorm does); prints one JSON object of the
-# simplex counts each run adds, or null per run. Every run but 03 and 04,
+# COUNTS each run adds, or null per run. Every run but 03 and 04,
 # which the hook would slow too much, also counts under sys.setprofile its
 # Python and builtin calls ("call" and "c_call" events) and its Fraction
 # constructions ("call" events of Fraction.__new__)
@@ -198,7 +201,7 @@ def parse_tier1(output: str) -> dict:
 
 
 def run_tier1(tree: Path) -> dict:
-    """The tier-1 suite of tree, run once on its own sources."""
+    """One run of the tier-1 suite of tree on its own sources."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
     return parse_tier1(proc.stdout)
@@ -272,7 +275,9 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
-        tier1 = {side: run_tier1(trees[side]) for side in SIDES}
+        tier1 = {side: [] for side in SIDES}
+        for side in (*SIDES, *SIDES[::-1]):
+            tier1[side].append(run_tier1(trees[side]))
         print(f"tier-1: {tier1}", file=sys.stderr)
         counts = {side: run_counts(trees[side]) for side in SIDES}
         print(f"simplex counts: {counts}", file=sys.stderr)
