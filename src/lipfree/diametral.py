@@ -58,8 +58,8 @@ def wstar_delta_radius(
     signed = sorted((w, p) for p, w in (*weights.items(), (space.base, -sum(weights.values()))) if w)
     arc = None
     if len(signed) == 2 and signed[0][0] == -signed[1][0]:
-        (_, v), (w, u) = signed
-        arc = (u, v, (alpha - ONE) / w)
+        (_, v), (weight, u) = signed
+        arc = (u, v, (alpha - ONE) / weight)
     best = None
     for p, q in space.ordered_pairs() if pairs is None else pairs:
         objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
