@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import lp
 from .functions import LipFunction, mcshane_extend
-from .metric import FiniteMetricSpace, subspace
+from .metric import FiniteMetricSpace, ball_rows
 from .scalars import ONE, Scalar, ZERO, json_field, parse_rat, rat, rat_str
 
 
@@ -104,9 +104,10 @@ class FreeElement:
         weights = json_field(obj, "weights", "element")
         if not isinstance(weights, dict):
             raise ValueError("element field 'weights' must be an object: label -> weight")
-        return cls.make(
-            space, {space.index(lbl): parse_rat(w, "weights") for lbl, w in weights.items()}
-        )
+        # space.index checks each label, and distinct labels are distinct points
+        parsed = {space.index(lbl): parse_rat(w, "weights") for lbl, w in weights.items()}
+        parsed.pop(space.base, None)
+        return cls._exact(space, parsed)
 
 
 @dataclass(frozen=True)
@@ -175,39 +176,28 @@ class FreeNormResult:
 def free_norm(mu: FreeElement) -> FreeNormResult:
     """Exact norm with both certificates, a norming function and a plan.
 
-    The program runs on the subspace spanned by the support and the base
-    (the norm is unchanged there). The plan is mapped back to the points of
-    the full space, and the witness lifted back by a 1-Lipschitz extension,
-    on first read of .plan and .witness, so both certificates are valid on
-    the full space.
+    The program runs on the ball rows of the support and the base (the norm
+    is unchanged there), read from the space's distances. The plan's arcs
+    are points of the space, and the witness is lifted from those points by
+    a 1-Lipschitz extension on first read of .witness, so both certificates
+    are valid on the full space.
     """
     space = mu.space
     if mu.is_zero():
         zero_fn = LipFunction(space, (ZERO,) * space.n)
         return FreeNormResult(ZERO, lambda: lp.TransportPlan((), ZERO), lambda: zero_fn)
     pts = sorted(set(mu.support) | {space.base})
-    if len(pts) == space.n:
-        return _free_norm_direct(mu)
-    sub = subspace(space, pts)
-    pos = {p: i for i, p in enumerate(pts)}
-    sub_mu = FreeElement._exact(sub, {pos[p]: w for p, w in mu.weights})
-    res = _free_norm_direct(sub_mu)
-
-    def plan():
-        flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in res.plan.flows))
-        return lp.TransportPlan(flows, res.plan.cost)
+    whole = len(pts) == space.n
+    ball = space.ball_rows if whole else ball_rows(space, pts)
+    sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=mu), ball)
+    witness = sol.argument
 
     def lift():
-        values = res.witness.values
-        return mcshane_extend(space, pts, {p: values[pos[p]] for p in pts}, ONE, "lower")
+        if whole:
+            return witness
+        return mcshane_extend(space, pts, {p: witness.values[p] for p in pts}, ONE, "lower")
 
-    return FreeNormResult(res.value, plan, lift)
-
-
-def _free_norm_direct(mu: FreeElement) -> FreeNormResult:
-    sol = lp.solve_lip_ball(lp.LipBallProgram(space=mu.space, objective=mu))
-    witness = sol.argument
-    return FreeNormResult(sol.value, lambda: lp.ball_plan(mu.space, sol), lambda: witness)
+    return FreeNormResult(sol.value, lambda: lp.ball_plan(ball, sol), lift)
 
 
 def free_dist(mu: FreeElement, nu) -> Scalar:

@@ -2,7 +2,9 @@
 
 One program family runs on the simplex core: maximize a linear functional
 over {f : ||f||_Lip <= 1, f(base) = 0}, with optional linear side
-constraints. It is solved through its dual, a standard-form program whose
+constraints, on every point of the space or on the ball rows of a sorted
+point set holding the base (``metric.ball_rows``), whose arcs name points
+of the space. It is solved through its dual, a standard-form program whose
 basis has one row per free variable. The dual of the norm program is the
 min-cost transport on the complete graph with the base point absorbing
 imbalance: the multiplier of the row f(p) - f(q) <= d(p, q) is the mass
@@ -19,9 +21,9 @@ By weak duality this pair is a proof of optimality. The check runs on
 Python ints: with the witness over its common denominator, each pair's two
 ball rows are one comparison against the space's ``int_view``, and with the
 multipliers over theirs, their sums against the objective and the value
-are cross-multiplied integer sums. The checker
-reads only the returned rationals, the rows and the space, never the
-solver's basis, and names exact rationals when a check fails.
+are cross-multiplied integer sums. The checker reads only the returned
+rationals and the rows, never the solver's basis, and names exact
+rationals when a check fails.
 
 All pivoting is exact and runs on Python ints: every row of a ball
 program is integral as solve_lip_ball builds it (the ball rows have
@@ -54,7 +56,7 @@ from math import lcm, prod
 from typing import Optional
 
 from .functions import LipFunction
-from .metric import FiniteMetricSpace
+from .metric import BallRows, FiniteMetricSpace
 from .scalars import ONE, Scalar, ZERO, over_common_denominator, rat
 
 OPTIMAL = "optimal"
@@ -295,35 +297,38 @@ class LpSolution:
 
 
 def _as_weights(obj) -> dict:
+    """An element's exact weights, or a plain dict's made rational."""
     if hasattr(obj, "weight_dict"):
         return obj.weight_dict()
-    return dict(obj)
+    return {p: rat(w) for p, w in dict(obj).items()}
 
 
-def _check_points(space, weights):
+def _check_points(ball: BallRows, weights):
     for p in weights:
-        if not (0 <= p < space.n):
-            raise ValueError(f"point index {p} outside space")
+        if p not in ball.points:
+            raise ValueError(f"point index {p} outside the program's points")
 
 
-def solve_lip_ball(program: LipBallProgram) -> LpSolution:
-    """Exact optimum of the objective over the Lipschitz unit ball."""
+def solve_lip_ball(program: LipBallProgram, ball: Optional[BallRows] = None) -> LpSolution:
+    """Exact optimum of the objective over the Lipschitz unit ball on the
+    points of ball (every point by default), which hold every objective and
+    side-row point. The argument is zero off those points."""
     space = program.space
+    ball = ball or space.ball_rows
     objective = _as_weights(program.objective)
-    _check_points(space, objective)
+    _check_points(ball, objective)
     base = space.base
-    ball = space.ball_rows
     var, rows = ball.var, ball.rows
     side_rows, scales = [], {}
     for sc in program.side_constraints:
         weights = _as_weights(sc.weights)
-        _check_points(space, weights)
+        _check_points(ball, weights)
         sign = {"<=": 1, ">=": -1}.get(sc.relation)
         if sign is None:
             raise ValueError(f"unknown relation: {sc.relation}")
         # var is injective, so each weight is the coefficient of its variable;
         # the row times k, the lcm of their denominators, is integral
-        coefs = sorted((var[p], rat(w)) for p, w in weights.items() if p != base and w != 0)
+        coefs = sorted((var[p], w) for p, w in weights.items() if p != base and w != 0)
         k = lcm(*(a.denominator for _, a in coefs))
         coefs = tuple((v, sign * a.numerator * (k // a.denominator)) for v, a in coefs)
         scales[len(rows) + len(side_rows)] = k
@@ -331,10 +336,10 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     if side_rows:
         rows = rows + tuple(side_rows)
 
-    c = [ZERO] * (space.n - 1)
+    c = [ZERO] * (len(ball.points) - 1)
     for p, w in objective.items():
         if p != base:
-            c[var[p]] += rat(w)
+            c[var[p]] += w
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
     # is always feasible: its start basis is the star transport to the base
@@ -343,7 +348,7 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
 
-    _verify_lip_solution(rows, c, duals, x, value, space)
+    _verify_lip_solution(rows, c, duals, x, value, ball)
     values = tuple(ZERO if v is None else duals[v] for v in var)
     arg = LipFunction(space=space, values=values)
     # a side row's multiplier times its k is the multiplier of the caller's row
@@ -351,7 +356,7 @@ def solve_lip_ball(program: LipBallProgram) -> LpSolution:
     return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=row_duals)
 
 
-def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
+def _verify_lip_solution(rows, c, witness, multipliers, value, ball=None):
     """Exact optimality certificate of one ball solve, independent of pivoting.
 
     rows are (coefs, bound) meaning coefs . f <= bound, with coefs a tuple of
@@ -370,13 +375,13 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
     against c * yden and value * yden. A row with Fraction coefficients
     gives Fraction sums and the same comparisons stay exact. The multiplier
     checks touch only the nonzero multipliers, at most one per variable.
-    Only the returned rationals, the rows and space are read, never the
-    solver's basis, and a failure names the exact rationals. Given space,
-    rows begin with its ball rows, which are checked on its int_view
-    instead (_check_ball_rows), and their bounds are read from it.
+    Only the returned rationals, the rows and ball are read, never the
+    solver's basis, and a failure names the exact rationals. Given ball, a
+    BallRows, rows begin with its rows, which are checked on the int_view of
+    its space instead (_check_ball_rows): only the pairs of its points.
     """
     wnum, wden = over_common_denominator(witness)
-    first = 0 if space is None else _check_ball_rows(space, wnum, wden)
+    first = 0 if ball is None else _check_ball_rows(ball, wnum, wden)
     for r in range(first, len(rows)):
         coefs, bound = rows[r]
         lhs = 0
@@ -392,9 +397,8 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
     ynum, yden = over_common_denominator(multipliers.values())
     combined = [0] * len(c)
     ball_sum, other, scale = 0, [], 1
-    if space is not None:
-        D, scale = space.int_view
-        arcs = space.ball_rows.arcs
+    if ball is not None:
+        D, scale = ball.space.int_view
     for (r, y), yr in zip(multipliers.items(), ynum):
         if yr < 0:
             raise SimplexError(f"multiplier of row {r} is negative: {y}")
@@ -402,7 +406,7 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
         for v, coef in coefs:
             combined[v] += yr * coef
         if r < first:
-            p, q = arcs[r & ~1]  # rows 2k and 2k + 1 both have bound d(p, q), p < q
+            p, q = ball.arcs[r & ~1]  # rows 2k and 2k + 1 both have bound d(p, q), p < q
             ball_sum += yr * D[p][q]
         else:
             other.append((yr, bound))
@@ -417,17 +421,18 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, space=None):
         raise SimplexError(f"multipliers attain {Fraction(total, total_den)}, not the LP value {value}")
 
 
-def _check_ball_rows(space, wnum, wden) -> int:
-    """Check rows 2k, 2k + 1 of space.ball_rows, +-(f(p) - f(q)) <= d(p, q)
-    for the k-th pair, as |W[p] - W[q]| <= D[p][q] * wden with W the
-    witness times scale; returns the number of rows checked."""
+def _check_ball_rows(ball: BallRows, wnum, wden) -> int:
+    """Check rows 2k, 2k + 1 of ball, +-(f(p) - f(q)) <= d(p, q) for the
+    k-th pair, as |W[p] - W[q]| <= D[p][q] * wden with W the witness times
+    scale; returns the number of rows checked."""
+    space, var, points = ball.space, ball.var, ball.points
     D, scale = space.int_view
-    W = [0 if v is None else wnum[v] * scale for v in space.ball_rows.var]
+    W = [0 if var[p] is None else wnum[var[p]] * scale for p in points]
     r = 0
-    for p, Dp in enumerate(D):
-        Wp = W[p]
-        for q in range(p + 1, len(D)):
-            gap = Wp - W[q]
+    for i, p in enumerate(points):
+        Dp, Wp = D[p], W[i]
+        for q, Wq in zip(points[i + 1 :], W[i + 1 :]):
+            gap = Wp - Wq
             if abs(gap) > Dp[q] * wden:
                 if gap <= Dp[q] * wden:  # only the reversed row fails
                     r, gap = r + 1, -gap
@@ -448,22 +453,22 @@ class TransportPlan:
     cost: Scalar
 
 
-def ball_plan(space: FiniteMetricSpace, sol: LpSolution) -> TransportPlan:
+def ball_plan(ball: BallRows, sol: LpSolution) -> TransportPlan:
     """The transport plan in the multipliers of a ball solve with no side rows.
 
-    The multiplier of the row of arc p -> q (space.ball_rows.arcs) is the
-    mass on that arc.
+    The multiplier of the row of arc p -> q (ball.arcs) is the mass on that
+    arc.
     """
     if sol.status != OPTIMAL:
         raise SimplexError(f"norm program unexpectedly {sol.status}")
-    arcs = space.ball_rows.arcs
+    arcs = ball.arcs
     flows = sorted((*arcs[r], mass) for r, mass in sol.row_duals.items())
     return TransportPlan(flows=tuple(flows), cost=sol.value)
 
 
 def min_cost_transport(space: FiniteMetricSpace, mu) -> TransportPlan:
     """Cheapest flow realizing mu, the base point absorbing any imbalance."""
-    return ball_plan(space, solve_lip_ball(LipBallProgram(space=space, objective=mu)))
+    return ball_plan(space.ball_rows, solve_lip_ball(LipBallProgram(space=space, objective=mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +523,13 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     a, b, c = arc
     c = rat(c)
     objective = _as_weights(objective)
-    _check_points(space, objective)
+    ball = space.ball_rows
+    _check_points(ball, objective)
     base, n = space.base, space.n
     w = [ZERO] * n
     for p, wp in objective.items():
         if p != base:
-            w[p] += rat(wp)
+            w[p] += wp
     w[base] = -sum(w)
     sinks = [p for p, wp in enumerate(w) if wp < 0]
     if len(sinks) > 1:
@@ -540,7 +546,6 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     direct = [dx * cd for dx in D[t]]
     via = direct[a] + c.numerator * scale
     h = [min(dx, via + dbx * cd) for dx, dbx in zip(direct, D[b])]
-    ball = space.ball_rows
     side_row = len(ball.rows)
     multipliers, length = {}, ZERO
     for x, m in enumerate(w):
@@ -557,7 +562,7 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     var = ball.var
     coefs = tuple(sorted((var[p], s) for p, s in ((b, 1), (a, -1)) if p != base))
     witness, cvec = [g[p] for p in range(n) if p != base], [w[p] for p in range(n) if p != base]
-    _verify_lip_solution(ball.rows + ((coefs, c),), cvec, witness, multipliers, value, space)
+    _verify_lip_solution(ball.rows + ((coefs, c),), cvec, witness, multipliers, value, ball)
     return LpSolution(status=OPTIMAL, value=value, argument=LipFunction(space, tuple(g)), row_duals=multipliers)
 
 

@@ -14,11 +14,12 @@ from .scalars import ONE, Scalar, ZERO, json_field, over_common_denominator, par
 
 
 class BallRows(NamedTuple):
-    """The rows of the Lipschitz unit ball f(base) = 0, ||f|| <= 1 of a space.
+    """The rows of the Lipschitz unit ball f(base) = 0, ||f|| <= 1 on a
+    sorted point list holding the base (see :func:`ball_rows`).
 
-    The variables are the non-base points in order. Rows 2k and 2k + 1 are
-    f(p) - f(q) <= d(p, q) and f(q) - f(p) <= d(p, q) for the k-th pair
-    (p, q) of pairs(). Each row is stored once, as its coefficients
+    The variables are the listed non-base points in order. Rows 2k and 2k + 1
+    are f(p) - f(q) <= d(p, q) and f(q) - f(p) <= d(p, q) for the k-th pair
+    p < q of the list. Each row is stored once, as its coefficients
     ((variable, +-1), ...) sorted by variable and its bound d(p, q): the
     simplex reads the coefficients as the row's dual column and the
     certificate checker reads the rows of the nonzero multipliers. The
@@ -26,9 +27,11 @@ class BallRows(NamedTuple):
     """
 
     rows: tuple  # (((variable, +-1), ...), d(p, q)) per row
-    var: tuple  # var[p] is the variable of point p, None for the base
+    var: tuple  # var[p] is the variable of point p, None for the base and points off the list
     arcs: tuple  # arcs[r] = (p, q): row r bounds f(p) - f(q)
-    pairs: tuple  # pairs[k] = (a, b): the variables of the k-th pair, the base as n - 1
+    pairs: tuple  # pairs[k] = (a, b): the variables of the k-th pair, the base as len(points) - 1
+    points: Sequence  # the sorted point list, of space's points
+    space: "FiniteMetricSpace"
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class FiniteMetricSpace:
     :attr:`int_view` is (D, scale) with d[i][j] = D[i][j] / scale over one
     common denominator, which the inequality kernels compare cross-multiplied
     as Python ints, and :attr:`ball_rows` holds the rows of the Lipschitz
-    unit ball that every ball program of the space shares.
+    unit ball on every point, which every full ball program shares.
     """
 
     labels: tuple
@@ -91,30 +94,18 @@ class FiniteMetricSpace:
 
     @cached_property
     def int_view(self) -> tuple:
-        """(D, scale): D[i][j] = d[i][j] * scale as ints, scale a common
-        denominator of the matrix (the least, but for a :func:`subspace`).
-        :meth:`from_json`, :meth:`from_ints` and :func:`subspace` set it
-        at build."""
+        """(D, scale): D[i][j] = d[i][j] * scale as ints, scale the least
+        common denominator of the matrix. :meth:`from_json` and
+        :meth:`from_ints` set it at build."""
         n = self.n
         nums, scale = over_common_denominator(x for row in self.d for x in row)
         return tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), scale
 
     @cached_property
     def ball_rows(self) -> BallRows:
-        """The unit-ball rows every ball program of the space shares, so
-        callers only read them; see :class:`BallRows` for the layout."""
-        base = self.base
-        var = tuple(None if p == base else p - (p > base) for p in self.points())
-        at = [self.n - 1 if v is None else v for v in var]
-        rows, arcs, pairs = [], [], []
-        for p, q in self.pairs():
-            # p < q, so var[p] < var[q]: the coefficients come sorted
-            arc = tuple((v, a) for v, a in ((var[p], 1), (var[q], -1)) if v is not None)
-            rows.append((arc, self.d[p][q]))
-            rows.append((tuple((v, -a) for v, a in arc), self.d[p][q]))
-            arcs += [(p, q), (q, p)]
-            pairs.append((at[p], at[q]))
-        return BallRows(tuple(rows), var, tuple(arcs), tuple(pairs))
+        """The unit-ball rows on every point, which every full ball program
+        of the space shares, so callers only read them."""
+        return ball_rows(self, range(self.n))
 
     def ball(self, center: int, radius: Scalar) -> frozenset:
         """Closed ball around a point."""
@@ -181,17 +172,29 @@ class FiniteMetricSpace:
         )
 
 
-def subspace(space: FiniteMetricSpace, points: list) -> FiniteMetricSpace:
-    """The space on the sorted points, the base among them, keeping the
-    parent's int_view restricted to them at the parent's scale."""
-    sub = FiniteMetricSpace(
-        labels=tuple(space.labels[p] for p in points),
-        base=points.index(space.base),
-        d=tuple(tuple(space.d[p][q] for q in points) for p in points),
-    )
-    D, scale = space.int_view
-    sub.__dict__["int_view"] = tuple(tuple(D[p][q] for q in points) for p in points), scale
-    return sub
+def ball_rows(space: FiniteMetricSpace, points) -> BallRows:
+    """The :class:`BallRows` of the sorted point list, the base among them:
+    the rows of the space on those points alone, in its order, with the
+    parent's indices in var and arcs. F(N) sits isometrically in F(M) for a
+    point set N holding the base, so an objective on N has the same optimum."""
+    base, d = space.base, space.d
+    var = [None] * space.n
+    unit = []  # per listed point: its pairs entry and the coefficients +1 and -1 of its variable
+    for p in points:
+        if p == base:
+            unit.append((len(points) - 1, (), ()))
+        else:
+            v = var[p] = len(unit) - (p > base)
+            unit.append((v, ((v, 1),), ((v, -1),)))
+    rows, arcs, pairs = [], [], []
+    for i, p in enumerate(points):
+        dp, (a, up, down) = d[p], unit[i]
+        # p < q, so a variable of p comes before one of q: the coefficients come sorted
+        for q, (b, q_up, q_down) in zip(points[i + 1 :], unit[i + 1 :]):
+            rows += ((up + q_down, dp[q]), (down + q_up, dp[q]))
+            arcs += ((p, q), (q, p))
+            pairs.append((a, b))
+    return BallRows(tuple(rows), tuple(var), tuple(arcs), tuple(pairs), points, space)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ from lipfree import diametral, lp
 from lipfree.cli import main
 from lipfree.diametral import verify_separated_annuli, wstar_delta_radius
 from lipfree.free import Molecule, free_norm
-from lipfree.metric import build_annuli_space, build_recursion_space, subspace
+from lipfree.metric import build_annuli_space, build_recursion_space
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, rat
+from test_free_space import fresh_subspace
 
 
 def _vertex_oracle(space, f, mu, alpha):
@@ -193,11 +194,11 @@ class TestVerifySeparatedAnnuli:
 
 def _check_against_own_program(F, res):
     """lp's exact check of res's witness and plan, read as the solution of
-    the ball program free_norm(F) solves: on the subspace of F's support and
-    the base, unless that is the whole space."""
+    the ball program free_norm(F) solves: on a freshly built space on F's
+    support and the base, unless that is the whole space."""
     space = F.space
     pts = sorted(set(F.support) | {space.base})
-    prog = space if len(pts) == space.n else subspace(space, pts)
+    prog = space if len(pts) == space.n else fresh_subspace(space, pts)
     pos = {p: i for i, p in enumerate(pts)}
     ball = prog.ball_rows
     c = [ZERO] * (prog.n - 1)
@@ -209,7 +210,7 @@ def _check_against_own_program(F, res):
             witness[ball.var[pos[p]]] = res.witness.values[p]
     row = {arc: r for r, arc in enumerate(ball.arcs)}
     multipliers = {row[pos[p], pos[q]]: mass for p, q, mass in res.plan.flows}
-    lp._verify_lip_solution(ball.rows, c, witness, multipliers, res.value, prog)
+    lp._verify_lip_solution(ball.rows, c, witness, multipliers, res.value, ball)
 
 
 class TestSampledBattery:

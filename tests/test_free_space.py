@@ -20,11 +20,18 @@ from lipfree.metric import (
     FiniteMetricSpace,
     build_example2_space,
     build_half_line_space,
+    ball_rows,
     example2_point,
-    subspace,
 )
 from lipfree.sampling import random_free_element, random_space
 from lipfree.scalars import ONE, ZERO, over_common_denominator, rat
+
+
+def fresh_subspace(space, pts):
+    """The space on the sorted points pts, built afresh from its labels and
+    distances, with an int_view of its own."""
+    d = [[space.d[p][q] for q in pts] for p in pts]
+    return FiniteMetricSpace.from_matrix(d, labels=[space.labels[p] for p in pts], base=pts.index(space.base))
 
 
 def _network_simplex_cost(space, mu) -> Fraction:
@@ -171,6 +178,16 @@ class TestFreeNorm:
             free_norm(mu)
             assert len(calls) == 1
 
+    def test_small_support_builds_no_space(self, monkeypatch):
+        built = []
+        init = FiniteMetricSpace.__post_init__
+        monkeypatch.setattr(FiniteMetricSpace, "__post_init__", lambda self: built.append(self) or init(self))
+        space = build_half_line_space(list(range(12)))
+        built.clear()
+        res = free_norm(FreeElement.make(space, {4: ONE, 9: -ONE, 11: rat("1/2")}))
+        assert (res.value, res.plan.cost, res.witness.norm) == (rat("11/2"), rat("11/2"), 1)
+        assert built == []
+
 
 class TestLazyLift:
     """A small-support norm lifts its witness to the full space only when
@@ -219,8 +236,9 @@ class TestLazyLift:
 
 class TestLazyPlan:
     """free_norm builds its transport plan when .plan is read, and it is the
-    plan of a fresh solve: ball_plan of the support's sub-space, mapped back
-    to the full space; scaled(c) gives the plan of free_norm(c * mu)."""
+    plan of a fresh solve: ball_plan of a freshly built space on the support
+    and the base, mapped back to the full space; scaled(c) gives the plan of
+    free_norm(c * mu)."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -230,9 +248,9 @@ class TestLazyPlan:
         support = rng.sample(range(space.n), rng.randint(1, space.n))
         mu = FreeElement.make(space, {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in support})
         pts = sorted(set(mu.support) | {space.base})
-        sub = subspace(space, pts)
+        sub = fresh_subspace(space, pts)
         sub_mu = FreeElement.make(sub, {pts.index(p): w for p, w in mu.weights})
-        fresh = lp.ball_plan(sub, lp.solve_lip_ball(lp.LipBallProgram(space=sub, objective=sub_mu)))
+        fresh = lp.ball_plan(sub.ball_rows, lp.solve_lip_ball(lp.LipBallProgram(space=sub, objective=sub_mu)))
         flows = tuple(sorted((pts[p], pts[q], mass) for p, q, mass in fresh.flows))
         assert free_norm(mu).plan == lp.TransportPlan(flows, fresh.cost)
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))

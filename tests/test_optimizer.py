@@ -12,10 +12,11 @@ from lipfree import lp
 from lipfree.diametral import wstar_delta_radius
 from lipfree.free import FreeElement, Molecule, free_norm
 from lipfree.functions import LipFunction
-from lipfree.metric import FiniteMetricSpace, build_simplex_space
+from lipfree.metric import FiniteMetricSpace, ball_rows, build_simplex_space
 from lipfree.reproduce import verify_example1, verify_example2
 from lipfree.sampling import random_lip_function, random_space
 from lipfree.scalars import ONE, ZERO, as_float, rat
+from test_free_space import fresh_subspace
 
 
 def _reference_simplex(cols, b, costs):
@@ -368,7 +369,7 @@ class TestBallPlan:
         space = random_space(rng, rng.randint(2, 7))
         weights = {p: rat(rng.randint(-3, 3)) for p in space.points() if p != space.base}
         sol = lp.solve_lip_ball(lp.LipBallProgram(space=space, objective=weights))
-        plan = lp.ball_plan(space, sol)
+        plan = lp.ball_plan(space.ball_rows, sol)
         net = {p: ZERO for p in space.points()}
         for p, q, mass in plan.flows:
             assert mass > 0
@@ -384,7 +385,7 @@ class TestBallPlan:
             lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=(side,))
         )
         with pytest.raises(lp.SimplexError):
-            lp.ball_plan(triangle, sol)
+            lp.ball_plan(triangle.ball_rows, sol)
 
 
 def _tamper(monkeypatch, part):
@@ -550,13 +551,13 @@ class TestIntegerChecker:
         witness = [sol.argument.values[p] for p in var]
         witness[rng.randrange(len(witness))] += Fraction(rng.randint(-9, 9), rng.choice(PRIMES))
 
-        def outcome(*space_arg):
+        def outcome(*ball_arg):
             try:
-                lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value, *space_arg)
+                lp._verify_lip_solution(rows, c, witness, sol.row_duals, sol.value, *ball_arg)
             except lp.SimplexError as exc:
                 return str(exc)
 
-        assert outcome(space) == outcome()
+        assert outcome(space.ball_rows) == outcome()
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=30))
     @settings(max_examples=40, deadline=None)
@@ -602,6 +603,33 @@ class TestIntegerChecker:
         with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 1: 15/7 > 2")):
             lp.solve_lip_ball(program)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_point_set_rows_are_a_fresh_spaces_rows(self, seed):
+        # row for row, the layout of the space on those points alone, so a
+        # program on them makes the same pivots; arcs name the parent's points
+        rng = random.Random(seed)
+        space = _rational_metric(rng, rng.randint(2, 7))
+        others = [p for p in space.points() if p != space.base]
+        pts = sorted(rng.sample(others, rng.randint(1, len(others))) + [space.base])
+        ball, fresh = ball_rows(space, pts), fresh_subspace(space, pts).ball_rows
+        assert (ball.rows, ball.pairs) == (fresh.rows, fresh.pairs)
+        assert ball.arcs == tuple((pts[p], pts[q]) for p, q in fresh.arcs)
+        assert [ball.var[p] for p in pts] == list(fresh.var)
+        assert ball_rows(space, range(space.n)) == space.ball_rows
+
+    def test_tampered_witness_on_a_point_set_names_its_row(self, line4, monkeypatch):
+        # on the points 0, 3, 7 of the line max f(7) is 7; the witness
+        # f(7) = 50/7 breaks row 3, f(7) - f(0) <= 7, the second row of the
+        # second pair (row 5 of the whole ball)
+        program, ball = lp.LipBallProgram(space=line4, objective={3: ONE}), ball_rows(line4, [0, 2, 3])
+        assert lp.solve_lip_ball(program, ball).value == 7
+        with pytest.raises(ValueError, match="point index 1 outside"):
+            lp.solve_lip_ball(lp.LipBallProgram(space=line4, objective={1: ONE}), ball)
+        _tamper(monkeypatch, "witness")
+        with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 3: 50/7 > 7")):
+            lp.solve_lip_ball(program, ball)
+
 
 class TestIntegerSums:
     """The attainment and multiplier sums of the checker, cross-multiplied in
@@ -619,9 +647,9 @@ class TestIntegerSums:
 
     def outcomes(self, space, rows, c, witness, multipliers, value):
         out = []
-        for space_arg in ((space,), ()):
+        for ball_arg in ((space.ball_rows,), ()):
             with pytest.raises(lp.SimplexError) as exc:
-                lp._verify_lip_solution(rows, c, witness, multipliers, value, *space_arg)
+                lp._verify_lip_solution(rows, c, witness, multipliers, value, *ball_arg)
             out.append(str(exc.value))
         return out
 
@@ -665,7 +693,7 @@ class TestIntegerSums:
         rows, var, c, witness, sol = self.solved(space, objective, (lp.SideConstraint(weights, "<=", t),))
         side_row = (tuple(sorted((var[x], w) for x, w in weights.items())), t)
         assert any(isinstance(a, Fraction) for _, a in side_row[0])
-        lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value, space)
+        lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value, space.ball_rows)
 
 
 class TestMaxOverPairs:
