@@ -31,7 +31,7 @@ class BallRows(NamedTuple):
     arcs: tuple  # arcs[r] = (p, q): row r bounds f(p) - f(q)
     pairs: tuple  # pairs[k] = (a, b): the variables of the k-th pair, the base as len(points) - 1
     points: Sequence  # the sorted point list, of space's points
-    space: "FiniteMetricSpace"
+    space: FiniteMetricSpace
 
 
 @dataclass(frozen=True)
