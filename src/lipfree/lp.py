@@ -1,58 +1,46 @@
 """Exact rational linear programming over the Lipschitz unit ball.
 
 One program family runs on the simplex core: maximize a linear functional
-over {f : ||f||_Lip <= 1, f(base) = 0}, with optional linear side
-constraints, on every point of the space or on the ball rows of a sorted
-point set holding the base (``metric.ball_rows``), whose arcs name points
-of the space. It is solved through its dual, a standard-form program whose
-basis has one row per free variable. The dual of the norm program is the
-min-cost transport on the complete graph with the base point absorbing
-imbalance: the multiplier of the row f(p) - f(q) <= d(p, q) is the mass
-moved along the arc p -> q, so one solve yields both the norming function
-and the transport plan. The dual is always feasible: the star transport,
-which sends each point's mass straight to the base, uses only the arcs
-p -> base and base -> p, whose columns are the unit columns of the
-variable of p. The simplex starts there, in one phase.
+over {f : ||f||_Lip <= 1, f(base) = 0} on every point of the space or on
+the ball rows of a sorted point set holding the base (``metric.ball_rows``).
+Every row is an arc: the ball rows f(p) - f(q) <= d(p, q) and any side row,
+which ``side_arc`` turns into g(b) - g(a) <= c. The program is solved
+through its dual, the min-cost transport with the base point absorbing
+imbalance: the multiplier of an arc's row is the mass moved along it, so
+one solve yields both the norming function and the transport plan. The
+simplex starts, in one phase, from the star transport, which sends each
+point's mass straight to the base along the unit columns of the arcs
+p -> base and base -> p.
+
+The dual's columns are node-arc incidence columns, the base's row deleted:
+a totally unimodular matrix (Schrijver, Theory of Linear and Integer
+Programming, 1986, ch. 19). So each solve keeps the basis inverse, the
+basic solution and the dual row as Python ints over the common denominators
+of b and the costs, and a start entry other than +-1 or a pivot entry other
+than 1 raises SimplexError. The pivot rule is Dantzig with smallest-index
+ties, falling back to Bland's rule after an iteration cap. The two rows of
+a pair, columns 2k and 2k + 1, are priced once: c - |y_a - y_b|, (a, b)
+from ``BallRows.pairs``.
 
 Every optimal solve is checked exactly, independently of the pivoting:
 the witness meets every row and attains the value, and the multipliers are
-nonnegative, combine the rows into the objective and attain the same value.
-By weak duality this pair is a proof of optimality. The check runs on
-Python ints: with the witness over its common denominator, each pair's two
-ball rows are one comparison against the space's ``int_view``, and with the
-multipliers over theirs, their sums against the objective and the value
-are cross-multiplied integer sums. The checker reads only the returned
-rationals and the rows, never the solver's basis, and names exact
-rationals when a check fails.
-
-All pivoting is exact and runs on Python ints: every row of a ball
-program is integral as solve_lip_ball builds it (the ball rows have
-coefficients +-1, and each side row is multiplied by the lcm of its
-coefficients' denominators), and each solve keeps one integer tableau,
-which every pivot updates by the same fraction-free (Bareiss) step.
-Results are converted back to rationals only at the end. The pivot rule
-is Dantzig with smallest-index tie-breaking, falling back to Bland's rule
-after an iteration cap, so runs are deterministic and cycle-free.
-
-Columns 2k and 2k + 1 of a ball program, the rows of its k-th pair, are
-negatives of each other with one cost, so at most one prices negative:
-det*c - |y_a - y_b|, (a, b) from ``BallRows.pairs``. Pricing takes each
-pair once and makes the column-by-column choices.
+nonnegative, combine the rows into the objective and attain the same value,
+a proof of optimality by weak duality. The check runs on Python ints,
+reads only the returned rationals and the rows, never the solver's basis,
+and names exact rationals when a check fails.
 
 The per-pair programs of ``max_over_pairs`` and
-``diametral.wstar_delta_radius`` have one side row g(b) - g(a) <= c. With
-an objective sum_x m_x (g(x) - g(t)), every m_x >= 0, such a program is a
-shortest-path program: ``solve_pair_program`` answers it in closed form,
-and the answer passes the same checker as every simplex solve. COUNTS
-totals the simplex solves, their pivots and Bland fallbacks, and these
-path programs.
+``diametral.wstar_delta_radius`` have one side arc and an objective
+sum_x m_x (g(x) - g(t)), every m_x >= 0: shortest-path programs, which
+``solve_pair_program`` answers in closed form, checked like every solve.
+COUNTS totals the simplex solves, their pivots and Bland fallbacks, and
+these path programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 from typing import Optional
 
 from .functions import LipFunction
@@ -90,17 +78,17 @@ COUNTS = SimplexCounts()
 class _Tableau:
     """The state of one solve, all Python ints.
 
-    icols are the integer columns as given, c_num the costs over c_den,
-    b_den the denominator of b; basis[r] is the column basic in row r. rows
-    is the (m+1) x (m+1) tableau over det, the absolute basis determinant:
-    rows 0..m-1 hold [adj B | x_B], row m holds [y = c_B adj B | c_B x_B].
+    icols are the columns as given, c_num the costs over c_den, b_den the
+    denominator of b; basis[r] is the column basic in row r. rows is the
+    (m+1) x (m+1) tableau: rows 0..m-1 hold [B^-1 | x_B], row m holds
+    [y = c_B B^-1 | c_B x_B].
     """
 
-    __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "det", "rows", "pairs")
+    __slots__ = ("icols", "c_num", "c_den", "b_den", "basis", "in_basis", "rows", "pairs")
 
-    def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, det, rows, pairs):
+    def __init__(self, icols, c_num, c_den, b_den, basis, in_basis, rows, pairs):
         self.icols, self.c_num, self.c_den, self.b_den = icols, c_num, c_den, b_den
-        self.basis, self.in_basis, self.det, self.rows, self.pairs = basis, in_basis, det, rows, pairs
+        self.basis, self.in_basis, self.rows, self.pairs = basis, in_basis, rows, pairs
 
 
 def _start(cols, b, costs, pairs) -> _Tableau:
@@ -116,42 +104,42 @@ def _start(cols, b, costs, pairs) -> _Tableau:
                 basis[r] = j
     if -1 in basis:
         raise SimplexError(f"row {basis.index(-1)} has no positive unit column to start from")
-    det = abs(prod(cols[j][0][1] for j in basis))
-    # [adj B | x_B] of the diagonal start, x_B over det * b_den, and the cost row
+    # [B^-1 | x_B] of the diagonal start, each entry +-1 its own inverse, and the cost row
     rows = [[0] * (m + 1) for _ in range(m + 1)]
     cost_row = rows[m]
     for r, (num, j) in enumerate(zip(b_num, basis)):
+        a = cols[j][0][1]
+        if a != 1 and a != -1:
+            raise SimplexError(f"start entry {a} of column {j} on row {r} is not +-1")
         row = rows[r]
-        row[r] = det // cols[j][0][1]
-        row[m] = row[r] * num
-        cost_row[r] = c_num[j] * row[r]
+        row[r] = a
+        row[m] = a * num
+        cost_row[r] = c_num[j] * a
         cost_row[m] += c_num[j] * row[m]
     in_basis = [False] * len(cols)
     for j in basis:
         in_basis[j] = True
-    return _Tableau(cols, c_num, c_den, b_den, basis, in_basis, det, rows, pairs)
+    return _Tableau(cols, c_num, c_den, b_den, basis, in_basis, rows, pairs)
 
 
 def _pivot(t: _Tableau, leaving: int, entering: int, dvec: list) -> None:
     """Bring column entering into row leaving; dvec is that column in the
-    current basis times det, followed by minus its reduced cost times det.
-    The pivot entry is positive. Every other row i becomes
-    (piv * row - dvec[i] * pivot row) // det, an exact division of integer
-    minors (Bareiss), and piv is the new det."""
-    rows, det = t.rows, t.det
-    piv = dvec[leaving]
+    current basis, followed by minus its reduced cost. The pivot entry must
+    be 1, so every other row i becomes row - dvec[i] * pivot row."""
+    rows = t.rows
+    if dvec[leaving] != 1:
+        raise SimplexError(f"pivot entry {dvec[leaving]} of column {entering} on row {leaving} is not 1")
     prow = rows[leaving]
     for i, (row, di) in enumerate(zip(rows, dvec)):
-        if i != leaving and (di or piv != det):
-            rows[i] = [(piv * a - di * p) // det for a, p in zip(row, prow)]
-    t.det = piv
+        if di and i != leaving:
+            rows[i] = [a - di * p for a, p in zip(row, prow)]
     t.in_basis[t.basis[leaving]] = False
     t.in_basis[entering] = True
     t.basis[leaving] = entering
 
 
 def _column(t: _Tableau, j: int) -> list:
-    """Column j in the current basis times det, one entry per row 0..m-1."""
+    """Column j in the current basis, one entry per row 0..m-1."""
     rows = t.rows[:-1]
     dvec = [0] * len(rows)
     for r, a in t.icols[j]:
@@ -160,18 +148,18 @@ def _column(t: _Tableau, j: int) -> list:
 
 
 def _entering(t: _Tableau, bland: bool) -> tuple:
-    """(entering column, its reduced cost times det), or (-1, 0) at the
-    optimum. Dantzig with smallest-index ties, or Bland's first improving
-    column; each pair of t.pairs is priced once, and a later column must
-    price lower."""
+    """(entering column, its reduced cost), or (-1, 0) at the optimum.
+    Dantzig with smallest-index ties, or Bland's first improving column;
+    each pair of t.pairs is priced once, and a later column must price
+    lower."""
     icols, c_num, in_basis, rows, pairs = t.icols, t.c_num, t.in_basis, t.rows, t.pairs
     m, paired = len(t.basis), 2 * len(pairs)
-    det, y = t.det, rows[m]
+    y = rows[m]
     entering = -1
     best_rc = 0
     if pairs:
         yz = y[:m] + [0]
-        rcs = [det * c - abs(yz[a] - yz[b]) for c, (a, b) in zip(c_num[0:paired:2], pairs)]
+        rcs = [c - abs(yz[a] - yz[b]) for c, (a, b) in zip(c_num[0:paired:2], pairs)]
         best_rc = next((rc for rc in rcs if rc < 0), 0) if bland else min(0, min(rcs))
         if best_rc < 0:
             k = rcs.index(best_rc)
@@ -182,7 +170,7 @@ def _entering(t: _Tableau, bland: bool) -> tuple:
     for j in range(paired, len(icols)):
         if in_basis[j]:
             continue
-        rc = det * c_num[j]  # reduced cost times det
+        rc = c_num[j]
         for r, a in icols[j]:
             rc -= y[r] * a
         if rc < best_rc:
@@ -237,22 +225,21 @@ def _read_out(t: _Tableau, status: str, pivots: int, bland: bool) -> tuple:
         counts.bland_fallbacks += 1
     if status == UNBOUNDED:
         return UNBOUNDED, {}, None, None
-    m = len(t.basis)
-    x_den, y_den = t.det * t.b_den, t.det * t.c_den
+    m, b_den, c_den = len(t.basis), t.b_den, t.c_den
     y = t.rows[m]
-    x = {j: Fraction(row[m], x_den) for j, row in zip(t.basis, t.rows) if row[m]}
-    value = Fraction(y[m], y_den * t.b_den)
-    duals = [Fraction(yr, y_den) for yr in y[:m]]
+    x = {j: Fraction(row[m], b_den) for j, row in zip(t.basis, t.rows) if row[m]}
+    value = Fraction(y[m], c_den * b_den)
+    duals = [Fraction(yr, c_den) for yr in y[:m]]
     return OPTIMAL, x, value, duals
 
 
 def simplex_standard(cols, b, costs, pairs=()):
     """min costs.x  s.t.  sum_j x_j * cols[j] = b,  x >= 0.
 
-    cols: sparse columns as [(row, coef), ...] with integer entries; b and
-    costs are rational. Returns (status, x: dict, value, duals: list per
-    row). One-phase simplex over Python ints in three parts: _start builds
-    the tableau of the start basis, _primal pivots it to the optimum and
+    cols: sparse network columns [(row, +-1), ...], as the node-arc
+    incidence columns of a ball program are; b and costs are rational.
+    Returns (status, x: dict, value, duals: list per row). _start builds the
+    tableau of the start basis, _primal pivots it to the optimum and
     _read_out turns the result back into rationals. Given pairs, a
     BallRows.pairs table, columns 2k and 2k + 1 must be the k-th pair's two
     ball rows; they are priced together.
@@ -260,10 +247,9 @@ def simplex_standard(cols, b, costs, pairs=()):
     The start is a diagonal basis: for each row the first column whose only
     entry sits on that row and has the sign of its b (positive where b is
     0). That basis is feasible, so no phase 1 is needed; a row with no such
-    column raises SimplexError. b and the costs are each brought over one
-    common denominator. Every pivot is the fraction-free (Bareiss) update of
-    _pivot; reduced costs are integer numerators over det and the ratio test
-    cross-multiplies, so the pivots are those of the rational simplex.
+    column raises SimplexError, and so does a start entry other than +-1 or
+    a pivot entry other than 1, naming it: the integer tableau is exact only
+    while every basis is unimodular.
     """
     t = _start(cols, b, costs, pairs)
     status, pivots, bland = _primal(t)
@@ -285,7 +271,7 @@ class SideConstraint:
 class LipBallProgram:
     space: FiniteMetricSpace
     objective: dict  # point -> coefficient (base weight ignored)
-    side_constraints: tuple = ()
+    side_constraints: tuple = ()  # each must be an arc (see side_arc)
 
 
 @dataclass(frozen=True)
@@ -293,7 +279,7 @@ class LpSolution:
     status: str
     value: Optional[Scalar]
     argument: Optional[LipFunction]
-    row_duals: Optional[dict]  # primal-constraint index -> multiplier
+    row_duals: Optional[dict]  # row index -> multiplier; a side row's is that of its arc
 
 
 def _as_weights(obj) -> dict:
@@ -309,36 +295,57 @@ def _check_points(ball: BallRows, weights):
             raise ValueError(f"point index {p} outside the program's points")
 
 
+def side_arc(space: FiniteMetricSpace, row: SideConstraint) -> tuple:
+    """The arc (a, b, c) of a side row, which is then g(b) - g(a) <= c. The
+    base's weight is ignored, as in every ball program. The row is accepted
+    only when its measure, the base weight restored as minus the others'
+    sum, is w (delta_b - delta_a) with w != 0; any other row is a ValueError
+    naming it."""
+    sign = {"<=": 1, ">=": -1}.get(row.relation)
+    if sign is None:
+        raise ValueError(f"unknown relation: {row.relation}")
+    base, weights = space.base, _as_weights(row.weights)
+    measure = {p: w for p, w in weights.items() if p != base and w}
+    measure[base] = -sum(measure.values())
+    signed = [(sign * w, p) for p, w in measure.items() if w]
+    if len(signed) == 2 and signed[0][0] == -signed[1][0]:
+        (w, b), (_, a) = sorted(signed, reverse=True)
+        return a, b, sign * rat(row.bound) / w
+    terms = " ".join(f"{'-' if w < 0 else '+'} {abs(w)} g({p})" for p, w in weights.items())
+    raise ValueError(f"side row {terms} {row.relation} {row.bound} is not an arc w (g(b) - g(a)) with w != 0")
+
+
+def _arc_rows(ball: BallRows, arcs) -> tuple:
+    """The rows g(b) - g(a) <= c of the side arcs (a, b, c) on the points of
+    ball, laid out as its rows are."""
+    base, var = ball.space.base, ball.var
+    return tuple(
+        (tuple(sorted((var[p], s) for p, s in ((b, 1), (a, -1)) if p != base)), c) for a, b, c in arcs
+    )
+
+
 def solve_lip_ball(program: LipBallProgram, ball: Optional[BallRows] = None) -> LpSolution:
     """Exact optimum of the objective over the Lipschitz unit ball on the
     points of ball (every point by default), which hold every objective and
-    side-row point. The argument is zero off those points."""
+    side-row point. Each side row must be an arc (side_arc), numbered after
+    the ball rows. The argument is zero off those points."""
     space = program.space
     ball = ball or space.ball_rows
     objective = _as_weights(program.objective)
     _check_points(ball, objective)
-    base = space.base
-    var, rows = ball.var, ball.rows
-    side_rows, scales = [], {}
-    for sc in program.side_constraints:
-        weights = _as_weights(sc.weights)
-        _check_points(ball, weights)
-        sign = {"<=": 1, ">=": -1}.get(sc.relation)
-        if sign is None:
-            raise ValueError(f"unknown relation: {sc.relation}")
-        # var is injective, so each weight is the coefficient of its variable;
-        # the row times k, the lcm of their denominators, is integral
-        coefs = sorted((var[p], w) for p, w in weights.items() if p != base and w != 0)
-        k = lcm(*(a.denominator for _, a in coefs))
-        coefs = tuple((v, sign * a.numerator * (k // a.denominator)) for v, a in coefs)
-        scales[len(rows) + len(side_rows)] = k
-        side_rows.append((coefs, sign * k * rat(sc.bound)))
-    if side_rows:
-        rows = rows + tuple(side_rows)
+    arcs = [side_arc(space, sc) for sc in program.side_constraints]
+    for a, b, _ in arcs:
+        _check_points(ball, (a, b))
+    return _solve(ball, objective, arcs)
 
+
+def _solve(ball: BallRows, objective: dict, arcs) -> LpSolution:
+    """solve_lip_ball of exact objective weights and side arcs on ball."""
+    space, var = ball.space, ball.var
+    rows = ball.rows + _arc_rows(ball, arcs) if arcs else ball.rows
     c = [ZERO] * (len(ball.points) - 1)
     for p, w in objective.items():
-        if p != base:
+        if p != space.base:
             c[var[p]] += w
 
     # dual: min bounds.y  s.t.  (row coefs)^T y = c,  y >= 0
@@ -350,17 +357,14 @@ def solve_lip_ball(program: LipBallProgram, ball: Optional[BallRows] = None) -> 
 
     _verify_lip_solution(rows, c, duals, x, value, ball)
     values = tuple(ZERO if v is None else duals[v] for v in var)
-    arg = LipFunction(space=space, values=values)
-    # a side row's multiplier times its k is the multiplier of the caller's row
-    row_duals = {r: y * scales.get(r, 1) for r, y in x.items()}
-    return LpSolution(status=OPTIMAL, value=value, argument=arg, row_duals=row_duals)
+    return LpSolution(status=OPTIMAL, value=value, argument=LipFunction(space=space, values=values), row_duals=x)
 
 
 def _verify_lip_solution(rows, c, witness, multipliers, value, ball=None):
     """Exact optimality certificate of one ball solve, independent of pivoting.
 
     rows are (coefs, bound) meaning coefs . f <= bound, with coefs a tuple of
-    (variable, coefficient) sorted by variable; c is the objective and
+    (variable, +-1) sorted by variable, an arc's row; c is the objective and
     witness the values of f on the non-base points. The witness must meet
     every row and attain value; the multipliers (row -> y_r) must be
     nonnegative, sum coefficientwise to c and have bound-weighted sum value.
@@ -369,16 +373,15 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, ball=None):
 
     The checks run on Python ints. The witness, c and the multipliers are
     each put over their common denominator (wden, cden, yden), and every
-    comparison is cross-multiplied: a row with int coefficients is checked
-    as lhs * bound.den <= bound.num * wden, the attainment as
-    sum cnum wnum against value * cden * wden, and the multiplier sums
-    against c * yden and value * yden. A row with Fraction coefficients
-    gives Fraction sums and the same comparisons stay exact. The multiplier
-    checks touch only the nonzero multipliers, at most one per variable.
-    Only the returned rationals, the rows and ball are read, never the
-    solver's basis, and a failure names the exact rationals. Given ball, a
-    BallRows, rows begin with its rows, which are checked on the int_view of
-    its space instead (_check_ball_rows): only the pairs of its points.
+    comparison is cross-multiplied: a row is checked as
+    lhs * bound.den <= bound.num * wden, the attainment as sum cnum wnum
+    against value * cden * wden, and the multiplier sums against c * yden
+    and value * yden. The multiplier checks touch only the nonzero
+    multipliers, at most one per variable. Only the returned rationals, the
+    rows and ball are read, never the solver's basis, and a failure names
+    the exact rationals. Given ball, a BallRows, rows begin with its rows,
+    which are checked on the int_view of its space instead
+    (_check_ball_rows): only the pairs of its points.
     """
     wnum, wden = over_common_denominator(witness)
     first = 0 if ball is None else _check_ball_rows(ball, wnum, wden)
@@ -494,16 +497,17 @@ def molecule_weights(space: FiniteMetricSpace, u: int, v: int) -> dict:
     return w
 
 
-def _arc_row(n: int, p: int, q: int) -> int:
+def _row_index(n: int, p: int, q: int) -> int:
     """The index of the ball row g(p) - g(q) <= d(p, q) of an n-point space
     (see BallRows)."""
     i, j = min(p, q), max(p, q)
     return 2 * (i * n - i * (i + 1) // 2 + j - i - 1) + (p > q)
 
 
-def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
-    """Exact optimum of the objective over the ball with one side arc
-    (a, b, c), the row g(b) - g(a) <= c, numbered after the ball rows.
+def solve_pair_program(space: FiniteMetricSpace, objective: dict, arc) -> LpSolution:
+    """Exact optimum of the objective, exact weights by point, over the ball
+    with one side arc (a, b, c), the row g(b) - g(a) <= c with c exact,
+    numbered after the ball rows.
 
     With its base weight restored, the objective is a measure of total
     zero. When at most one point t has negative weight, it is
@@ -518,11 +522,9 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     The witness h - h(base), these multipliers and the value pass
     _verify_lip_solution like any solve, so a matrix that breaks the
     triangle inequality is caught there. Any other objective is one
-    solve_lip_ball.
+    simplex solve of the same rows.
     """
     a, b, c = arc
-    c = rat(c)
-    objective = _as_weights(objective)
     ball = space.ball_rows
     _check_points(ball, objective)
     base, n = space.base, space.n
@@ -533,8 +535,7 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     w[base] = -sum(w)
     sinks = [p for p, wp in enumerate(w) if wp < 0]
     if len(sinks) > 1:
-        side = SideConstraint(weights={b: ONE, a: -ONE}, relation="<=", bound=c)
-        return solve_lip_ball(LipBallProgram(space=space, objective=objective, side_constraints=(side,)))
+        return _solve(ball, objective, (arc,))
     COUNTS.path_programs += 1
     if c + space.d[a][b] < 0:
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
@@ -551,18 +552,16 @@ def solve_pair_program(space: FiniteMetricSpace, objective, arc) -> LpSolution:
     for x, m in enumerate(w):
         if m > 0:
             if h[x] == direct[x]:
-                path = (_arc_row(n, x, t),)
+                path = (_row_index(n, x, t),)
             else:
-                path = (_arc_row(n, a, t),) * (a != t) + (side_row,) + (_arc_row(n, x, b),) * (x != b)
+                path = (_row_index(n, a, t),) * (a != t) + (side_row,) + (_row_index(n, x, b),) * (x != b)
             for r in path:
                 multipliers[r] = multipliers.get(r, ZERO) + m
             length += m * h[x]
     value = length / den
     g = [Fraction(hx - h[base], den) for hx in h]
-    var = ball.var
-    coefs = tuple(sorted((var[p], s) for p, s in ((b, 1), (a, -1)) if p != base))
     witness, cvec = [g[p] for p in range(n) if p != base], [w[p] for p in range(n) if p != base]
-    _verify_lip_solution(ball.rows + ((coefs, c),), cvec, witness, multipliers, value, ball)
+    _verify_lip_solution(ball.rows + _arc_rows(ball, (arc,)), cvec, witness, multipliers, value, ball)
     return LpSolution(status=OPTIMAL, value=value, argument=LipFunction(space, tuple(g)), row_duals=multipliers)
 
 

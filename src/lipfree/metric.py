@@ -378,45 +378,34 @@ def annulus_sweep(space: FiniteMetricSpace, eps, a):
 
 
 def build_example1_space(N: int) -> FiniteMetricSpace:
-    """Integers 1..N with d(n,k) = 3 - |1/n - 1/k|; base is the point 1."""
+    """Integers 1..N with d(n,k) = 3 - |1/n - 1/k|; base is the point 1.
+    Over L = lcm(1..N), d(a, b) = (3L - L/a + L/b) / L for a < b."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    d = [[ZERO] * N for _ in range(N)]
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            d[a - 1][b - 1] = d[b - 1][a - 1] = Fraction(3 * a * b - (b - a), a * b)
-    return FiniteMetricSpace.from_matrix(
-        d, labels=[str(i + 1) for i in range(N)], base=0
-    )
+    L = math.lcm(*range(1, N + 1))
+    inv = [L // a for a in range(1, N + 1)]
+    D = [[3 * L - abs(ia - ib) if a != b else 0 for b, ib in enumerate(inv)] for a, ia in enumerate(inv)]
+    return FiniteMetricSpace.from_ints(D, L, labels=[str(i + 1) for i in range(N)], base=0)
 
 
-def _example2_dist(kind_p, ip, kind_q, iq) -> Scalar:
+def _example2_dist(kind_p, ip, kind_q, iq) -> int:
     if kind_p == kind_q and ip == iq:
-        return ZERO
+        return 0
     for (ku, iu), (kw, iw) in (((kind_p, ip), (kind_q, iq)), ((kind_q, iq), (kind_p, ip))):
         if ku == "u" and kw in ("x", "u") and iu > iw:
-            return ONE
+            return 1
         if ku == "v" and kw in ("y", "v") and iu > iw:
-            return ONE
-    return rat(2)
+            return 1
+    return 2
 
 
 def build_example2_space(N: int) -> FiniteMetricSpace:
     """Four families x/y/u/v of size N; 0/1/2-valued metric; base is x_1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    pts = []
-    for kind in ("x", "y", "u", "v"):
-        for i in range(1, N + 1):
-            pts.append((kind, i))
-    labels = [f"{k}{i}" for k, i in pts]
-    n = len(pts)
-    d = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            val = _example2_dist(*pts[a], *pts[b])
-            d[a][b] = d[b][a] = val
-    return FiniteMetricSpace.from_matrix(d, labels=labels, base=0)
+    pts = [(kind, i) for kind in ("x", "y", "u", "v") for i in range(1, N + 1)]
+    D = [[_example2_dist(*p, *q) for q in pts] for p in pts]
+    return FiniteMetricSpace.from_ints(D, 1, labels=[f"{k}{i}" for k, i in pts], base=0)
 
 
 def example2_point(space: FiniteMetricSpace, kind: str, i: int) -> int:
@@ -448,8 +437,8 @@ def build_half_line_space(coords: Sequence) -> FiniteMetricSpace:
 def build_simplex_space(n: int, a=1) -> FiniteMetricSpace:
     """Regular simplex: all off-diagonal distances equal to a."""
     a = rat(a)
-    d = [[ZERO if i == j else a for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace.from_matrix(d)
+    D = [[0 if i == j else a.numerator for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace.from_ints(D, a.denominator, labels=[f"p{i}" for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ def random_space(rng: random.Random, n: int, max_edge: int = 20) -> FiniteMetric
     """Random metric via shortest-path closure of random integer edge weights."""
     if n < 2:
         raise ValueError("need at least two points")
-    d = [[ZERO] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = rat(rng.randint(1, max_edge))
+            d[i][j] = d[j][i] = rng.randint(1, max_edge)
     for k in range(n):
         for i in range(n):
             dik = d[i][k]
@@ -30,7 +30,7 @@ def random_space(rng: random.Random, n: int, max_edge: int = 20) -> FiniteMetric
                 through = dik + d[k][j]
                 if i != j and through < d[i][j]:
                     d[i][j] = through
-    return FiniteMetricSpace.from_matrix(d)
+    return FiniteMetricSpace.from_ints(d, 1, labels=[f"p{i}" for i in range(n)])
 
 
 def random_lip_function(

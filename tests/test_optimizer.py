@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lipfree import lp
 from lipfree.diametral import wstar_delta_radius
-from lipfree.free import FreeElement, Molecule, free_norm
+from lipfree.free import FreeElement, Molecule
 from lipfree.functions import LipFunction
 from lipfree.metric import FiniteMetricSpace, ball_rows, build_simplex_space
 from lipfree.reproduce import verify_example1, verify_example2
@@ -75,43 +75,32 @@ def _random_rational(rng):
     return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
 
 
-# Beale's cycling example, row 0 times 4 and row 1 times 2: cols, b, costs
-_BEALE = (
-    [
-        [(0, 4)],
-        [(1, 2)],
-        [(2, 1)],
-        [(0, 1), (1, 1)],
-        [(0, -32), (1, -24)],
-        [(0, -4), (1, -1), (2, 1)],
-        [(0, 36), (1, 6)],
-    ],
-    [ZERO, ZERO, ONE],
-    [ZERO, ZERO, ZERO, rat("-3/4"), rat(20), rat("-1/2"), rat(6)],
-)
+def _network_column(rng, m):
+    """A random column of a node-arc incidence matrix with one node's row
+    deleted: a unit column +-1, or +1 and -1 on two distinct rows."""
+    if m > 1 and rng.random() < 0.6:
+        r, s = rng.sample(range(m), 2)
+        return sorted([(r, 1), (s, -1)])
+    return [(rng.randrange(m), rng.choice((1, -1)))]
 
 
 class TestSimplexCore:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_fraction_reference(self, seed):
-        # random programs with negative-b rows, integer column entries,
-        # rational b and costs and a start column per row (a unit column
-        # signed like b), shuffled among decoy unit columns of the wrong
-        # sign, dense columns and copies of columns
+        # random network programs with negative-b rows, rational b and costs
+        # and a start column per row (a unit column signed like b), shuffled
+        # among decoy unit columns of the wrong sign, random network columns
+        # and copies of columns
         rng = random.Random(seed)
         m = rng.randint(1, 4)
         b = [_random_rational(rng) for _ in range(m)]
         cols = []
         for r in range(m):
-            magnitude = rng.randint(1, 4)
-            cols.append([(r, -magnitude if b[r] < 0 else magnitude)])
+            cols.append([(r, -1 if b[r] < 0 else 1)])
             if rng.random() < 0.3:
-                cols.append([(r, magnitude if b[r] < 0 else -magnitude)])
-        for _ in range(rng.randint(0, 6)):
-            col = [(r, a) for r in range(m) if (a := rng.randint(-6, 6))]
-            if col:
-                cols.append(col)
+                cols.append([(r, 1 if b[r] < 0 else -1)])
+        cols += [_network_column(rng, m) for _ in range(rng.randint(0, 6))]
         columns = [(col, _random_rational(rng) + 2) for col in cols]  # mostly bounded
         columns += rng.choices(columns, k=rng.randint(0, 2))  # exact ties in pricing
         rng.shuffle(columns)
@@ -144,21 +133,21 @@ class TestSimplexCore:
         assert value == 0
 
     def test_flipped_row_with_rational_coefficients(self):
-        # min 3 x0 + 2 x1 + x2  s.t.  -2/3 x0 - 1/2 x1 = -1,  x0 + 1/3 x2 = 1/2
-        # with the rows times 6 and 3; b of the first row is negative, so it
-        # starts from its negative unit column
+        # min 2 x0 + 5/2 x1 + 1/3 x2  s.t.  -x0 - x1 = -3/2,  x0 + x2 = 1/2;
+        # b of the first row is negative, so it starts from its negative unit
+        # column x1, and x0 enters at reduced cost 2 - 5/2 - 1/3 = -5/6
         cols = [
-            [(0, -4), (1, 3)],
-            [(0, -3)],
+            [(0, -1), (1, 1)],
+            [(0, -1)],
             [(1, 1)],
         ]
         status, x, value, duals = lp.simplex_standard(
-            cols, [rat(-6), rat("3/2")], [rat(3), rat(2), rat(1)]
+            cols, [rat("-3/2"), rat("1/2")], [rat(2), rat("5/2"), rat("1/3")]
         )
         assert status == lp.OPTIMAL
-        assert x == {0: rat("1/2"), 1: rat("4/3")}
-        assert value == rat("25/6")
-        assert duals == [rat("-2/3"), rat("1/9")]
+        assert x == {0: rat("1/2"), 1: ONE}
+        assert value == rat("7/2")
+        assert duals == [rat("-5/2"), rat("-1/2")]
 
     def test_row_without_start_column_is_an_error(self):
         # row 0 has the unit column 1; row 1 meets only column 0, which has
@@ -179,30 +168,37 @@ class TestSimplexCore:
         assert duals == [rat("1/2"), rat("1/6")]
 
     def test_bland_fallback(self, monkeypatch):
-        monkeypatch.setattr(lp, "_DANTZIG_CAP_FACTOR", 0)  # Bland from the start
-        # min -x1 - 2 x2  s.t.  s + x1 + 2 x2 = 2 starts at the slack s and has
-        # two optimal vertices; Dantzig enters x2 (reduced cost -2), Bland the
-        # first improving x1
-        status, x, value, duals = lp.simplex_standard(
-            [[(0, ONE)], [(0, ONE)], [(0, rat(2))]], [rat(2)], [ZERO, -ONE, rat(-2)]
+        # min -x2 - 2 x3 - 3 x4  s.t.  s0 + x2 + x4 = 3,  s1 - x2 + x3 = 2
+        # starts at the slacks s0, s1 and has two optimal vertices, as x4 and
+        # the path x2, x3 cost -3 alike; Dantzig enters x4 (reduced cost -3),
+        # Bland the first improving x2
+        program = (
+            [[(0, 1)], [(1, 1)], [(0, 1), (1, -1)], [(1, 1)], [(0, 1)]],
+            [rat(3), rat(2)],
+            [ZERO, ZERO, -ONE, rat(-2), rat(-3)],
         )
-        assert status == lp.OPTIMAL
-        assert x == {1: rat(2)}
-        assert value == -2
-        assert duals == [-ONE]
-        status, x, value, duals = lp.simplex_standard(*_BEALE)
-        assert status == lp.OPTIMAL
-        assert x == {0: rat("3/4"), 3: ONE, 5: ONE}
-        assert value == rat("-5/4")
-        assert duals == [ZERO, rat("-3/4"), rat("-5/4")]
+        assert lp.simplex_standard(*program) == (lp.OPTIMAL, {4: 3, 3: 2}, -13, [-3, -2])
+        monkeypatch.setattr(lp, "_DANTZIG_CAP_FACTOR", 0)  # Bland from the start
+        before = lp.COUNTS.bland_fallbacks
+        assert lp.simplex_standard(*program) == (lp.OPTIMAL, {2: 3, 3: 5}, -13, [-3, -2])
+        assert lp.COUNTS.bland_fallbacks == before + 1
 
     def test_pivot_limit_stops_a_cycling_rule(self, monkeypatch):
-        # Dantzig's rule with no Bland fallback cycles on Beale's example; the
-        # limit, the cap plus rows x columns, 20 (3 + 7) + 3 x 7, stops it
-        dantzig = lp._entering
-        monkeypatch.setattr(lp, "_entering", lambda t, bland: dantzig(t, False))
-        with pytest.raises(lp.SimplexError, match="pivot limit exceeded: 221 pivots on 3 rows and 7 columns"):
-            lp.simplex_standard(*_BEALE)
+        # a rule that never reports the optimum swaps the two columns of one
+        # row forever; the limit, the cap plus rows x columns, 20 (1 + 2) + 1 x 2,
+        # stops it
+        monkeypatch.setattr(lp, "_entering", lambda t, bland: (t.in_basis.index(False), -1))
+        with pytest.raises(lp.SimplexError, match="pivot limit exceeded: 62 pivots on 1 rows and 2 columns"):
+            lp.simplex_standard([[(0, 1)], [(0, 1)]], [ONE], [ONE, ONE])
+
+    def test_start_entry_other_than_unit_is_an_error(self):
+        with pytest.raises(lp.SimplexError, match=re.escape("start entry 2 of column 0 on row 0 is not +-1")):
+            lp.simplex_standard([[(0, 2)]], [ONE], [ONE])
+
+    def test_pivot_entry_other_than_one_is_an_error(self):
+        # column 1 prices 0 - 1 x 2 < 0 and enters on row 0, where its entry is 2
+        with pytest.raises(lp.SimplexError, match=re.escape("pivot entry 2 of column 1 on row 0 is not 1")):
+            lp.simplex_standard([[(0, 1)], [(0, 2)]], [ONE], [ONE, ZERO])
 
 
 class TestDualResolve:
@@ -447,14 +443,17 @@ def _rational_metric(rng, n):
 
 
 def _side_column(rng, m):
-    return [(r, a) for r in range(m) if (a := rng.randint(-4, 4))] or [(rng.randrange(m), 1)]
+    """The column of a random arc g(b) - g(a) <= c on m variables, the base
+    as node m."""
+    a, b = rng.sample(range(m + 1), 2)
+    return sorted((v, s) for v, s in ((b, 1), (a, -1)) if v < m)
 
 
 def _ball_program(rng, sides):
     """The dual of a ball program on a _rational_metric space as
     solve_lip_ball hands it to simplex_standard, cols, b and costs, with
-    sides random integral side rows after the ball rows; and the pair
-    table of the space."""
+    sides random side arcs after the ball rows; and the pair table of the
+    space."""
     space = _rational_metric(rng, rng.randint(2, 7))
     ball, m = space.ball_rows, space.n - 1
     cols = [coefs for coefs, _ in ball.rows] + [_side_column(rng, m) for _ in range(sides)]
@@ -505,6 +504,13 @@ def _reference_ball_rows(space):
     return rows, var
 
 
+def _reference_arc_row(space, var, arc):
+    """The row g(b) - g(a) <= c of the arc (a, b, c), built like
+    _reference_ball_rows."""
+    a, b, c = arc
+    return tuple(sorted((var[x], s) for x, s in ((b, ONE), (a, -ONE)) if x != space.base)), c
+
+
 class TestIntegerChecker:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -521,12 +527,13 @@ class TestIntegerChecker:
         objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
         sides = ()
         if rng.random() < 0.5 and space.n > 2:
-            # a molecule row g(m_pq) <= t with t in [-1, 1] is always feasible
+            # a molecule row g(m_pq) <= t with t in [-1, 1] is always feasible;
+            # it is the arc g(p) - g(q) <= t d(p, q), whose multiplier is reported
             p, q = rng.sample(range(space.n), 2)
             t = Fraction(rng.randint(-7, 7), 7)
             sides = (lp.SideConstraint(lp.molecule_weights(space, p, q), "<=", t),)
-            weights = lp.molecule_weights(space, p, q)
-            rows.append((tuple(sorted((var[x], w) for x, w in weights.items())), t))
+            assert lp.side_arc(space, sides[0]) == (q, p, t * space.d[p][q])
+            rows.append(_reference_arc_row(space, var, (q, p, t * space.d[p][q])))
         sol = lp.solve_lip_ball(
             lp.LipBallProgram(space=space, objective=objective, side_constraints=sides)
         )
@@ -562,38 +569,51 @@ class TestIntegerChecker:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=30))
     @settings(max_examples=40, deadline=None)
     def test_side_row_is_made_integral_once(self, seed, factor):
-        # a side row with Fraction weights and the same row times factor are
-        # one program; each answer's row_duals are multipliers of the caller's
-        # own rows, and the simplex receives int column entries only
+        # a side row w (g(b) - g(a)) <= or >= bound with Fraction w, given with
+        # the base's weight, and the same row times factor are one arc and one
+        # program; each answer's row_duals are multipliers of the arc, and the
+        # simplex receives int column entries +-1 only
         rng = random.Random(seed)
         space = _rational_metric(rng, rng.randint(2, 7))
         rows, var = _reference_ball_rows(space)
         objective = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var}
         c = [objective[p] for p in var]
-        weights = {p: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for p in var if rng.random() < 0.7}
+        a, b = rng.sample(range(space.n), 2)
+        w = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(PRIMES))
         relation, sign = rng.choice([("<=", 1), (">=", -1)])
-        bound = sign * Fraction(rng.randint(0, 9), rng.choice(PRIMES))  # f = 0 is feasible
-        entry_types = set()
+        length = Fraction(rng.randint(0, 9), rng.choice(PRIMES))  # f = 0 is feasible
+        # sign w (g(b) - g(a)) <= sign bound is g(b) - g(a) <= length when
+        # sign w > 0, and g(a) - g(b) <= length otherwise
+        bound = length * w if sign * w > 0 else -length * w
+        arc = (a, b, length) if sign * w > 0 else (b, a, length)
+        entries = set()
         solve = lp.simplex_standard
 
         def spy(cols, *rest):
-            entry_types.update(type(a) for col in cols for _, a in col)
+            entries.update((type(e), e) for col in cols for _, e in col)
             return solve(cols, *rest)
 
-        values = []
+        answers = []
         for scale in (1, factor):
-            side = lp.SideConstraint({p: w * scale for p, w in weights.items()}, relation, bound * scale)
+            side = lp.SideConstraint({b: w * scale, a: -w * scale}, relation, bound * scale)
+            assert lp.side_arc(space, side) == arc
             with patch.object(lp, "simplex_standard", spy):
                 sol = lp.solve_lip_ball(
                     lp.LipBallProgram(space=space, objective=objective, side_constraints=(side,))
                 )
             assert sol.status == lp.OPTIMAL
-            side_row = (tuple(sorted((var[p], sign * w * scale) for p, w in weights.items())), sign * bound * scale)
             witness = [sol.argument.values[p] for p in var]
-            lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value)
-            values.append(sol.value)
-        assert values[0] == values[1]
-        assert entry_types == {int}
+            lp._verify_lip_solution(rows + [_reference_arc_row(space, var, arc)], c, witness, sol.row_duals, sol.value)
+            answers.append(sol)
+        assert answers[0] == answers[1]
+        assert entries <= {(int, 1), (int, -1)}
+
+    def test_side_row_on_three_points_is_an_error(self, triangle):
+        # its measure, the base weight restored, is delta_1 + delta_2 - 2 delta_0
+        side = lp.SideConstraint(weights={1: ONE, 2: ONE}, relation="<=", bound=ONE)
+        message = "side row + 1 g(1) + 1 g(2) <= 1 is not an arc w (g(b) - g(a)) with w != 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lp.solve_lip_ball(lp.LipBallProgram(space=triangle, objective={1: ONE}, side_constraints=(side,)))
 
     def test_tampered_witness_names_row_and_exact_values(self, triangle, monkeypatch):
         # max f(1) is d(0, 1) = 2; the witness f(1) = 15/7 breaks row 1,
@@ -684,6 +704,8 @@ class TestIntegerSums:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fraction_side_row_passes_with_the_int_view(self, seed):
+        # the molecule row g(m_pq) <= t, weights +-1/d(p, q), is checked as its
+        # arc g(p) - g(q) <= t d(p, q)
         rng = random.Random(seed)
         space = _rational_metric(rng, rng.randint(3, 7))
         p, q = rng.sample(range(space.n), 2)
@@ -691,8 +713,8 @@ class TestIntegerSums:
         weights = lp.molecule_weights(space, p, q)
         objective = {x: Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for x in space.points() if x != space.base}
         rows, var, c, witness, sol = self.solved(space, objective, (lp.SideConstraint(weights, "<=", t),))
-        side_row = (tuple(sorted((var[x], w) for x, w in weights.items())), t)
-        assert any(isinstance(a, Fraction) for _, a in side_row[0])
+        side_row = _reference_arc_row(space, var, (q, p, t * space.d[p][q]))
+        assert {a for _, a in side_row[0]} <= {1, -1}
         lp._verify_lip_solution(rows + [side_row], c, witness, sol.row_duals, sol.value, space.ball_rows)
 
 
@@ -894,11 +916,7 @@ class TestSweepOracle:
     @settings(max_examples=40, deadline=None)
     def test_wstar_delta_radius(self, seed):
         rng, space, f, _ = _sweep_case(seed)
-        weights = {p: rat(rng.randint(-3, 3)) for p in rng.sample(space.points(), 3)}
-        mu = FreeElement.make(space, weights)
-        if mu.is_zero():
-            return
-        mu = mu * (ONE / free_norm(mu).value)
+        mu = Molecule(space, *rng.sample(space.points(), 2)).element()  # norm one
         alpha = rat(rng.choice(["1/4", "1/2", "1", "3/2"]))
         res = wstar_delta_radius(space, f, mu, alpha, require_membership=False)
         slice_row = lp.SideConstraint(mu.weight_dict(), ">=", ONE - alpha)
@@ -938,3 +956,11 @@ class TestSweepOracle:
         with pytest.raises(ValueError, match="dual slice is empty"):
             wstar_delta_radius(space, f, mu, rat("1/2"), require_membership=False)
         assert len(calls) == 0
+
+    def test_mu_that_is_no_multiple_of_a_molecule_is_an_error(self):
+        # delta_1 + delta_2 restores the base weight -2: three points, no arc
+        space = random_space(random.Random(8), 5)
+        f = random_lip_function(random.Random(9), space)
+        mu = FreeElement.make(space, {1: ONE, 2: ONE})
+        with pytest.raises(ValueError, match=re.escape("side row + 1 g(1) + 1 g(2) >= 1/2 is not an arc")):
+            wstar_delta_radius(space, f, mu, rat("1/2"), require_membership=False)
