@@ -17,7 +17,7 @@ from .functions import LipFunction, annulus_case_extension
 from .metric import FiniteMetricSpace, check_annuli_hypothesis
 from .reports import CertificateReport
 from .sampling import random_free_element
-from .scalars import ONE, Scalar, TWO, ZERO, rat
+from .scalars import ONE, Scalar, TWO, ZERO, over_common_denominator, rat
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,11 @@ def wstar_delta_radius(
     the slice constraint. Given pairs, the sup of max (f - g)(m_pq) over
     just those pairs. mu must be w (delta_u - delta_v) with w != 0, a
     multiple of a molecule, its base weight restored; its slice row
-    mu(g) >= 1 - alpha is then an arc (lp.side_arc), and each pair is an
-    lp.solve_pair_program. Any other mu is a ValueError.
+    mu(g) >= 1 - alpha is then an arc (lp.side_arc), and each pair is the
+    path program of lp.solve_pair_program with sink p and source q, weight
+    1 / d(p, q). The sweep is one lp.scan_pairs on the ints of the space's
+    int_view, f(m_pq) its offset: each pair's multipliers are checked and
+    the winner in full. Any other mu is a ValueError.
     """
     alpha = rat(alpha)
     if not (0 < alpha <= 2):
@@ -52,19 +55,20 @@ def wstar_delta_radius(
         raise ValueError("f must have norm exactly one")
     if require_membership and mu.pairing(f) <= ONE - alpha:
         raise ValueError("f does not lie in the slice")
-    arc = lp.side_arc(space, lp.SideConstraint(weights=mu.weight_dict(), relation=">=", bound=ONE - alpha))
-    best = None
-    for p, q in space.ordered_pairs() if pairs is None else pairs:
-        objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
-        sol = lp.solve_pair_program(space, objective, arc)
-        if sol.status != lp.OPTIMAL:
-            break  # the slice misses the ball, whatever the objective
-        value = f.molecule_value(p, q) + sol.value
-        if best is None or value > best[0]:
-            best = (value, sol.argument, (p, q))
+    a, b, c = lp.side_arc(space, lp.SideConstraint(weights=mu.weight_dict(), relation=">=", bound=ONE - alpha))
+    arc = (a, b, c.numerator, c.denominator)
+    D, scale = space.int_view
+    fnum, fden = over_common_denominator(f.values)
+    # max -g(m_pq) = (g(q) - g(p)) / d(p, q), and f(m_pq) = (fnum[p] - fnum[q]) scale / (fden D[p][q])
+    best = lp.scan_pairs(
+        space,
+        (((p, q), p, [(q, scale)], D[p][q], arc, ((fnum[p] - fnum[q]) * scale, fden * D[p][q]))
+         for p, q in (space.ordered_pairs() if pairs is None else pairs)),
+    )
     if best is None:
-        raise ValueError("dual slice is empty")
-    return RadiusResult(value=best[0], witness=best[1], pair=best[2])
+        raise ValueError("dual slice is empty")  # the slice arc closes a negative cycle
+    (p, q), sol = best
+    return RadiusResult(value=f.molecule_value(p, q) + sol.value, witness=sol.argument, pair=(p, q))
 
 
 def _support(F: FreeElement) -> set:

@@ -22,19 +22,24 @@ ties, falling back to Bland's rule after an iteration cap. The two rows of
 a pair, columns 2k and 2k + 1, are priced once: c - |y_a - y_b|, (a, b)
 from ``BallRows.pairs``.
 
-Every optimal solve is checked exactly, independently of the pivoting:
-the witness meets every row and attains the value, and the multipliers are
-nonnegative, combine the rows into the objective and attain the same value,
-a proof of optimality by weak duality. The check runs on Python ints,
-reads only the returned rationals and the rows, never the solver's basis,
-and names exact rationals when a check fails.
+Every optimal solve is checked exactly, independently of the pivoting, by
+one checker in two halves: the witness half (the witness meets every row
+and attains the value) and the multiplier half (the multipliers are
+nonnegative, combine the rows into the objective and attain the same
+value), together a proof of optimality by weak duality. Both halves run on
+Python ints, read only the returned rationals and the rows, never the
+solver's basis, and name exact rationals when a check fails.
 
 The per-pair programs of ``max_over_pairs`` and
 ``diametral.wstar_delta_radius`` have one side arc and an objective
 sum_x m_x (g(x) - g(t)), every m_x >= 0: shortest-path programs, which
 ``solve_pair_program`` answers in closed form, checked like every solve.
-COUNTS totals the simplex solves, their pivots and Bland fallbacks, and
-these path programs.
+A sweep needs only its maximum, so ``scan_pairs`` computes each pair's
+value and path multipliers on ints and checks the multiplier half alone,
+an upper bound on that pair; the winner is then solved again and checked
+in full, so its witness attains the largest bound and the maximum is
+exact. COUNTS totals the simplex solves, their pivots and Bland
+fallbacks, and these path programs.
 """
 
 from __future__ import annotations
@@ -365,63 +370,87 @@ def _verify_lip_solution(rows, c, witness, multipliers, value, ball=None):
 
     rows are (coefs, bound) meaning coefs . f <= bound, with coefs a tuple of
     (variable, +-1) sorted by variable, an arc's row; c is the objective and
-    witness the values of f on the non-base points. The witness must meet
-    every row and attain value; the multipliers (row -> y_r) must be
+    witness the values of f on the non-base points. The witness half
+    (_check_witness): the witness meets every row and attains value. The
+    multiplier half (_check_multipliers): the multipliers (row -> y_r) are
     nonnegative, sum coefficientwise to c and have bound-weighted sum value.
     Then c . g = sum_r y_r (coefs_r . g) <= value for every feasible g (weak
     duality), so the witness is a maximizer and the multipliers a minimizer.
 
-    The checks run on Python ints. The witness, c and the multipliers are
-    each put over their common denominator (wden, cden, yden), and every
-    comparison is cross-multiplied: a row is checked as
-    lhs * bound.den <= bound.num * wden, the attainment as sum cnum wnum
-    against value * cden * wden, and the multiplier sums against c * yden
-    and value * yden. The multiplier checks touch only the nonzero
-    multipliers, at most one per variable. Only the returned rationals, the
-    rows and ball are read, never the solver's basis, and a failure names
-    the exact rationals. Given ball, a BallRows, rows begin with its rows,
-    which are checked on the int_view of its space instead
-    (_check_ball_rows): only the pairs of its points.
+    The witness, c and the multipliers are each put over their common
+    denominator and both halves run on those ints. Only the returned
+    rationals, the rows and ball are read, never the solver's basis. Given
+    ball, a BallRows, rows begin with its rows, which the halves read from
+    ball and check on the int_view of its space.
     """
+    first = 0 if ball is None else len(ball.rows)
+    extra = [(coefs, (bound.numerator, bound.denominator)) for coefs, bound in rows[first:]]
     wnum, wden = over_common_denominator(witness)
+    cnum, cden = over_common_denominator(c)
+    ynum, yden = over_common_denominator(multipliers.values())
+    vnum, vden = value.numerator, value.denominator
+    _check_witness(ball, extra, cnum, cden, wnum, wden, vnum, vden)
+    _check_multipliers(ball, extra, cnum, cden, zip(multipliers, ynum), yden, vnum, vden)
+
+
+def _check_witness(ball, rows, c, cden, wnum, wden, vnum, vden):
+    """The witness half of _verify_lip_solution, on ints: f = wnum / wden by
+    variable meets the rows of ball (when given, by _check_ball_rows) and
+    rows, numbered after them, each (coefs, (bound numerator, bound
+    denominator)); and it attains vnum / vden on the objective c / cden. A
+    row is checked as lhs * bound den <= bound num * wden and the attainment
+    as sum c wnum = value * cden * wden; a failure names the row or the
+    value in exact rationals."""
     first = 0 if ball is None else _check_ball_rows(ball, wnum, wden)
-    for r in range(first, len(rows)):
-        coefs, bound = rows[r]
+    for r, (coefs, (bnum, bden)) in enumerate(rows, first):
         lhs = 0
         for v, coef in coefs:
             lhs += coef * wnum[v]
-        if lhs * bound.denominator > bound.numerator * wden:
-            raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {bound}")
-    cnum, cden = over_common_denominator(c)
-    vnum, vden = value.numerator, value.denominator
-    attained = sum(ci * wi for ci, wi in zip(cnum, wnum) if ci)
+        if lhs * bden > bnum * wden:
+            raise SimplexError(f"witness violates row {r}: {Fraction(lhs, wden)} > {Fraction(bnum, bden)}")
+    attained = sum(ci * wi for ci, wi in zip(c, wnum) if ci)
     if attained * vden != vnum * cden * wden:
-        raise SimplexError(f"witness attains {Fraction(attained, cden * wden)}, not the LP value {value}")
-    ynum, yden = over_common_denominator(multipliers.values())
-    combined = [0] * len(c)
-    ball_sum, other, scale = 0, [], 1
+        raise SimplexError(
+            f"witness attains {Fraction(attained, cden * wden)}, not the LP value {Fraction(vnum, vden)}"
+        )
+
+
+def _check_multipliers(ball, rows, c, cden, y, yden, vnum, vden):
+    """The multiplier half of _verify_lip_solution, on ints: for each
+    (r, num) of y, y_r = num / yden is nonnegative, sum_r y_r coefs_r is
+    the objective c / cden and sum_r y_r bound_r is vnum / vden. Rows below
+    len(ball.rows), when ball is given, are ball's, bound D[p][q] / scale on
+    the int_view of its space; the others are rows, laid out as for
+    _check_witness. Only the rows in y are read, and every sum is compared
+    cross-multiplied; a failure names the row, the variable or the sum in
+    exact rationals."""
+    first, D, scale = 0, None, 1
     if ball is not None:
+        first = len(ball.rows)
         D, scale = ball.space.int_view
-    for (r, y), yr in zip(multipliers.items(), ynum):
+    combined = [0] * len(c)
+    ball_sum, num, den = 0, 0, 1  # the other rows add num / den to sum_r y_r bound_r
+    for r, yr in y:
         if yr < 0:
-            raise SimplexError(f"multiplier of row {r} is negative: {y}")
-        coefs, bound = rows[r]
-        for v, coef in coefs:
-            combined[v] += yr * coef
+            raise SimplexError(f"multiplier of row {r} is negative: {Fraction(yr, yden)}")
         if r < first:
+            coefs = ball.rows[r][0]
             p, q = ball.arcs[r & ~1]  # rows 2k and 2k + 1 both have bound d(p, q), p < q
             ball_sum += yr * D[p][q]
         else:
-            other.append((yr, bound))
-    for v, (got, want) in enumerate(zip(combined, cnum)):
+            coefs, (bnum, bden) = rows[r - first]
+            num, den = num * bden + yr * bnum * den, den * bden
+        for v, coef in coefs:
+            combined[v] += yr * coef
+    for v, (got, want) in enumerate(zip(combined, c)):
         if got * cden != want * yden:
-            raise SimplexError(f"multipliers give {Fraction(got, yden)}, not {c[v]}, on variable {v}")
-    # sum_r y_r bound_r = (ball_sum / scale + sum of the other yr bound_r) / yden
-    bnum, bden = over_common_denominator(bound for _, bound in other)
-    total = ball_sum * bden + scale * sum(yr * b for (yr, _), b in zip(other, bnum))
-    total_den = yden * bden * scale
+            raise SimplexError(f"multipliers give {Fraction(got, yden)}, not {Fraction(want, cden)}, on variable {v}")
+    # sum_r y_r bound_r = (ball_sum / scale + num / den) / yden
+    total, total_den = ball_sum * den + scale * num, yden * den * scale
     if total * vden != vnum * total_den:
-        raise SimplexError(f"multipliers attain {Fraction(total, total_den)}, not the LP value {value}")
+        raise SimplexError(
+            f"multipliers attain {Fraction(total, total_den)}, not the LP value {Fraction(vnum, vden)}"
+        )
 
 
 def _check_ball_rows(ball: BallRows, wnum, wden) -> int:
@@ -504,6 +533,95 @@ def _row_index(n: int, p: int, q: int) -> int:
     return 2 * (i * n - i * (i + 1) // 2 + j - i - 1) + (p > q)
 
 
+def _sink_form(space: FiniteMetricSpace, objective: dict) -> Optional[tuple]:
+    """(t, sources, mden): the objective, exact weights by point, its base
+    weight restored, as sum_x m_x (delta_x - delta_t) with m_x = m / mden > 0
+    for each (x, m) of sources, x ascending. t is the one point of negative
+    weight, or the base when there is none; None when there are two."""
+    base = space.base
+    w = [ZERO] * space.n
+    for p, wp in objective.items():
+        if p != base:
+            w[p] += wp
+    w[base] = -sum(w)
+    nums, mden = over_common_denominator(w)
+    sinks = [p for p, m in enumerate(nums) if m < 0]
+    if len(sinks) > 1:
+        return None
+    return (sinks[0] if sinks else base), [(x, m) for x, m in enumerate(nums) if m > 0], mden
+
+
+def _objective_vars(ball: BallRows, t: int, sources) -> list:
+    """The objective of a sink form by variable, numerators over its mden."""
+    var, c = ball.var, [0] * (len(ball.points) - 1)
+    for x, m in sources:
+        if var[x] is not None:
+            c[var[x]] = m
+        if var[t] is not None:
+            c[var[t]] -= m
+    return c
+
+
+def _infeasible(space: FiniteMetricSpace, arc) -> bool:
+    """Whether the side arc (a, b, cnum, cden), g(b) - g(a) <= cnum / cden,
+    closes a negative cycle with the ball arc a -> b: c + d(a, b) < 0."""
+    D, scale = space.int_view
+    a, b, cnum, cden = arc
+    return D[a][b] * cden + cnum * scale < 0
+
+
+def _lengths(space: FiniteMetricSpace, t: int, arc, points) -> list:
+    """The shortest-path length from t of each x of points over the ball arcs
+    y -> z of length d(y, z) and the side arc (a, b, cnum, cden) of length
+    c = cnum / cden: h(x) = min(d(t, x), d(t, a) + c + d(b, x)), as ints over
+    scale * cden."""
+    D, scale = space.int_view
+    a, b, cnum, cden = arc
+    Dt, Db = D[t], D[b]
+    via = Dt[a] * cden + cnum * scale
+    return [min(Dt[x] * cden, via + Db[x] * cden) for x in points]
+
+
+def _path_flow(space: FiniteMetricSpace, t: int, sources, arc) -> tuple:
+    """(y, total) of a sink form's path program: the flow of the
+    shortest-path tree, each source's m on every row of its path (the ball
+    row x <- t where h(x) = d(t, x), else t -> a, the side row, b -> x), as
+    row -> int over mden, and sum_x m h(x), an int over mden * scale * cden."""
+    n, D = space.n, space.int_view[0]
+    a, b, _, cden = arc
+    side_row = n * (n - 1)
+    y, total = {}, 0
+    for (x, m), hx in zip(sources, _lengths(space, t, arc, [x for x, _ in sources])):
+        if hx == D[t][x] * cden:
+            path = (_row_index(n, x, t),)
+        else:
+            path = (_row_index(n, a, t),) * (a != t) + (side_row,) + (_row_index(n, x, b),) * (x != b)
+        for r in path:
+            y[r] = y.get(r, 0) + m
+        total += m * hx
+    return y, total
+
+
+def _solve_path(space: FiniteMetricSpace, t: int, sources, mden: int, arc) -> LpSolution:
+    """The path program of the sink form (t, sources, mden) and the feasible
+    int side arc (a, b, cnum, cden), checked in full: the witness
+    h - h(base) (_lengths) passes the witness half of the checker and the
+    path flow (_path_flow) the multiplier half."""
+    ball, base, n = space.ball_rows, space.base, space.n
+    a, b, cnum, cden = arc
+    hden = space.int_view[1] * cden
+    vden = mden * hden
+    h = _lengths(space, t, arc, range(n))
+    y, total = _path_flow(space, t, sources, arc)
+    rows, c = _arc_rows(ball, ((a, b, (cnum, cden)),)), _objective_vars(ball, t, sources)
+    wnum = [hx - h[base] for p, hx in enumerate(h) if p != base]
+    _check_witness(ball, rows, c, mden, wnum, hden, total, vden)
+    _check_multipliers(ball, rows, c, mden, y.items(), mden, total, vden)
+    g = tuple(Fraction(hx - h[base], hden) for hx in h)
+    duals = {r: Fraction(m, mden) for r, m in y.items()}
+    return LpSolution(status=OPTIMAL, value=Fraction(total, vden), argument=LipFunction(space, g), row_duals=duals)
+
+
 def solve_pair_program(space: FiniteMetricSpace, objective: dict, arc) -> LpSolution:
     """Exact optimum of the objective, exact weights by point, over the ball
     with one side arc (a, b, c), the row g(b) - g(a) <= c with c exact,
@@ -511,58 +629,73 @@ def solve_pair_program(space: FiniteMetricSpace, objective: dict, arc) -> LpSolu
 
     With its base weight restored, the objective is a measure of total
     zero. When at most one point t has negative weight, it is
-    sum_x m_x (g(x) - g(t)) with every m_x >= 0, and the rows are difference
-    constraints: arcs x -> y of length d(x, y) and the arc a -> b of length
-    c. The shortest-path potential from t,
+    sum_x m_x (g(x) - g(t)) with every m_x >= 0 (_sink_form), and the rows
+    are difference constraints: arcs x -> y of length d(x, y) and the arc
+    a -> b of length c. The shortest-path potential from t,
     h(x) = min(d(t, x), d(t, a) + c + d(b, x)), is then the largest
     g(x) - g(t) for every x at once, so it is optimal (Cormen, Leiserson,
     Rivest and Stein, Introduction to Algorithms, 3rd ed., 24.4); the
     program is infeasible exactly when c + d(a, b) < 0. The multipliers are
     the flow of the shortest-path tree: m_x on each row of the path of x.
-    The witness h - h(base), these multipliers and the value pass
-    _verify_lip_solution like any solve, so a matrix that breaks the
-    triangle inequality is caught there. Any other objective is one
+    The witness h - h(base), these multipliers and the value pass both
+    halves of the checker on ints (_solve_path), so a matrix that breaks
+    the triangle inequality either fails there or leaves the value exact.
+    COUNTS.path_programs counts the program. Any other objective is one
     simplex solve of the same rows.
     """
     a, b, c = arc
     ball = space.ball_rows
     _check_points(ball, objective)
-    base, n = space.base, space.n
-    w = [ZERO] * n
-    for p, wp in objective.items():
-        if p != base:
-            w[p] += wp
-    w[base] = -sum(w)
-    sinks = [p for p, wp in enumerate(w) if wp < 0]
-    if len(sinks) > 1:
+    form = _sink_form(space, objective)
+    if form is None:
         return _solve(ball, objective, (arc,))
     COUNTS.path_programs += 1
-    if c + space.d[a][b] < 0:
+    arc = (a, b, c.numerator, c.denominator)
+    if _infeasible(space, arc):
         return LpSolution(status=INFEASIBLE, value=None, argument=None, row_duals=None)
-    t = sinks[0] if sinks else base
-    # the path lengths from t as ints over den
-    D, scale = space.int_view
-    cd = c.denominator
-    den = scale * cd
-    direct = [dx * cd for dx in D[t]]
-    via = direct[a] + c.numerator * scale
-    h = [min(dx, via + dbx * cd) for dx, dbx in zip(direct, D[b])]
-    side_row = len(ball.rows)
-    multipliers, length = {}, ZERO
-    for x, m in enumerate(w):
-        if m > 0:
-            if h[x] == direct[x]:
-                path = (_row_index(n, x, t),)
-            else:
-                path = (_row_index(n, a, t),) * (a != t) + (side_row,) + (_row_index(n, x, b),) * (x != b)
-            for r in path:
-                multipliers[r] = multipliers.get(r, ZERO) + m
-            length += m * h[x]
-    value = length / den
-    g = [Fraction(hx - h[base], den) for hx in h]
-    witness, cvec = [g[p] for p in range(n) if p != base], [w[p] for p in range(n) if p != base]
-    _verify_lip_solution(ball.rows + _arc_rows(ball, (arc,)), cvec, witness, multipliers, value, ball)
-    return LpSolution(status=OPTIMAL, value=value, argument=LipFunction(space, tuple(g)), row_duals=multipliers)
+    return _solve_path(space, *form, arc)
+
+
+def scan_pairs(space: FiniteMetricSpace, programs) -> Optional[tuple]:
+    """(key, solution) of the first of a sweep of single-sink pair programs
+    to attain the largest value plus offset, or None when every one is
+    infeasible.
+
+    programs yields (key, t, sources, mden, arc, offset), all ints: the
+    objective sum_x m_x (g(x) - g(t)) as _sink_form gives it, the side arc
+    (a, b, cnum, cden), the row g(b) - g(a) <= cnum / cden, and offset
+    (num, den), a rational added to the value when programs are compared. A
+    program with c + d(a, b) < 0 is infeasible and skipped. COUNTS counts
+    each other program once; its value sum_x m_x h(x) and its path flow
+    (_path_flow) pass the multiplier half of the checker, so the value is
+    an upper bound on the program by weak duality. Values are compared
+    cross-multiplied, and a losing program makes no Fraction, witness or
+    LipFunction. The winner alone is solved again in full (_solve_path,
+    not counted again): its witness attains its value, so the maximum is
+    exact. A solve that does not return the scanned value is a SimplexError
+    naming both.
+    """
+    ball, scale = space.ball_rows, space.int_view[1]
+    best = None
+    for key, t, sources, mden, arc, (onum, oden) in programs:
+        if _infeasible(space, arc):
+            continue
+        COUNTS.path_programs += 1
+        a, b, cnum, cden = arc
+        y, total = _path_flow(space, t, sources, arc)
+        vden = mden * scale * cden
+        rows = _arc_rows(ball, ((a, b, (cnum, cden)),))
+        _check_multipliers(ball, rows, _objective_vars(ball, t, sources), mden, y.items(), mden, total, vden)
+        num, den = total * oden + onum * vden, vden * oden
+        if best is None or num * best[2] > best[1] * den:
+            best = (key, num, den, total, vden, (t, sources, mden, arc))
+    if best is None:
+        return None
+    key, _, _, total, vden, program = best
+    sol = _solve_path(space, *program)
+    if sol.value.numerator * vden != total * sol.value.denominator:
+        raise SimplexError(f"pair {key} solves to {sol.value}, not its scanned value {Fraction(total, vden)}")
+    return key, sol
 
 
 def max_over_pairs(
@@ -578,29 +711,40 @@ def max_over_pairs(
 
     The side row of pair (p, q) is that witness inequality times d(p, q):
     g(p) - g(q) <= f(p) - f(q) - d(p, q) threshold, the arc q -> p of
-    solve_pair_program. A pair with f(p) - f(q) + d(p, q) < d(p, q) threshold
-    is skipped, as g(p) - g(q) >= -d(p, q) on the ball; that test runs on
-    ints over the common denominators of f, the distances and the threshold.
+    solve_pair_program, made as ints over the common denominators of f, the
+    distances and the threshold. A pair with f(p) - f(q) + d(p, q) <
+    d(p, q) threshold is infeasible, as g(p) - g(q) >= -d(p, q) on the
+    ball. A single-sink objective, which the certificates use, makes the
+    sweep one scan_pairs: each pair's multipliers are checked and the
+    winner in full. Any other objective is one simplex solve per feasible
+    pair.
     """
     threshold = rat(threshold)
     if threshold > 2:
         raise ValueError("threshold must be <= 2")
     objective = _as_weights(objective)
+    _check_points(space.ball_rows, objective)
     fnum, fden = over_common_denominator(base_fn.values)
     D, scale = space.int_view
-    # (fnum[p] - fnum[q]) / fden + D / scale < D / scale * threshold, times fden * scale * tden
-    gap_factor = scale * threshold.denominator
-    dist_factor = fden * (threshold.numerator - threshold.denominator)
-    values, d = base_fn.values, space.d
-    best = None
-    for p, q in space.ordered_pairs() if pairs is None else pairs:
-        if (fnum[p] - fnum[q]) * gap_factor < D[p][q] * dist_factor:
-            continue  # infeasible: g(m_pq) >= -1 always
-        sol = solve_pair_program(space, objective, (q, p, values[p] - values[q] - d[p][q] * threshold))
-        if sol.status != OPTIMAL:
-            continue
-        if best is None or sol.value > best[1]:
-            best = ((p, q), sol.value, sol.argument)
+    tnum, tden = threshold.numerator, threshold.denominator
+    # c = f(p) - f(q) - d(p, q) threshold as cnum / cden; a pair with
+    # c + d(p, q) < 0, which is (fnum[p] - fnum[q]) gap < D[p][q] slack, makes no arc
+    gap, slack, cden = scale * tden, fden * (tnum - tden), fden * scale * tden
+    arcs = (
+        ((p, q), (q, p, (fnum[p] - fnum[q]) * gap - D[p][q] * fden * tnum, cden))
+        for p, q in (space.ordered_pairs() if pairs is None else pairs)
+        if (fnum[p] - fnum[q]) * gap >= D[p][q] * slack
+    )
+    form = _sink_form(space, objective)
+    if form is not None:
+        best = scan_pairs(space, ((pair, *form, arc, (0, 1)) for pair, arc in arcs))
+    else:
+        best = None
+        for pair, (a, b, cnum, _) in arcs:
+            sol = solve_pair_program(space, objective, (a, b, Fraction(cnum, cden)))
+            if sol.status == OPTIMAL and (best is None or sol.value > best[1].value):
+                best = (pair, sol)
     if best is None:
         return PairMaxResult(status=INFEASIBLE, value=None, pair=None, argument=None)
-    return PairMaxResult(status=OPTIMAL, value=best[1], pair=best[0], argument=best[2])
+    pair, sol = best
+    return PairMaxResult(status=OPTIMAL, value=sol.value, pair=pair, argument=sol.argument)

@@ -65,6 +65,46 @@ def _rats(name: str, value) -> list:
 # integers with d(n,k) = 3 - |1/n - 1/k|: no dual-Daugavet behavior
 
 
+def _example1_draws(space: FiniteMetricSpace, n: int, samples: int, rng) -> tuple:
+    """(fns, attempts): rejection sampling of norm-one functions f = s v / L
+    whose smallest admissible index is n, at most 2000 attempts per sample.
+
+    Each attempt draws v as sampling.random_lip_function does, redrawing
+    while v is 0, and L = ||v||. Its sign s is the first with f(m_k1) <= 3/4
+    for all k and some f(m_1j) >= 0 (two violations of the cap with opposite
+    orientation would exceed the diameter), and its smallest admissible
+    index the first non-base j with s v[j] <= 0. A kept draw therefore has
+    s v[j] > 0 at every non-base j < n - 1 and s v[n - 1] <= 0 for some s;
+    that test needs no L, so L is computed only for the draws that pass it.
+    """
+    D, scale = space.int_view
+    base = space.base
+    others = [p for p in space.points() if p != base]
+    head = [j for j in others if j < n - 1]
+    fns = []
+    attempts = 0
+    while len(fns) < samples and attempts < 2000 * samples:
+        attempts += 1
+        v = [0]
+        while not any(v):
+            v = [rng.randint(-10, 10) for _ in space.points()]
+            v[base] = 0
+        if not any(s * v[n - 1] <= 0 and all(s * v[j] > 0 for j in head) for s in (1, -1)):
+            continue
+        L = lip_constant(space, v, space.points())[0]
+        lhs, rhs = 4 * L.denominator * scale, 3 * L.numerator
+        for s in (1, -1):
+            if all(s * v[k] * lhs <= rhs * D[k][base] for k in others):
+                smallest = next((j for j in others if s * v[j] <= 0), None)
+                if smallest is not None:
+                    break
+        else:
+            raise ValueError("no sign normalization exists; is ||f|| <= 1?")
+        if smallest == n - 1:  # point index of the integer n
+            fns.append(LipFunction(space, tuple(Fraction(s * x * L.denominator, L.numerator) for x in v)))
+    return fns, attempts
+
+
 def verify_example1(
     N: int = 24,
     n: int = 3,
@@ -90,31 +130,7 @@ def verify_example1(
     norm = free_norm(mu).value
     report.add("averaged molecule functional has norm one", "||mu|| = 1", {"norm": norm}, norm == 1)
 
-    rng = random.Random(seed)
-    D, scale = space.int_view
-    base = space.base
-    others = [p for p in space.points() if p != base]
-    fns = []
-    attempts = 0
-    while len(fns) < samples and attempts < 2000 * samples:
-        attempts += 1
-        L = ZERO
-        while L == 0:  # the draws of sampling.random_lip_function
-            v = [rng.randint(-10, 10) for _ in space.points()]
-            v[base] = 0
-            L = lip_constant(space, v, space.points())[0]
-        # the first sign s of f = s v / L with f(m_k1) <= 3/4 for all k and some f(m_1j) >= 0;
-        # two violations of the cap with opposite orientation would exceed the diameter
-        lhs, rhs = 4 * L.denominator * scale, 3 * L.numerator
-        for s in (1, -1):
-            if all(s * v[k] * lhs <= rhs * D[k][base] for k in others):
-                smallest = next((j for j in others if s * v[j] <= 0), None)
-                if smallest is not None:
-                    break
-        else:
-            raise ValueError("no sign normalization exists; is ||f|| <= 1?")
-        if smallest == n - 1:  # point index of the integer n
-            fns.append(LipFunction(space, tuple(Fraction(s * x * L.denominator, L.numerator) for x in v)))
+    fns, attempts = _example1_draws(space, n, samples, random.Random(seed))
     report.add(
         "rejection sampling matched the requested slice index",
         f"{samples} functions with smallest admissible index n = {n}",

@@ -82,4 +82,6 @@ def test_counts_are_null_without_the_counter(tmp_path):
     assert bench_pairs.run_counts(tmp_path) == {
         "acceptance_03": None, "acceptance_04": None, "acceptance_05": None,
         "acceptance_06": None, "acceptance_09": None, "two_anchor_12": None, "norms_20": None,
+        "example1_24": None, "example1_96": None, "example1_200": None,
     }
+    assert bench_pairs.run_times(tmp_path) == {"example1_24": None, "example1_96": None, "example1_200": None}

@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from unittest.mock import patch
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipfree import lp
-from lipfree.diametral import wstar_delta_radius
+from lipfree.diametral import RadiusResult, wstar_delta_radius
 from lipfree.free import FreeElement, Molecule
 from lipfree.functions import LipFunction
 from lipfree.metric import FiniteMetricSpace, ball_rows, build_simplex_space
@@ -964,3 +966,180 @@ class TestSweepOracle:
         mu = FreeElement.make(space, {1: ONE, 2: ONE})
         with pytest.raises(ValueError, match=re.escape("side row + 1 g(1) + 1 g(2) >= 1/2 is not an arc")):
             wstar_delta_radius(space, f, mu, rat("1/2"), require_membership=False)
+
+
+class TestCheckerHalves:
+    """Each half of _verify_lip_solution alone, on ints: a failure names the
+    row or the variable and the exact rationals."""
+
+    # f <= 5/3, f <= 2 and -f <= 1 on one variable; max f = 5/3, proved by y = (1, 0, 0)
+    ROWS = [(((0, 1),), (5, 3)), (((0, 1),), (2, 1)), (((0, -1),), (1, 1))]
+
+    def test_a_proof_passes_both_halves(self):
+        lp._check_witness(None, self.ROWS, [1], 1, [5], 3, 5, 3)
+        lp._check_multipliers(None, self.ROWS, [1], 1, [(0, 1)], 1, 5, 3)
+
+    @pytest.mark.parametrize(
+        "y, yden, message",
+        [
+            ({0: 8, 1: -4, 2: 2}, 2, "multiplier of row 1 is negative: -2"),
+            ({0: 3}, 2, "multipliers give 3/2, not 1, on variable 0"),
+            ({0: 1, 1: 1, 2: 1}, 1, "multipliers attain 14/3, not the LP value 5/3"),
+        ],
+        ids=["negative", "combined-coefficient", "bound-sum"],
+    )
+    def test_multiplier_half(self, y, yden, message):
+        with pytest.raises(lp.SimplexError, match=re.escape(message)):
+            lp._check_multipliers(None, self.ROWS, [1], 1, y.items(), yden, 5, 3)
+
+    @pytest.mark.parametrize(
+        "wnum, wden, message",
+        [
+            ([7], 4, "witness violates row 0: 7/4 > 5/3"),
+            ([3], 2, "witness attains 3/2, not the LP value 5/3"),
+        ],
+        ids=["row", "value"],
+    )
+    def test_witness_half(self, wnum, wden, message):
+        with pytest.raises(lp.SimplexError, match=re.escape(message)):
+            lp._check_witness(None, self.ROWS, [1], 1, wnum, wden, 5, 3)
+
+    def test_ball_rows_are_read_on_the_int_view(self, triangle):
+        # max f(1) = 2 on the triangle, y = 1 on row 1, f(1) - f(0) <= 2; the
+        # side row f(2) - f(1) <= 1/2 is numbered 6
+        ball, side = triangle.ball_rows, [(((0, -1), (1, 1)), (1, 2))]
+        lp._check_multipliers(ball, side, [1, 0], 1, [(1, 1)], 1, 2, 1)
+        lp._check_witness(ball, side, [1, 0], 1, [4, 5], 2, 2, 1)
+        # rows 4 and 6 cancel in the coefficients and add 4 + 1/2 to the bounds
+        with pytest.raises(lp.SimplexError, match=re.escape("multipliers attain 13/2, not the LP value 2")):
+            lp._check_multipliers(ball, side, [1, 0], 1, [(1, 1), (6, 1), (4, 1)], 1, 2, 1)
+        with pytest.raises(lp.SimplexError, match=re.escape("witness violates row 6: 1 > 1/2")):
+            lp._check_witness(ball, side, [1, 0], 1, [4, 6], 2, 2, 1)
+
+
+def _sweep_reference(space, f, threshold, objective):
+    """max_over_pairs as a loop of solve_pair_program over every pair,
+    keeping the first maximum."""
+    best = None
+    for p, q in space.ordered_pairs():
+        arc = (q, p, f.values[p] - f.values[q] - space.d[p][q] * threshold)
+        sol = lp.solve_pair_program(space, objective, arc)
+        if sol.status == lp.OPTIMAL and (best is None or sol.value > best.value):
+            best = lp.PairMaxResult(status=lp.OPTIMAL, value=sol.value, pair=(p, q), argument=sol.argument)
+    return best or lp.PairMaxResult(status=lp.INFEASIBLE, value=None, pair=None, argument=None)
+
+
+def _radius_reference(space, f, mu, alpha):
+    """wstar_delta_radius as a loop of solve_pair_program over every pair,
+    keeping the first maximum; None when the slice is empty."""
+    arc = lp.side_arc(space, lp.SideConstraint(mu.weight_dict(), ">=", ONE - alpha))
+    best = None
+    for p, q in space.ordered_pairs():
+        objective = {k: -w for k, w in lp.molecule_weights(space, p, q).items()}
+        sol = lp.solve_pair_program(space, objective, arc)
+        if sol.status != lp.OPTIMAL:
+            return None
+        value = f.molecule_value(p, q) + sol.value
+        if best is None or value > best.value:
+            best = RadiusResult(value=value, witness=sol.argument, pair=(p, q))
+    return best
+
+
+def _scan_case(seed):
+    """A random closure of 3 to 8 points with its distances divided by 1, 3
+    or 7, a norm-one function on it and a single-sink objective."""
+    rng = random.Random(seed)
+    closure = random_space(rng, rng.randint(3, 8))
+    k = rng.choice([1, 3, 7])
+    space = FiniteMetricSpace.from_matrix([[x / k for x in row] for row in closure.d])
+    f = random_lip_function(rng, space)
+    t = rng.choice(space.points())
+    measure = {x: Fraction(rng.randint(0, 4), rng.choice([1, 2, 5])) for x in space.points() if x != t}
+    measure[t] = -sum(measure.values())
+    objective = {x: w for x, w in measure.items() if x != space.base}
+    return rng, space, f, objective
+
+
+class TestPairScan:
+    """The int scan of both sweeps: every pair's multipliers are checked, the
+    winner in full, and the result is that of a solve of every pair."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_sweeps_match_a_solve_of_every_pair(self, seed):
+        rng, space, f, objective = _scan_case(seed)
+        # at half the norm, thresholds above 3/2 leave no feasible pair
+        g = f * rat(rng.choice(["1", "1/2"]))
+        threshold = rat(rng.choice(["1/2", "1", "3/2", "7/4", "2"]))
+        assert lp.max_over_pairs(space, g, threshold, objective) == _sweep_reference(space, g, threshold, objective)
+        mu = Molecule(space, *rng.sample(space.points(), 2)).element() * rat(rng.choice(["1", "1/4"]))
+        alpha = rat(rng.choice(["1/4", "1/2", "1", "3/2"]))
+        reference = _radius_reference(space, f, mu, alpha)
+        if reference is None:
+            with pytest.raises(ValueError, match="dual slice is empty"):
+                wstar_delta_radius(space, f, mu, alpha, require_membership=False)
+        else:
+            assert wstar_delta_radius(space, f, mu, alpha, require_membership=False) == reference
+
+    @staticmethod
+    def _sweep(space, f, which):
+        if which == "max_over_pairs":
+            return lp.max_over_pairs(space, f, rat("1/2"), {1: ONE, 2: rat("1/3")}).pair
+        return wstar_delta_radius(space, f, Molecule(space, 1, 2).element(), rat("1/2"), require_membership=False).pair
+
+    @pytest.mark.parametrize("which", ["max_over_pairs", "wstar_delta_radius"])
+    def test_only_the_winner_is_checked_in_full(self, which, monkeypatch):
+        space = random_space(random.Random(4), 6)
+        f = random_lip_function(random.Random(5), space)
+        calls = Counter()
+        for name in ("_check_witness", "_check_multipliers", "LipFunction"):
+            monkeypatch.setattr(lp, name, partial(_counted, calls, name, getattr(lp, name)))
+        before = lp.COUNTS.path_programs
+        self._sweep(space, f, which)
+        scanned = lp.COUNTS.path_programs - before
+        assert scanned > 1
+        assert calls == {"_check_witness": 1, "_check_multipliers": scanned + 1, "LipFunction": 1}
+
+    @pytest.mark.parametrize("which", ["max_over_pairs", "wstar_delta_radius"])
+    def test_a_tampered_multiplier_of_a_losing_pair_is_caught(self, which, monkeypatch):
+        space = random_space(random.Random(4), 6)
+        f = random_lip_function(random.Random(5), space)
+        winner = self._sweep(space, f, which)
+        flow, tampered = lp._path_flow, []
+
+        def tampering(space, t, sources, arc):
+            y, total = flow(space, t, sources, arc)
+            pair = (arc[1], arc[0]) if which == "max_over_pairs" else (t, sources[0][0])
+            if not tampered and pair != winner:
+                tampered.append(pair)
+                r = max(y)
+                y = {**y, r: y[r] + 1}
+            return y, total
+
+        monkeypatch.setattr(lp, "_path_flow", tampering)
+        with pytest.raises(lp.SimplexError, match="multipliers give"):
+            self._sweep(space, f, which)
+        assert tampered and tampered[0] != winner
+
+    @pytest.mark.parametrize("which", ["max_over_pairs", "wstar_delta_radius"])
+    def test_a_tampered_witness_of_the_winner_is_caught(self, which, monkeypatch):
+        # the winner's witness alone is made at every point; raising it at
+        # point 3 by twice d(base, 3) breaks the row g(3) - g(base) <= d(base, 3)
+        space = random_space(random.Random(4), 6)
+        f = random_lip_function(random.Random(5), space)
+        lengths = lp._lengths
+
+        def tampering(space, t, arc, points):
+            h = lengths(space, t, arc, points)
+            if len(h) == space.n:
+                h[3] += 2 * space.int_view[0][space.base][3] * arc[3] + 1
+            return h
+
+        monkeypatch.setattr(lp, "_lengths", tampering)
+        with pytest.raises(lp.SimplexError, match="witness violates row"):
+            self._sweep(space, f, which)
+
+
+def _counted(calls, name, fn, *args, **kwargs):
+    calls[name] += 1
+    return fn(*args, **kwargs)

@@ -9,7 +9,7 @@ from conftest import spaces_for
 
 from lipfree import diametral, functions, lp, metric, reproduce
 from lipfree.free import Molecule, free_dist
-from lipfree.functions import delta_hat_family, nearest_point_function
+from lipfree.functions import LipFunction, delta_hat_family, nearest_point_function
 from lipfree.metric import (
     FiniteMetricSpace,
     build_example1_space,
@@ -56,6 +56,34 @@ def _reference_samples(space, n, samples, seed):
     return fns, attempts
 
 
+def _example1_draws_without_prefilter(space, n, samples, rng):
+    """reproduce._example1_draws as it was before its prefilter: L is
+    computed for every draw."""
+    D, scale = space.int_view
+    base = space.base
+    others = [p for p in space.points() if p != base]
+    fns = []
+    attempts = 0
+    while len(fns) < samples and attempts < 2000 * samples:
+        attempts += 1
+        L = 0
+        while L == 0:
+            v = [rng.randint(-10, 10) for _ in space.points()]
+            v[base] = 0
+            L = reproduce.lip_constant(space, v, space.points())[0]
+        lhs, rhs = 4 * L.denominator * scale, 3 * L.numerator
+        for s in (1, -1):
+            if all(s * v[k] * lhs <= rhs * D[k][base] for k in others):
+                smallest = next((j for j in others if s * v[j] <= 0), None)
+                if smallest is not None:
+                    break
+        else:
+            raise ValueError("no sign normalization exists; is ||f|| <= 1?")
+        if smallest == n - 1:
+            fns.append(LipFunction(space, tuple(Fraction(s * x * L.denominator, L.numerator) for x in v)))
+    return fns, attempts
+
+
 class TestExample1:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_int_sampler_keeps_the_fraction_samples(self, n, monkeypatch):
@@ -75,6 +103,28 @@ class TestExample1:
             check = next(c for c in report.checks if c.description.startswith("rejection sampling"))
             assert check.values == {"found": len(fns), "attempts": attempts}
             assert kept == fns
+
+    def test_prefilter_keeps_the_reports_and_skips_lip_constant(self, monkeypatch):
+        calls = Counter()
+        lip_constant = reproduce.lip_constant
+
+        def counting(*args):
+            calls[side] += 1
+            return lip_constant(*args)
+
+        monkeypatch.setattr(reproduce, "lip_constant", counting)
+        draws = reproduce._example1_draws
+        for n in range(2, 7):
+            for seed in range(5):
+                reports = {}
+                for side in ("computes L first", "prefilter"):
+                    with monkeypatch.context() as m:
+                        if side == "computes L first":
+                            m.setattr(reproduce, "_example1_draws", _example1_draws_without_prefilter)
+                        reports[side] = verify_example1(N=24, n=n, samples=5, seed=seed).dumps("exact")
+                assert reports["prefilter"] == reports["computes L first"]
+        assert reproduce._example1_draws is draws
+        assert 0 < calls["prefilter"] < calls["computes L first"]
 
     def test_a_draw_no_sign_admits_is_an_error(self, monkeypatch):
         # L far below the true constant puts both signs above the 3/4 cap

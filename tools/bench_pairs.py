@@ -24,11 +24,15 @@ wall time and the call times of acceptance 03 and 04. It also holds the
 exact-solve counts (``lipfree.lp.COUNTS``: simplex solves, their pivots and
 Bland fallbacks, and the pair programs answered as shortest paths) of one
 in-process run at the parameters of acceptance 03, 04, 05, 06 and 09, of
-``certify two-anchor --N 12`` and of two norms on a seeded 20-point closure
-loaded from JSON; a side whose ``lp`` has no counts records null. Each of
-these runs but 03 and 04 also records ``calls`` (Python and builtin calls
-under ``sys.setprofile``) and ``fractions`` (``Fraction`` constructions),
-counts that, unlike times, do not depend on the machine.
+``certify two-anchor --N 12``, of two norms on a seeded 20-point closure
+loaded from JSON and of the example 1 rungs of a size ladder,
+``verify_example1(N, n=4, samples=5, seed=0)`` for N = 24, 96 and 200; a
+side whose ``lp`` has no counts records null. Each of these runs but 03,
+04 and the rungs N = 96 and 200 also records ``calls`` (Python and builtin
+calls under ``sys.setprofile``) and ``fractions`` (``Fraction``
+constructions), counts that, unlike times, do not depend on the machine.
+Each rung is also timed in a process of its own, the least of three
+in-process runs, with no hook installed.
 The stamp names the machine, Python, the scalar backend and both commits.
 """
 
@@ -58,26 +62,28 @@ ACCEPTANCE = {
 }
 
 # the runs of tests/test_acceptance.py's acceptance 03, 04, 05, 06 and 09
-# (its separated-annuli battery), of certify two-anchor --N 12 and of a norms
+# (its separated-annuli battery), of certify two-anchor --N 12, of a norms
 # query pair (norms_20: load and validate the JSON of a seeded 20-point
 # shortest-path closure, then read the norms of a full-support element and
-# of a 3-point one, as a bare freenorm does); prints one JSON object of the
-# COUNTS each run adds, or null per run. Every run but 03 and 04,
-# which the hook would slow too much, also counts under sys.setprofile its
-# Python and builtin calls ("call" and "c_call" events) and its Fraction
-# constructions ("call" events of Fraction.__new__)
+# of a 3-point one, as a bare freenorm does) and of the example 1 rungs;
+# prints one JSON object of the COUNTS each run adds, or null per run. Every
+# run but 03, 04 and the rungs N = 96 and 200, which the hook would slow too
+# much, also counts under sys.setprofile its Python and builtin calls ("call"
+# and "c_call" events) and its Fraction constructions ("call" events of
+# Fraction.__new__)
 COUNTS_SCRIPT = """
 import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from lipfree import lp
 counts = getattr(lp, "COUNTS", None)
 out = dict.fromkeys(
     ("acceptance_03", "acceptance_04", "acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12",
-     "norms_20")
+     "norms_20", "example1_24", "example1_96", "example1_200")
 )
-PROFILED = {"acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12", "norms_20"}
+PROFILED = {"acceptance_05", "acceptance_06", "acceptance_09", "two_anchor_12", "norms_20", "example1_24"}
 FRACTION_NEW = Fraction.__new__.__code__
 
 
@@ -145,6 +151,7 @@ if counts is not None:
         ),
         "two_anchor_12": lambda: reproduce.verify_two_anchor_daugavet(N=12),
         "norms_20": lambda: norms(*norms_input),
+        **{f"example1_{N}": partial(reproduce.verify_example1, N=N, n=4, samples=5, seed=0) for N in (24, 96, 200)},
     }
     for name, run in runs.items():
         before = counts.as_dict()
@@ -155,6 +162,28 @@ if counts is not None:
             run()
         out[name] = {key: value - before[key] for key, value in counts.as_dict().items()}
         out[name].update(seen)
+print(json.dumps(out))
+"""
+
+# the least of three in-process times of each example 1 rung, in a process
+# of its own so that no profiling hook and no other run's state slows it;
+# prints one JSON object of seconds, null per rung without verify_example1
+TIMES_SCRIPT = """
+import json
+import time
+try:
+    from lipfree.reproduce import verify_example1
+except ImportError:
+    verify_example1 = None
+out = dict.fromkeys(("example1_24", "example1_96", "example1_200"))
+if verify_example1 is not None:
+    for N in (24, 96, 200):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            verify_example1(N=N, n=4, samples=5, seed=0)
+            times.append(time.perf_counter() - start)
+        out[f"example1_{N}"] = min(times)
 print(json.dumps(out))
 """
 
@@ -207,12 +236,22 @@ def run_tier1(tree: Path) -> dict:
     return parse_tier1(proc.stdout)
 
 
-def run_counts(tree: Path) -> dict:
-    """The counts of COUNTS_SCRIPT's runs on the sources of tree."""
+def run_script(tree: Path, script: str) -> dict:
+    """The JSON that script prints, run on the sources of tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", COUNTS_SCRIPT], cwd=tree, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def run_counts(tree: Path) -> dict:
+    """The counts of COUNTS_SCRIPT's runs on the sources of tree."""
+    return run_script(tree, COUNTS_SCRIPT)
+
+
+def run_times(tree: Path) -> dict:
+    """The least of three times of each example 1 rung on the sources of tree."""
+    return run_script(tree, TIMES_SCRIPT)
 
 
 def summarize(runs: list) -> dict:
@@ -281,6 +320,8 @@ def main(argv=None) -> int:
         print(f"tier-1: {tier1}", file=sys.stderr)
         counts = {side: run_counts(trees[side]) for side in SIDES}
         print(f"simplex counts: {counts}", file=sys.stderr)
+        ladder = {side: run_times(trees[side]) for side in SIDES}
+        print(f"ladder times: {ladder}", file=sys.stderr)
         for workload in (w["name"] for w in spec["workloads"]):
             results = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
@@ -308,6 +349,7 @@ def main(argv=None) -> int:
         },
         "tier1": tier1,
         "simplex_counts": counts,
+        "ladder_s": ladder,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
